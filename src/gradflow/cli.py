@@ -60,11 +60,13 @@ class CliError(ValueError):
 
 
 def _load_config(path) -> dict:
-    if not os.path.isfile(path):
-        raise CliError(f"config: no such file: {path}")
+    # open rather than test isfile: a pipe such as <(echo '{}') is no
+    # regular file, yet readable
     try:
         with open(path) as fh:
             body = json.load(fh)
+    except (FileNotFoundError, IsADirectoryError) as err:
+        raise CliError(f"config: no such file: {path}") from err
     except json.JSONDecodeError as err:
         raise CliError(f"config: invalid JSON in {path}: {err}") from err
     if not isinstance(body, dict):

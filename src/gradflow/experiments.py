@@ -531,6 +531,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
         )
 
     solved = [r for r in rows if r[1] is not None]
+    excluded = len(rows) - len(solved)
     by_degree = {r[0]: r for r in solved}
     tol = float(p["interp_tol"])
     interp_degrees = [r[0] for r in solved if r[1] <= tol]
@@ -562,7 +563,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
             and by_degree[max_deg][2] > min(r[2] for r in intermediate)
         ),
         "condition_flags_fire": any(r[5] == "ill_conditioned" for r in solved),
-        "exclusions_ok": True,
+        "exclusions_ok": excluded <= MAX_EXCLUSION_RATE * len(degrees),
     }
     aggregates = {
         "first_degree_within_tolerance": first_crossing,
@@ -593,7 +594,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
         seed=config.seed,
         config_hash=config.config_hash(),
         repetitions=1,
-        excluded=0,
+        excluded=excluded,
         predicates=predicates,
         aggregates=aggregates,
         trace_paths=trace_paths,
@@ -659,9 +660,9 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         )
         return out.final_state
 
+    states = [pretrained(rep) for rep in range(reps)]
     traces, included, trace_paths = [], [], []
-    for rep in range(reps):
-        state = pretrained(rep)
+    for rep, state in enumerate(states):
         if classification_error(state.net, train) > 0.0:
             traces.append(None)
             included.append(False)
@@ -712,8 +713,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         # control twin: same pretrained states flowed without noise
         ctrl_growth = []
         horizon = int(p["interval"]) * (int(p["cycles"]) + 1)
-        for rep in range(min(int(p["control_repetitions"]), reps)):
-            state = pretrained(rep)
+        for state in states[: int(p["control_repetitions"])]:
             base = np.array([float(np.sqrt((w * w).sum()))
                              for w in state.net.layers])
             out = run_flow(

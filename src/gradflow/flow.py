@@ -20,16 +20,17 @@ import numpy as np
 from .linalg import frobenius_norm, min_norm_least_squares, symmetric_eig
 from .losses import (
     Dataset,
-    batch_backprop,
-    batch_forward,
+    _check_kind,
+    _loss_and_gradient,
     classification_error,
     loss,
-    loss_and_gradient,
     mean_squared_error,
 )
-from .network import DeepNet, flatten_params, normalize_layers
+from .network import (DeepNet, batch_backprop, batch_forward, flatten_params,
+                      normalize_layers, unflatten_params)
 
 LOSS_EXPLOSION_FACTOR = 10.0
+MAX_HALVINGS = 40
 MAX_ITERATIONS_HARD_CAP = 200_000_000
 V_DRIFT_LOG_THRESHOLD = 1e-4
 V_DRIFT_INVARIANT = 1e-6
@@ -127,6 +128,9 @@ class TrajectoryTrace:
     stop_reason: str = ""
     final_state: FlowState | None = None
     kink_events: int = 0
+    # loss_rescaled steps taken although the loss still rose after
+    # MAX_HALVINGS halvings; a count only, not a CSV column
+    backtrack_giveups: int = 0
 
     def n_rows(self) -> int:
         return len(self.times)
@@ -170,18 +174,13 @@ def write_trace_csv(trace: TrajectoryTrace, path, header_comment: str = ""):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _train_metric(kind: str, net: DeepNet, data: Dataset) -> float:
+def _error_metric(net: DeepNet, data: Dataset | None):
+    """Mean squared error for regression data, else the 0/1 error."""
+    if data is None:
+        return None
     if data.task == "regression":
         return mean_squared_error(net, data)
     return classification_error(net, data)
-
-
-def _test_metric(net: DeepNet, test_data: Dataset | None):
-    if test_data is None:
-        return None
-    if test_data.task == "regression":
-        return mean_squared_error(net, test_data)
-    return classification_error(net, test_data)
 
 
 def _cosine(u, v) -> float:
@@ -192,11 +191,11 @@ def _cosine(u, v) -> float:
     return float((u * v).sum() / (nu * nv))
 
 
-def _record(trace, refs, kind, net, data, time, value, pert_count, flag=""):
+def _record(trace, refs, net, data, time, value, pert_count, flag=""):
     trace.times.append(time)
     trace.losses.append(value)
-    trace.train_errors.append(_train_metric(kind, net, data))
-    trace.test_errors.append(_test_metric(net, refs.test_data if refs else None))
+    trace.train_errors.append(_error_metric(net, data))
+    trace.test_errors.append(_error_metric(net, refs.test_data if refs else None))
     trace.layer_norms.append(tuple(frobenius_norm(w) for w in net.layers))
     flat = flatten_params(net.layers)
     if refs is not None and refs.reference_direction is not None:
@@ -227,26 +226,74 @@ def _grad_norm(grads) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 
 
-def flow_step(state: FlowState, kind: str, data: Dataset) -> FlowState:
-    """One guarded explicit-Euler step: W_k <- W_k - step*(grad_k + 2 lam W_k).
+class _Euler:
+    """The flow's one explicit-Euler step, shared by flow_step and run_flow.
 
-    Rejects the step if the loss jumps by more than 10x, which is the
-    practical signature of a step size beyond the stability limit.
+    The current point and a trial point live in two flat float64 buffers,
+    each wrapped once in a DeepNet whose layers are views into it, so a
+    step rewrites numbers in place instead of building a net. The loss
+    kind is checked once up front; every trial point is checked for
+    non-finite weights once, and one is an error, never absorbed.
     """
-    lams = state.lambda_array()
-    value, grads, _ = loss_and_gradient(kind, state.net, data)
-    total = _total_gradient(grads, state.net.layers, lams)
-    new_layers = [
-        w - state.step * g for w, g in zip(state.net.layers, total)
-    ]
-    new_net = state.net.with_layers(new_layers)
-    new_value = loss(kind, new_net, data)
-    if new_value > LOSS_EXPLOSION_FACTOR * max(value, 1e-300):
-        raise ValueError(
-            f"loss exploded {value:.3e} -> {new_value:.3e} in one step; "
-            f"reduce step below {state.step:.3e}"
-        )
-    return replace(state, net=new_net, time=state.time + state.step)
+
+    def __init__(self, net: DeepNet, kind: str, data: Dataset, lambdas):
+        _check_kind(kind, data, net)
+        self.kind, self.data, self.lambdas = kind, data, lambdas
+        shapes = [w.shape for w in net.layers]
+        self.flat = flatten_params(net.layers)
+        self.net = net.with_layers(unflatten_params(self.flat, shapes))
+        # zeros, not empty: the net built on it checks its entries are finite
+        self._trial_flat = np.zeros_like(self.flat)
+        self._trial = net.with_layers(unflatten_params(self._trial_flat, shapes))
+        self.value, grads, kink = _loss_and_gradient(kind, self.net, data)
+        self.total = _total_gradient(grads, self.net.layers, lambdas)
+        self.kink_events = int(kink)
+        self.backtrack_giveups = 0
+
+    def step(self, dt: float, backtrack: bool) -> float:
+        """Move to W_k - dt * (grad_k + 2 lam_k W_k); returns the dt taken.
+
+        Without backtrack a loss jump by more than LOSS_EXPLOSION_FACTOR
+        raises: it is the signature of a step beyond the stability limit.
+        With it, dt halves while the loss would rise; a step still rising
+        after MAX_HALVINGS halvings is taken and counted as a give-up.
+        """
+        halvings = 0
+        while True:
+            for w, g, out in zip(self.net.layers, self.total, self._trial.layers):
+                np.subtract(w, dt * g, out=out)
+            if not np.isfinite(self._trial_flat).all():
+                raise ValueError(
+                    f"non-finite weights after a step of {dt:.3e}; "
+                    "reduce the step"
+                )
+            value, grads, kink = _loss_and_gradient(self.kind, self._trial, self.data)
+            if not backtrack and value > LOSS_EXPLOSION_FACTOR * max(self.value, 1e-300):
+                raise ValueError(
+                    f"loss exploded {self.value:.3e} -> {value:.3e}; "
+                    f"reduce step below {dt:.3e}"
+                )
+            if not backtrack or value <= self.value:
+                break
+            if halvings >= MAX_HALVINGS:
+                self.backtrack_giveups += 1
+                break
+            dt *= 0.5
+            halvings += 1
+        self.net, self._trial = self._trial, self.net
+        self.flat, self._trial_flat = self._trial_flat, self.flat
+        self.value = value
+        self.total = _total_gradient(grads, self.net.layers, self.lambdas)
+        self.kink_events += int(kink)
+        return dt
+
+
+def flow_step(state: FlowState, kind: str, data: Dataset) -> FlowState:
+    """One guarded explicit-Euler step, W_k <- W_k - step*(grad_k + 2 lam W_k),
+    the step run_flow takes with fixed stepping."""
+    euler = _Euler(state.net, kind, data, state.lambda_array())
+    euler.step(state.step, backtrack=False)
+    return replace(state, net=euler.net, time=state.time + state.step)
 
 
 def run_flow(
@@ -269,11 +316,9 @@ def run_flow(
     """
     if stepping not in ("fixed", "loss_rescaled"):
         raise ValueError(f"unknown stepping {stepping!r}")
-    lams = state.lambda_array()
-    layers = [w.copy() for w in state.net.layers]
-    net = state.net.with_layers(layers)
+    euler = _Euler(state.net, kind, data, state.lambda_array())
     t = state.time
-    trace = TrajectoryTrace(layer_count=net.depth)
+    trace = TrajectoryTrace(layer_count=state.net.depth)
     max_steps = stop.max_steps
     if max_steps is None:
         if stepping == "fixed":
@@ -284,25 +329,19 @@ def run_flow(
 
     dir_snapshot = None
     dir_snapshot_time = None
-    pert_count = 0
-    converged = False
-    reason = "budget_exhausted"
     iteration = 0
-    value, grads, kink = loss_and_gradient(kind, net, data)
-    trace.kink_events += int(kink)
     while True:
-        total = _total_gradient(grads, net.layers, lams)
-        gnorm = _grad_norm(total)
         if iteration % sample_every == 0:
-            _record(trace, refs, kind, net, data, t, value, pert_count)
-        if stop.loss_below is not None and value <= stop.loss_below:
+            _record(trace, refs, euler.net, data, t, euler.value, 0)
+        if stop.loss_below is not None and euler.value <= stop.loss_below:
             converged, reason = True, "loss_below"
             break
-        if stop.grad_norm_below is not None and gnorm <= stop.grad_norm_below:
+        if (stop.grad_norm_below is not None
+                and _grad_norm(euler.total) <= stop.grad_norm_below):
             converged, reason = True, "grad_norm_below"
             break
         if stop.direction_angle_below is not None:
-            flat = flatten_params(net.layers)
+            flat = euler.flat
             norm = float(np.sqrt((flat * flat).sum()))
             if norm > 0.0:
                 direction = flat / norm
@@ -328,34 +367,18 @@ def run_flow(
         if stepping == "fixed":
             dt = state.step
         else:
-            dt = state.step / max(value, 1e-300)
-        attempts = 0
-        while True:
-            new_layers = [w - dt * g for w, g in zip(net.layers, total)]
-            candidate = net.with_layers(new_layers)
-            new_value, new_grads, kink = loss_and_gradient(kind, candidate, data)
-            if stepping == "fixed":
-                if new_value > LOSS_EXPLOSION_FACTOR * max(value, 1e-300):
-                    raise ValueError(
-                        f"loss exploded {value:.3e} -> {new_value:.3e}; "
-                        f"reduce step below {state.step:.3e}"
-                    )
-                break
-            if new_value <= value or attempts >= 40:
-                break
-            dt *= 0.5
-            attempts += 1
-        net = candidate
-        value, grads = new_value, new_grads
-        trace.kink_events += int(kink)
-        t += dt
+            dt = state.step / max(euler.value, 1e-300)
+        t += euler.step(dt, backtrack=stepping == "loss_rescaled")
         iteration += 1
 
     if not trace.times or trace.times[-1] != t:
-        _record(trace, refs, kind, net, data, t, value, pert_count)
+        _record(trace, refs, euler.net, data, t, euler.value, 0)
     trace.converged = converged
     trace.stop_reason = reason
-    trace.final_state = replace(state, net=net, time=t)
+    trace.kink_events = euler.kink_events
+    trace.backtrack_giveups = euler.backtrack_giveups
+    # the buffers behind euler.net are not written once run_flow returns
+    trace.final_state = replace(state, net=euler.net, time=t)
     return trace
 
 
@@ -454,7 +477,6 @@ def perturb_and_reconverge(
     (classification error 0, or loss <= reconverge_tol for regression) is
     not met gets flagged, and the run continues.
     """
-    lams = state.lambda_array()
     net = state.net
     value = loss(kind, net, data)
     if data.task == "regression":
@@ -475,7 +497,7 @@ def perturb_and_reconverge(
     pert_count = 0
     t = state.time
     step_idx = 0
-    _record(trace, refs, kind, net, data, t, value, pert_count)
+    _record(trace, refs, net, data, t, value, pert_count)
     while step_idx < total_steps:
         chunk = min(protocol.interval, total_steps - step_idx)
         inner = run_flow(
@@ -499,14 +521,14 @@ def perturb_and_reconverge(
             step_idx <= stop_after and pert_count < protocol.repetitions
             and step_idx < total_steps
         )
-        _record(trace, refs, kind, net, data, t, value, pert_count, flag)
+        _record(trace, refs, net, data, t, value, pert_count, flag)
         if may_perturb:
             for _ in range(5):
                 deltas = _draw_perturbation(rng, net.layers, protocol)
                 candidate = net.with_layers(
                     [w + d for w, d in zip(net.layers, deltas)]
                 )
-                _, _, kink = loss_and_gradient(kind, candidate, data)
+                kink = batch_forward(candidate, data.inputs)[-1]
                 if not kink:
                     break
                 trace.kink_events += 1
@@ -580,13 +602,13 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
     unit = state.unit_net
     rhos = np.asarray(state.rhos)
     prod = float(np.prod(rhos))
-    out, preacts, acts = batch_forward(unit, data.inputs)
+    out, _, acts, derivs, _ = batch_forward(unit, data.inputs)
     f_tilde = data.labels * out[0]
     weights = np.exp(-np.minimum(prod * f_tilde, 709.0))
     margin_mass = float((weights * f_tilde).sum())
     rho_dots = (prod / rhos) * margin_mass
     b_delta = (data.labels * weights)[None, :] * prod
-    b_list, _ = batch_backprop(unit, preacts, acts, b_delta)
+    b_list = batch_backprop(unit, acts, derivs, b_delta)
     dt = state.step
     if state.stepping == "loss_rescaled":
         # extra 1/(1+prod) keeps the tangent step bounded: the direction

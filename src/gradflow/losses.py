@@ -2,9 +2,10 @@
 
 Losses are sums over samples, never means; step-size choices downstream
 absorb the 1/N. Supported: square, exponential, logistic, and softmax
-cross-entropy. Gradients run through a batched backprop so that long flow
-loops stay cheap; summation order over samples is fixed, so repeated
-evaluation is bit-identical.
+cross-entropy. Every loss runs on the network module's one batched
+forward/backward path: a single forward over all samples caches the
+activation derivatives that the backward pass then reuses. Summation order
+over samples is fixed, so repeated evaluation is bit-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DeepNet, _activate, _activate_deriv
+from .network import DeepNet, _sigmoid, batch_backprop, batch_forward
 
 LOSS_KINDS = ("square", "exponential", "logistic", "softmax_cross_entropy")
 TASKS = ("binary", "multiclass", "regression")
@@ -110,44 +111,10 @@ def _check_kind(kind: str, data: Dataset, net: DeepNet):
         )
 
 
-def batch_forward(net: DeepNet, inputs):
-    """Outputs (N,) for one-row nets, else (N, C); plus cached internals."""
-    x = np.asarray(inputs, dtype=float)
-    h = x.T  # columns are samples
-    preacts = []
-    acts = [h]
-    for k, w in enumerate(net.layers):
-        z = w @ h
-        preacts.append(z)
-        last = k == net.depth - 1
-        h = z if (last and net.top_linear) else _activate(net, z)
-        acts.append(h)
-    return h, preacts, acts
-
-
 def batch_outputs(net: DeepNet, inputs) -> np.ndarray:
-    out, _, _ = batch_forward(net, inputs)
+    """Outputs (N,) for one-row nets, else (N, C)."""
+    out = batch_forward(net, inputs)[0]
     return out[0] if out.shape[0] == 1 else out.T
-
-
-def batch_backprop(net: DeepNet, preacts, acts, out_delta):
-    """Sum over samples of per-layer gradients, given d loss / d output
-    as columns of out_delta (C x N). Returns (grads list, kink flag)."""
-    kink = False
-    delta = out_delta
-    if not net.top_linear:
-        dtop, hit = _activate_deriv(net, preacts[-1])
-        delta = delta * dtop
-        kink = kink or hit
-    grads = [None] * net.depth
-    for k in range(net.depth - 1, -1, -1):
-        grads[k] = delta @ acts[k].T
-        if k > 0:
-            back = net.layers[k].T @ delta
-            dk, hit = _activate_deriv(net, preacts[k - 1])
-            delta = back * dk
-            kink = kink or hit
-    return grads, kink
 
 
 def _clamped_exp(u, context):
@@ -171,9 +138,7 @@ def loss(kind: str, net: DeepNet, data: Dataset) -> float:
     """Sum over samples of the per-sample loss."""
     _check_kind(kind, data, net)
     if kind == "softmax_cross_entropy":
-        logits = batch_outputs(net, data.inputs)
-        if logits.ndim == 1:
-            logits = logits[:, None]
+        logits = batch_forward(net, data.inputs)[0].T
         y = data.labels
         z = logits - logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(z).sum(axis=1))
@@ -193,17 +158,20 @@ def loss(kind: str, net: DeepNet, data: Dataset) -> float:
 def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     """Returns (loss value, per-layer gradient list, relu kink flag)."""
     _check_kind(kind, data, net)
-    out, preacts, acts = batch_forward(net, data.inputs)
+    return _loss_and_gradient(kind, net, data)
+
+
+def _loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
+    """loss_and_gradient without the argument check, for loops that make
+    the check once up front."""
+    out, _, acts, derivs, kink = batch_forward(net, data.inputs)
     y = data.labels
     if kind == "softmax_cross_entropy":
-        logits = out.T
-        p = _softmax_rows(logits)
-        picked = np.log(p[np.arange(len(y)), y])
-        value = float(-picked.sum())
-        delta = p.copy()
-        delta[np.arange(len(y)), y] -= 1.0
-        grads, kink = batch_backprop(net, preacts, acts, delta.T)
-        return value, grads, kink
+        rows = np.arange(len(y))
+        p = _softmax_rows(out.T)
+        value = float(-np.log(p[rows, y]).sum())
+        p[rows, y] -= 1.0
+        return value, batch_backprop(net, acts, derivs, p.T), kink
     f = out[0]
     if kind == "square":
         value = float(((y - f) ** 2).sum())
@@ -215,10 +183,8 @@ def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     else:
         m = -y * f
         value = float((np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))).sum())
-        sig = np.where(m > 0, 1.0 / (1.0 + np.exp(-m)), np.exp(m) / (1.0 + np.exp(m)))
-        ddelta = -y * sig
-    grads, kink = batch_backprop(net, preacts, acts, ddelta[None, :])
-    return value, grads, kink
+        ddelta = -y * _sigmoid(m)
+    return value, batch_backprop(net, acts, derivs, ddelta[None, :]), kink
 
 
 def loss_gradient(kind: str, net: DeepNet, data: Dataset) -> list:
@@ -236,9 +202,7 @@ def separability_margin(net: DeepNet, data: Dataset) -> float:
         f = batch_outputs(net, data.inputs)
         return float((data.labels * f).min())
     if data.task == "multiclass":
-        logits = batch_outputs(net, data.inputs)
-        if logits.ndim == 1:
-            logits = logits[:, None]
+        logits = batch_forward(net, data.inputs)[0].T
         y = data.labels
         rows = np.arange(len(y))
         own = logits[rows, y]
@@ -256,9 +220,7 @@ def classification_error(net: DeepNet, data: Dataset) -> float:
         f = batch_outputs(net, data.inputs)
         return float(np.mean(data.labels * f <= 0.0))
     if data.task == "multiclass":
-        logits = batch_outputs(net, data.inputs)
-        if logits.ndim == 1:
-            logits = logits[:, None]
+        logits = batch_forward(net, data.inputs)[0].T
         return float(np.mean(logits.argmax(axis=1) != data.labels))
     raise ValueError("classification error needs a classification task")
 

@@ -5,6 +5,12 @@ shared by the hidden layers. The last layer is linear by default
 (top_linear=True), which is what every separability argument needs; set
 top_linear=False to push the activation through the output as well.
 
+One forward/backward path serves every caller. batch_forward runs the
+samples as the columns of one matrix and caches, per layer, the input and
+the activation derivative next to the activation itself; batch_backprop
+reuses that cache instead of recomputing the activation. The per-sample
+calls (forward, backprop, layer_gradients) are batch-of-one wrappers.
+
 Gradients are exact backprop, returned per layer with the same shapes as
 the weights, so that Euler identities like sum_ij dF/dW_ij * W_ij = f can
 be checked entry by entry.
@@ -25,12 +31,10 @@ HOMOGENEOUS = ("relu", "linear")
 
 
 def _sigmoid(u):
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """Logistic function from one exp(-|u|): 1/(1+e) for u >= 0 and
+    e/(1+e) below, so neither tail overflows."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -95,60 +99,87 @@ class LayerGradient:
     kink_hit: bool = False
 
 
-def _activate(net: DeepNet, z: np.ndarray) -> np.ndarray:
+def _activate(net: DeepNet, z: np.ndarray):
+    """Activation at z, its derivative there, and whether a relu
+    pre-activation sat exactly on the kink (subgradient 0 is used)."""
     if net.activation == "linear":
-        return z
+        return z, np.ones_like(z), False
     if net.activation == "relu":
-        return np.maximum(z, 0.0)
+        kink = bool(np.any(z == 0.0))
+        return np.maximum(z, 0.0), (z > 0.0).astype(float), kink
     if net.activation == "smoothed_relu":
-        return z * _sigmoid(z / net.epsilon**2)
+        u = z / net.epsilon**2
+        s = _sigmoid(u)
+        return z * s, s + u * s * (1.0 - s), False
     # polynomial, constant term first
     out = np.zeros_like(z)
     for c in reversed(net.coefficients):
         out = out * z + c
-    return out
-
-
-def _activate_deriv(net: DeepNet, z: np.ndarray):
-    """Derivative of the activation and whether a relu kink was hit."""
-    if net.activation == "linear":
-        return np.ones_like(z), False
-    if net.activation == "relu":
-        return (z > 0.0).astype(float), bool(np.any(z == 0.0))
-    if net.activation == "smoothed_relu":
-        u = z / net.epsilon**2
-        s = _sigmoid(u)
-        return s + u * s * (1.0 - s), False
     deriv = np.zeros_like(z)
     for i in range(len(net.coefficients) - 1, 0, -1):
         deriv = deriv * z + i * net.coefficients[i]
-    return deriv, False
+    return out, deriv, False
 
 
-def _forward_pass(net: DeepNet, x: np.ndarray):
-    """Returns (output vector, pre-activations per layer, activations per
-    layer input). preacts[k] = W_{k+1} @ acts[k]."""
-    acts = [x]
-    preacts = []
-    h = x
+def batch_forward(net: DeepNet, inputs):
+    """Forward pass over the rows of inputs (N x d); samples are columns.
+
+    Returns (out, preacts, acts, derivs, kink): out is C x N;
+    preacts[k] = W_{k+1} @ acts[k]; derivs[k] is the activation derivative
+    at preacts[k], None for a linear top layer; kink flags a relu
+    pre-activation exactly at zero. batch_backprop reuses acts and derivs.
+    """
+    h = np.asarray(inputs, dtype=float).T
+    preacts, acts, derivs = [], [h], []
+    kink = False
     for k, w in enumerate(net.layers):
         z = w @ h
         preacts.append(z)
-        last = k == net.depth - 1
-        h = z if (last and net.top_linear) else _activate(net, z)
+        if k == net.depth - 1 and net.top_linear:
+            h, d = z, None
+        else:
+            h, d, hit = _activate(net, z)
+            kink = kink or hit
         acts.append(h)
-    return h, preacts, acts
+        derivs.append(d)
+    return h, preacts, acts, derivs, kink
 
 
-def forward_multi(net: DeepNet, x) -> np.ndarray:
-    """Network output as a vector (multiclass heads keep all rows)."""
+def batch_backprop(net: DeepNet, acts, derivs, out_delta) -> list:
+    """Per-layer gradients of sum_n <out_delta[:, n], f(W; x_n)>, given
+    batch_forward's acts and derivs and out_delta as C x N columns."""
+    delta = out_delta
+    grads = [None] * net.depth
+    for k in range(net.depth - 1, -1, -1):
+        if derivs[k] is not None:
+            delta = delta * derivs[k]
+        grads[k] = delta @ acts[k].T
+        if k > 0:
+            delta = net.layers[k].T @ delta
+    return grads
+
+
+def _input_row(net: DeepNet, x) -> np.ndarray:
+    """One input vector as a batch of one (1 x d)."""
     x = check_vector(x, "x")
     if x.shape[0] != net.in_dim:
         raise ValueError(
             f"input has dimension {x.shape[0]}, layer 1 expects {net.in_dim}"
         )
-    out, _, _ = _forward_pass(net, x)
-    return out
+    return x[None, :]
+
+
+def _forward_pass(net: DeepNet, x):
+    """Batch-of-one forward: (output vector, pre-activations per layer,
+    activations per layer input), the last two as one-column matrices.
+    preacts[k] = W_{k+1} @ acts[k]."""
+    out, preacts, acts, _, _ = batch_forward(net, _input_row(net, x))
+    return out[:, 0], preacts, acts
+
+
+def forward_multi(net: DeepNet, x) -> np.ndarray:
+    """Network output as a vector (multiclass heads keep all rows)."""
+    return _forward_pass(net, x)[0]
 
 
 def forward(net: DeepNet, x) -> float:
@@ -160,27 +191,9 @@ def forward(net: DeepNet, x) -> float:
 
 def backprop(net: DeepNet, x, out_delta) -> LayerGradient:
     """Per-layer gradients of <out_delta, f(W;x)> with respect to each W_k."""
-    x = check_vector(x, "x")
-    if x.shape[0] != net.in_dim:
-        raise ValueError(
-            f"input has dimension {x.shape[0]}, layer 1 expects {net.in_dim}"
-        )
+    _, _, acts, derivs, kink = batch_forward(net, _input_row(net, x))
     out_delta = np.atleast_1d(np.asarray(out_delta, dtype=float))
-    _, preacts, acts = _forward_pass(net, x)
-    kink = False
-    delta = out_delta
-    if not net.top_linear:
-        dtop, k = _activate_deriv(net, preacts[-1])
-        delta = delta * dtop
-        kink = kink or k
-    grads = [None] * net.depth
-    for k in range(net.depth - 1, -1, -1):
-        grads[k] = np.outer(delta, acts[k])
-        if k > 0:
-            back = net.layers[k].T @ delta
-            dk, hit = _activate_deriv(net, preacts[k - 1])
-            delta = back * dk
-            kink = kink or hit
+    grads = batch_backprop(net, acts, derivs, out_delta[:, None])
     return LayerGradient(tuple(grads), kink)
 
 
@@ -193,10 +206,9 @@ def layer_gradients(net: DeepNet, x) -> LayerGradient:
 
 def activation_profile(net: DeepNet, x) -> list:
     """0/1 indicator per hidden unit (1 iff pre-activation > 0)."""
-    x = check_vector(x, "x")
     _, preacts, _ = _forward_pass(net, x)
     upto = net.depth - 1 if net.top_linear else net.depth
-    return [(preacts[k] > 0.0).astype(float) for k in range(upto)]
+    return [(preacts[k][:, 0] > 0.0).astype(float) for k in range(upto)]
 
 
 def homogeneity_residual(net: DeepNet, x, k: int) -> float:

@@ -43,6 +43,25 @@ class TestDispatch:
         assert main(["svm", "--config", missing]) == 1
         assert missing in capsys.readouterr().err
 
+    def test_config_through_a_pipe(self, tmp_path):
+        # what --config <(echo '{...}') hands over: a readable /dev/fd/N
+        # that is no regular file
+        body = json.dumps({"dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
+                                       "labels": [1.0, -1.0]}})
+        read_fd, write_fd = os.pipe()
+        try:
+            with os.fdopen(write_fd, "w") as fh:
+                fh.write(body)
+            assert main(["svm", "--config", f"/dev/fd/{read_fd}",
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        finally:
+            os.close(read_fd)
+        assert os.listdir(tmp_path / "out")
+
+    def test_directory_config_names_path(self, capsys, tmp_path):
+        assert main(["svm", "--config", str(tmp_path)]) == 1
+        assert f"no such file: {tmp_path}" in capsys.readouterr().err
+
     def test_invalid_json_names_path(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

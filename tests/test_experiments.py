@@ -227,6 +227,20 @@ class TestDegreeSweep:
     def test_interpolation_residual_scale(self, report):
         assert report.aggregates["max_train_sse_past_threshold"] <= 1e-8
 
+    def test_refused_degrees_count_as_exclusions(self, report):
+        # 3 of 90 degrees is within MAX_EXCLUSION_RATE
+        assert report.excluded == 3
+        assert report.predicates["exclusions_ok"]
+
+    def test_too_many_refused_degrees_fail_the_report(self):
+        narrow = run_scenario(ExperimentConfig(
+            scenario="min_norm_degree_sweep", seed=0,
+            params={"min_degree": 70, "max_degree": 76},
+        ))
+        assert narrow.excluded == 3
+        assert not narrow.predicates["exclusions_ok"]
+        assert not narrow.passed
+
 
 class TestToyDeepnet:
     def test_trimmed_run_passes(self, tmp_path):

@@ -208,6 +208,60 @@ class TestRunFlow:
         assert abs(w - lo) <= 1e-6
 
 
+class TestSharedStep:
+    """flow_step and run_flow take the same Euler step; a non-finite step
+    raises and a backtracking give-up is counted, never absorbed."""
+
+    ONE = Dataset(np.array([[1.0]]), np.array([0.0]), task="regression")
+
+    @pytest.mark.parametrize("stepping", ["fixed", "loss_rescaled"])
+    def test_non_finite_step_raises(self, stepping):
+        # loss 1, gradient 2: a step of 1e308 overflows the weight
+        state = FlowState(net=_linear_net([1.0]), step=1e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+            run_flow(state, "square", self.ONE, StopRule(max_steps=5),
+                     stepping=stepping)
+
+    @pytest.mark.parametrize("kind, net, data, lambdas", [
+        ("exponential", _linear_net([0.3, -0.2]), SEP, ()),
+        ("logistic", None, SEP, (0.01, 0.02)),
+        ("softmax_cross_entropy", None, None, ()),
+    ])
+    def test_iterated_flow_step_is_bitwise_run_flow(self, kind, net, data,
+                                                    lambdas):
+        rng = np.random.default_rng(8)
+        if kind == "logistic":
+            net = DeepNet((rng.normal(size=(5, 2)), rng.normal(size=(1, 5))),
+                          activation="smoothed_relu")
+        if kind == "softmax_cross_entropy":
+            net = DeepNet((rng.normal(size=(4, 2)), rng.normal(size=(3, 4))),
+                          activation="relu")
+            data = Dataset(SEP_X, np.array([0, 1, 2, 1]), task="multiclass")
+        start = FlowState(net=net, step=0.01, lambdas=lambdas)
+        state = start
+        for _ in range(25):
+            state = flow_step(state, kind, data)
+        trace = run_flow(start, kind, data, StopRule(max_steps=25))
+        final = trace.final_state
+        assert final.time == state.time
+        for a, b in zip(final.net.layers, state.net.layers):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_backtrack_giveup_is_counted(self):
+        # loss (1 - 2 dt)^2 rises for every dt > 1; from dt = 1e15 even
+        # MAX_HALVINGS halvings leave dt near 900, so the step is a give-up
+        state = FlowState(net=_linear_net([1.0]), step=1e15)
+        trace = run_flow(state, "square", self.ONE, StopRule(max_steps=1),
+                         stepping="loss_rescaled")
+        assert trace.backtrack_giveups == 1
+        assert trace.losses[-1] > trace.losses[0]
+        calm = run_flow(FlowState(net=_linear_net([0.3, -0.2]), step=0.05),
+                        "exponential", SEP, StopRule(max_steps=2000),
+                        stepping="loss_rescaled")
+        assert calm.backtrack_giveups == 0
+
+
 class TestLinearSquareGD:
     def test_matches_naive_gd_loop(self):
         rng = np.random.default_rng(31)

@@ -10,9 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from gradflow.network import (
     DeepNet,
+    _activate,
     _forward_pass,
+    _sigmoid,
     activation_profile,
     backprop,
+    batch_backprop,
+    batch_forward,
     flatten_params,
     forward,
     forward_multi,
@@ -262,3 +266,99 @@ def test_json_round_trip_polynomial():
     back = from_json(to_json(net))
     assert back.coefficients == net.coefficients
     assert back.top_linear is False
+
+
+def _two_mask_sigmoid(u):
+    """The logistic function as two masked exp passes; reference for the
+    single-exp _sigmoid."""
+    out = np.empty_like(u, dtype=float)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+def test_single_exp_sigmoid_is_bitwise_two_mask_formula():
+    rng = np.random.default_rng(41)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.2,
+                      -745.2, 1e-320, -1e-320, 36.7, -36.7])
+    u = np.concatenate([
+        edges,
+        rng.normal(scale=3.0, size=100_000),
+        rng.uniform(-800.0, 800.0, size=100_000),
+        np.sign(rng.normal(size=10_000)) * 10.0 ** rng.uniform(-320, 3, size=10_000),
+    ])
+    with np.errstate(over="ignore"):
+        got, want = _sigmoid(u), _two_mask_sigmoid(u)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _matvec_backprop(net, x, out_delta):
+    """Per-sample backprop by matrix-vector products and outer products;
+    reference for the batch-of-one wrapper."""
+    acts, preacts, h = [x], [], x
+    for k, w in enumerate(net.layers):
+        z = w @ h
+        preacts.append(z)
+        h = z if (k == net.depth - 1 and net.top_linear) else _activate(net, z)[0]
+        acts.append(h)
+    delta = out_delta
+    if not net.top_linear:
+        delta = delta * _activate(net, preacts[-1])[1]
+    grads = [None] * net.depth
+    for k in range(net.depth - 1, -1, -1):
+        grads[k] = np.outer(delta, acts[k])
+        if k > 0:
+            delta = (net.layers[k].T @ delta) * _activate(net, preacts[k - 1])[1]
+    return grads
+
+
+def _random_nets(rng, count):
+    for i in range(count):
+        depth = int(rng.integers(1, 4))
+        dims = [int(rng.integers(1, 40)) for _ in range(depth)]
+        dims.append(int(rng.integers(1, 4)))
+        kind = ("smoothed_relu", "linear", "polynomial", "relu")[i % 4]
+        kwargs = {"coefficients": (0.1, 0.5, 0.25)} if kind == "polynomial" else {}
+        yield random_net(rng, dims, activation=kind, top_linear=bool(i % 3),
+                         **kwargs)
+
+
+def test_per_sample_backprop_is_bitwise_matvec_reference():
+    # a one-column matmul and a matvec round alike; only the sign of a
+    # zero may differ (an outer product keeps -0.0), so zeros are
+    # normalised by adding +0.0 before the bits are compared
+    rng = np.random.default_rng(42)
+    for net in _random_nets(rng, 400):
+        x = rng.normal(size=net.in_dim)
+        delta = rng.normal(size=net.out_dim)
+        got = backprop(net, x, delta).grads
+        want = _matvec_backprop(net, x, delta)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal((a + 0.0).view(np.int64),
+                                  (b + 0.0).view(np.int64))
+
+
+def test_per_sample_backprop_matches_batched_column():
+    # the batched gradient with out_delta zero outside column j is the
+    # per-sample gradient of sample j; batched and single-column products
+    # may round differently, hence a tolerance relative to the largest
+    # entry instead of bits
+    rng = np.random.default_rng(43)
+    for net in _random_nets(rng, 100):
+        n = int(rng.integers(1, 12))
+        x = rng.normal(size=(n, net.in_dim))
+        delta = rng.normal(size=(net.out_dim, n))
+        _, _, acts, derivs, kink = batch_forward(net, x)
+        for j in range(n):
+            one_hot = np.zeros_like(delta)
+            one_hot[:, j] = delta[:, j]
+            batched = batch_backprop(net, acts, derivs, one_hot)
+            single = backprop(net, x[j], delta[:, j])
+            for a, b in zip(batched, single.grads):
+                scale = max(1.0, float(np.abs(b).max()))
+                assert np.abs(a - b).max() <= 1e-12 * scale
+            assert not single.kink_hit or kink
