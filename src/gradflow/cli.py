@@ -195,6 +195,8 @@ def _cmd_flow(args) -> int:
     write_trace_csv(trace, path, header_comment=header)
     print(f"wrote {path} ({len(trace.times)} rows, "
           f"stop: {trace.stop_reason})")
+    if trace.backtrack_giveups:
+        print(f"backtrack give-ups: {trace.backtrack_giveups}")
     if args.verbose:
         print(f"final loss {trace.losses[-1]!r} at time {trace.times[-1]!r}")
     return 0

@@ -191,10 +191,10 @@ def _cosine(u, v) -> float:
     return float((u * v).sum() / (nu * nv))
 
 
-def _record(trace, refs, net, data, time, value, pert_count, flag=""):
+def _record(trace, refs, net, train_error, time, value, pert_count, flag=""):
     trace.times.append(time)
     trace.losses.append(value)
-    trace.train_errors.append(_error_metric(net, data))
+    trace.train_errors.append(train_error)
     trace.test_errors.append(_error_metric(net, refs.test_data if refs else None))
     trace.layer_norms.append(tuple(frobenius_norm(w) for w in net.layers))
     flat = flatten_params(net.layers)
@@ -332,7 +332,8 @@ def run_flow(
     iteration = 0
     while True:
         if iteration % sample_every == 0:
-            _record(trace, refs, euler.net, data, t, euler.value, 0)
+            _record(trace, refs, euler.net, _error_metric(euler.net, data),
+                    t, euler.value, 0)
         if stop.loss_below is not None and euler.value <= stop.loss_below:
             converged, reason = True, "loss_below"
             break
@@ -372,7 +373,8 @@ def run_flow(
         iteration += 1
 
     if not trace.times or trace.times[-1] != t:
-        _record(trace, refs, euler.net, data, t, euler.value, 0)
+        _record(trace, refs, euler.net, _error_metric(euler.net, data), t,
+                euler.value, 0)
     trace.converged = converged
     trace.stop_reason = reason
     trace.kink_events = euler.kink_events
@@ -479,13 +481,14 @@ def perturb_and_reconverge(
     """
     net = state.net
     value = loss(kind, net, data)
+    train_error = _error_metric(net, data)
     if data.task == "regression":
         if value > reconverge_tol:
             raise ValueError(
                 f"start the protocol at an interpolating state "
                 f"(loss {value:.3e} > {reconverge_tol:.1e})"
             )
-    elif classification_error(net, data) > 0.0:
+    elif train_error > 0.0:
         raise ValueError("start the protocol at zero training error")
     stop_after = protocol.stop_after
     if stop_after is None:
@@ -497,7 +500,7 @@ def perturb_and_reconverge(
     pert_count = 0
     t = state.time
     step_idx = 0
-    _record(trace, refs, net, data, t, value, pert_count)
+    _record(trace, refs, net, train_error, t, value, pert_count)
     while step_idx < total_steps:
         chunk = min(protocol.interval, total_steps - step_idx)
         inner = run_flow(
@@ -510,18 +513,19 @@ def perturb_and_reconverge(
         net = inner.final_state.net
         t = inner.final_state.time
         step_idx += chunk
-        value = loss(kind, net, data)
+        # run_flow's last row is its final state: reuse, do not re-evaluate
+        value, train_error = inner.losses[-1], inner.train_errors[-1]
         ok = (
             value <= reconverge_tol
             if data.task == "regression"
-            else classification_error(net, data) == 0.0
+            else train_error == 0.0
         )
         flag = "" if ok else "not_reconverged"
         may_perturb = (
             step_idx <= stop_after and pert_count < protocol.repetitions
             and step_idx < total_steps
         )
-        _record(trace, refs, net, data, t, value, pert_count, flag)
+        _record(trace, refs, net, train_error, t, value, pert_count, flag)
         if may_perturb:
             for _ in range(5):
                 deltas = _draw_perturbation(rng, net.layers, protocol)

@@ -128,10 +128,17 @@ def _clamped_exp(u, context):
     return np.exp(u)
 
 
-def _softmax_rows(logits):
+def _softmax_cross_entropy(logits, y):
+    """Summed cross-entropy by log-sum-exp, and the row probabilities.
+
+    One formula for loss and loss_and_gradient, so both give the same bits;
+    -log of an underflowed probability would be inf where this is finite.
+    """
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    norm = e.sum(axis=1, keepdims=True)
+    value = float((np.log(norm[:, 0]) - z[np.arange(len(y)), y]).sum())
+    return value, e / norm
 
 
 def loss(kind: str, net: DeepNet, data: Dataset) -> float:
@@ -139,11 +146,7 @@ def loss(kind: str, net: DeepNet, data: Dataset) -> float:
     _check_kind(kind, data, net)
     if kind == "softmax_cross_entropy":
         logits = batch_forward(net, data.inputs)[0].T
-        y = data.labels
-        z = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        picked = z[np.arange(len(y)), y]
-        return float((log_norm - picked).sum())
+        return _softmax_cross_entropy(logits, data.labels)[0]
     f = batch_outputs(net, data.inputs)
     y = data.labels
     if kind == "square":
@@ -167,10 +170,8 @@ def _loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     out, _, acts, derivs, kink = batch_forward(net, data.inputs)
     y = data.labels
     if kind == "softmax_cross_entropy":
-        rows = np.arange(len(y))
-        p = _softmax_rows(out.T)
-        value = float(-np.log(p[rows, y]).sum())
-        p[rows, y] -= 1.0
+        value, p = _softmax_cross_entropy(out.T, y)
+        p[np.arange(len(y)), y] -= 1.0
         return value, batch_backprop(net, acts, derivs, p.T), kink
     f = out[0]
     if kind == "square":

@@ -1,14 +1,15 @@
 """Independent ground-truth computations used to verify flow limits.
 
 Everything here is deliberately brute-force or closed-form: subset
-enumeration for the hard-margin SVM, principal-value quadrature for the
-logarithmic integral, bisection for the 1-d non-separable equilibrium, and
-a central-difference gradient checker. If a flow result disagrees with
-these, the flow is wrong.
+enumeration for the hard-margin SVM, the convergent Ei series for the
+logarithmic integral with a safeguarded Newton inverse, bisection for the
+1-d non-separable equilibrium, and a central-difference gradient checker.
+If a flow result disagrees with these, the flow is wrong.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -19,6 +20,7 @@ from .linalg import RANK_CUTOFF, symmetric_eig
 from .losses import Dataset
 
 MAX_SVM_SAMPLES = 20
+EULER_GAMMA = 0.5772156649015329
 FEASIBILITY_SLACK = 1e-9
 
 
@@ -109,78 +111,70 @@ def hard_margin_svm(data: Dataset) -> MarginSolution:
     )
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=60):
-    def rec(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        if depth <= 0 or abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        return rec(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) + rec(
-            m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1
-        )
-
-    if a == b:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fb, fm = f(a), f(b), f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return rec(a, fa, b, fb, m, fm, whole, tol, max_depth)
-
-
-def _pv_pair(u: float) -> float:
-    """1/log(1+u) + 1/log(1-u); the 1/u poles cancel, limit 1 at u=0."""
-    if u < 1e-3:
-        return 1.0 + u * u / 12.0
-    return 1.0 / np.log1p(u) + 1.0 / np.log1p(-u)
-
-
-def logarithmic_integral(z: float, tol: float = 1e-11) -> float:
+def logarithmic_integral(z: float) -> float:
     """Principal value of the integral of dt/log t from 0 to z, z > 1.
 
-    The singularity at t=1 is handled by pairing symmetric points around
-    it, which cancels the pole analytically; adaptive Simpson handles the
-    three smooth pieces.
+    Sums the convergent series li(z) = gamma + ln x + sum_k x^k / (k k!)
+    with x = ln z (Abramowitz & Stegun 5.1.10) until a term no longer
+    changes the sum. For z > 1 every term of the sum is positive, so the
+    sum loses nothing to cancellation. Only near Soldner's root (z ~ 1.4514),
+    where li is zero, does gamma + ln x cancel the sum; the error there is
+    absolute, about 1e-16.
     """
     z = float(z)
-    if not np.isfinite(z) or z <= 1.0:
+    if not math.isfinite(z) or z <= 1.0:
         raise ValueError(f"logarithmic integral needs z > 1, got {z}")
-    delta = min(0.5, 0.5 * (z - 1.0))
-    scale = max(1.0, (z - 1.0) / np.log(z))
-    piece_tol = tol * scale / 3.0
-    total = _adaptive_simpson(
-        lambda t: 1.0 / np.log(t) if t > 0.0 else 0.0, 0.0, 1.0 - delta, piece_tol
-    )
-    total += _adaptive_simpson(_pv_pair, 0.0, delta, piece_tol)
-    total += _adaptive_simpson(lambda t: 1.0 / np.log(t), 1.0 + delta, z, piece_tol)
-    return total
+    x = math.log(z)
+    term = 1.0  # x^k / k!
+    total = 0.0
+    k = 0
+    while True:
+        k += 1
+        term *= x / k
+        grown = total + term / k
+        if grown == total:
+            break
+        total = grown
+    return EULER_GAMMA + math.log(x) + total
 
 
-def inverse_logarithmic_integral(y: float, tol: float = 1e-12) -> float:
-    """The z > 1 with li(z) = y, by bisection on the increasing branch."""
+def inverse_logarithmic_integral(y: float) -> float:
+    """The z > 1 with li(z) = y, by safeguarded Newton on the increasing
+    branch.
+
+    li is increasing and concave there (li'(z) = 1/ln z), so a Newton step
+    from any point lands at or below the root; a step that leaves the
+    bracket [lo, hi] is replaced by bisection in log(z - 1). The bracket
+    squares its upper end until it holds y. Stops once a Newton step is
+    below 1e-13 relative to max(1, z); the step is quadratically small by
+    then, so the result is as exact as li itself.
+    """
     lo = 1.0 + 1e-9
     while logarithmic_integral(lo) > y:
         lo = 1.0 + (lo - 1.0) / 1000.0
         if lo - 1.0 < 1e-15:
             raise ValueError(f"target {y} below the representable branch")
-    hi = max(2.0, lo * 2.0)
-    while logarithmic_integral(hi) < y:
-        hi *= 2.0
-        if hi > 1e300:
+    hi = 2.0
+    li_hi = logarithmic_integral(hi)
+    while li_hi < y:
+        if hi >= 1e300:
             raise ValueError(f"target {y} too large to invert")
+        lo, hi = hi, min(hi * hi, 1e300)
+        li_hi = logarithmic_integral(hi)
+    z, li_z = hi, li_hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if logarithmic_integral(mid) < y:
-            lo = mid
+        step = (li_z - y) * math.log(z)
+        if abs(step) <= 1e-13 * max(1.0, z):
+            return z - step
+        z -= step
+        if not lo < z < hi:
+            z = 1.0 + math.sqrt(lo - 1.0) * math.sqrt(hi - 1.0)
+        li_z = logarithmic_integral(z)
+        if li_z < y:
+            lo = z
         else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, mid):
-            break
-    return 0.5 * (lo + hi)
+            hi = z
+    return z
 
 
 def growth_closed_form(k: int, f_tilde: float, t: float, rho0: float = 0.0) -> float:
@@ -208,14 +202,6 @@ def growth_closed_form(k: int, f_tilde: float, t: float, rho0: float = 0.0) -> f
     raise ValueError(
         f"closed forms cover k in (1, 2); integrate k={k} numerically"
     )
-
-
-def li_large_depth_form(z: float) -> float:
-    """li(z) - z/log z, the depth limit of the growth antiderivative.
-
-    Curiosity helper only; nothing downstream depends on it.
-    """
-    return logarithmic_integral(z) - z / np.log(z)
 
 
 class Equilibrium1D(NamedTuple):

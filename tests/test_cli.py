@@ -184,6 +184,28 @@ class TestFlow:
                      "--output-dir", str(tmp_path)]) == 1
         assert "loss" in capsys.readouterr().err
 
+    def test_backtrack_giveups_are_printed(self, tmp_path, capsys):
+        # square loss under loss-rescaled steps: dt = step / loss grows
+        # without bound as the loss nears 0, and backtracking gives up
+        body = {
+            "dataset": {"inputs": [[1.0]], "labels": [0.0],
+                        "task": "regression"},
+            "net": {"layers": [[[1.0]]], "activation": "linear"},
+            "loss": "square",
+            "step": 0.1,
+            "stepping": "loss_rescaled",
+            "stop": {"max_steps": 20},
+        }
+        cfg = _write(tmp_path / "giveup.json", body)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 0
+        assert "backtrack give-ups: 1\n" in capsys.readouterr().out
+        body["stop"] = {"max_steps": 5}
+        cfg = _write(tmp_path / "calm.json", body)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 0
+        assert "give-ups" not in capsys.readouterr().out
+
 
 class TestSpectrum:
     def _config(self, tmp_path, **extra):

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from gradflow import experiments
 from gradflow.experiments import (
     ExperimentConfig,
     ScenarioReport,
@@ -289,6 +290,54 @@ class TestGrowthAsymptotics:
                                params={"rho0": 0.0})
         with pytest.raises(ValueError, match="params.rho0"):
             run_scenario(cfg)
+
+    def test_one_integration_per_depth(self, monkeypatch):
+        # each depth is integrated once, over t_grid and its checks' points
+        grids = []
+        real = experiments.growth_numeric_trace
+
+        def spy(k, f_tilde, rho0, t_grid):
+            grids.append((k, np.asarray(t_grid)))
+            return real(k, f_tilde, rho0, t_grid)
+
+        monkeypatch.setattr(experiments, "growth_numeric_trace", spy)
+        report = run_scenario(ExperimentConfig(
+            scenario="growth_asymptotics",
+            params={"ks": (1, 2, 4), "grid_points": 7, "slope_points": 3,
+                    "closed_form_points": 3},
+        ))
+        assert report.passed
+        assert [k for k, _ in grids] == [1, 2, 4]
+        t_grid = np.geomspace(1e-2, 1e4, 7)
+        assert np.array_equal(grids[2][1], t_grid)
+        for k, grid in grids[:2]:
+            assert np.all(np.diff(grid) > 0.0)
+            assert np.isin(t_grid, grid).all()
+        assert grids[0][1][-1] == 1e5  # the slope window's end
+
+    @pytest.mark.parametrize("defect", ["nan", "decreasing"])
+    def test_broken_curve_fails_exclusions(self, monkeypatch, defect):
+        real = experiments.growth_numeric_trace
+
+        def broken(k, f_tilde, rho0, t_grid):
+            rho = np.array(real(k, f_tilde, rho0, t_grid))
+            if k == 4:
+                if defect == "nan":
+                    rho[len(rho) // 2] = np.nan
+                else:
+                    rho[-1] = rho[-2] - 1e-3
+            return rho
+
+        monkeypatch.setattr(experiments, "growth_numeric_trace", broken)
+        report = run_scenario(ExperimentConfig(
+            scenario="growth_asymptotics",
+            params={"grid_points": 7, "slope_points": 3,
+                    "closed_form_points": 3},
+        ))
+        assert not report.predicates["exclusions_ok"]
+        assert not report.passed
+        assert report.excluded == 1
+        assert report.notes == ["k=4: non-finite or decreasing growth curve"]
 
 
 class TestDirectionStudy:

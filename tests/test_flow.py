@@ -30,7 +30,8 @@ from gradflow.flow import (
     write_trace_csv,
 )
 from gradflow.linalg import min_norm_least_squares
-from gradflow.losses import Dataset, loss, loss_gradient, separability_margin
+from gradflow.losses import (Dataset, classification_error, loss, loss_gradient,
+                             mean_squared_error, separability_margin)
 from gradflow.network import DeepNet, flatten_params
 from gradflow.oracles import growth_closed_form, hard_margin_svm
 
@@ -247,6 +248,30 @@ class TestSharedStep:
         assert final.time == state.time
         for a, b in zip(final.net.layers, state.net.layers):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["square", "exponential", "logistic",
+                                      "softmax_cross_entropy"])
+    def test_final_row_is_bitwise_a_fresh_evaluation(self, kind):
+        # perturb_and_reconverge reads its cycle-boundary loss and training
+        # error off run_flow's last row instead of evaluating them again
+        rng = np.random.default_rng(12)
+        out_dim, labels, task = 1, SEP_Y, "binary"
+        if kind == "square":
+            labels, task = rng.normal(size=4), "regression"
+        if kind == "softmax_cross_entropy":
+            out_dim, labels, task = 3, np.array([0, 1, 2, 1]), "multiclass"
+        data = Dataset(SEP_X, labels, task=task)
+        net = DeepNet((0.5 * rng.normal(size=(5, 2)),
+                       0.5 * rng.normal(size=(out_dim, 5))),
+                      activation="smoothed_relu")
+        for n in range(1, 30):
+            trace = run_flow(FlowState(net=net, step=0.01), kind, data,
+                             StopRule(max_steps=n), sample_every=n)
+            final = trace.final_state.net
+            assert trace.losses[-1] == loss(kind, final, data)
+            fresh = (mean_squared_error(final, data) if task == "regression"
+                     else classification_error(final, data))
+            assert trace.train_errors[-1] == fresh
 
     def test_backtrack_giveup_is_counted(self):
         # loss (1 - 2 dt)^2 rises for every dt > 1; from dt = 1e15 even

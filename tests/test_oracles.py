@@ -18,7 +18,6 @@ from gradflow.oracles import (
     growth_closed_form,
     hard_margin_svm,
     inverse_logarithmic_integral,
-    li_large_depth_form,
     logarithmic_integral,
     nonseparable_equilibrium_1d,
 )
@@ -112,7 +111,7 @@ def test_svm_budget_guard():
 
 
 def test_li_frozen_value_and_mpmath_cross_check():
-    # adaptive PV quadrature, frozen: li(2) = 1.0451637801174927
+    # frozen value: li(2) = 1.0451637801174927
     val = logarithmic_integral(2.0)
     assert val == pytest.approx(1.0451637801174927, abs=1e-9)
     for z in (1.1, 1.5, 2.0, np.e, 10.0, 123.0, 4.5e4):
@@ -126,6 +125,36 @@ def test_li_monotone_and_inverse_round_trip():
     assert z == pytest.approx(5.0, rel=1e-8)
     with pytest.raises(ValueError, match="z > 1"):
         logarithmic_integral(1.0)
+
+
+# li's zero on z > 1; within ~1e-3 of it li is below 1e-3 in size and only
+# an absolute tolerance is meaningful
+SOLDNER_MU = 1.451369234883381
+
+
+def test_li_series_matches_mpmath_on_log_grid():
+    with mpmath.workdps(40):
+        for z in 1.0 + np.geomspace(1e-9, 1e6, 400):
+            ref = mpmath.li(mpmath.mpf(float(z)))
+            err = float(abs(mpmath.mpf(logarithmic_integral(z)) - ref))
+            if abs(z - SOLDNER_MU) < 1e-3:
+                assert err <= 1e-15, z
+            else:
+                assert err <= 1e-12 * float(abs(ref)), z
+        for z in (SOLDNER_MU, np.nextafter(SOLDNER_MU, 2.0),
+                  np.nextafter(SOLDNER_MU, 1.0), SOLDNER_MU + 5e-4):
+            ref = mpmath.li(mpmath.mpf(float(z)))
+            assert float(abs(mpmath.mpf(logarithmic_integral(z)) - ref)) <= 1e-15
+
+
+def test_inverse_li_round_trips_and_keeps_its_errors():
+    for z in 1.0 + np.geomspace(1e-9, 1e6, 200):
+        back = inverse_logarithmic_integral(logarithmic_integral(z))
+        assert abs(back - z) <= 1e-14 * z, z
+    with pytest.raises(ValueError, match="below the representable branch"):
+        inverse_logarithmic_integral(-40.0)
+    with pytest.raises(ValueError, match="too large to invert"):
+        inverse_logarithmic_integral(1e298)
 
 
 def test_growth_k1_closed_form():
@@ -166,12 +195,6 @@ def test_growth_rejects_depths_without_closed_form():
         growth_closed_form(3, 1.0, 10.0, rho0=0.1)
     with pytest.raises(ValueError, match="rho0 > 0"):
         growth_closed_form(2, 1.0, 10.0, rho0=0.0)
-
-
-def test_li_large_depth_form_is_positive_and_smaller():
-    z = 50.0
-    val = li_large_depth_form(z)
-    assert 0.0 < val < logarithmic_integral(z)
 
 
 def test_equilibrium_1d_closed_form_examples():
