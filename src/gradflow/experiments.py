@@ -29,7 +29,7 @@ from .flow import (
     write_trace_csv,
 )
 from .linalg import RANK_CUTOFF, extended_min_norm, symmetric_eig
-from .losses import Dataset, classification_error
+from .losses import Dataset
 from .network import DeepNet, random_net
 from .oracles import (
     NonSeparableError,
@@ -287,7 +287,7 @@ def _out_path(config, name):
 
 def _null_space(design):
     """Orthonormal basis (columns) of the feature-space null space."""
-    dec = symmetric_eig(design.T @ design, tol=1e-12)
+    dec = symmetric_eig(design.T @ design)
     lam_max = float(dec.eigenvalues.max(initial=0.0))
     null = dec.eigenvalues <= RANK_CUTOFF * lam_max
     return dec.eigenvectors[:, null]
@@ -658,12 +658,14 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
             StopRule(max_steps=int(p["pretrain_steps"])),
             sample_every=int(p["pretrain_steps"]),
         )
-        return out.final_state
+        # the last row is the final state's training error
+        return out.final_state, out.train_errors[-1]
 
-    states = [pretrained(rep) for rep in range(reps)]
+    pretrain = [pretrained(rep) for rep in range(reps)]
+    states = [state for state, _ in pretrain]
     traces, included, trace_paths = [], [], []
-    for rep, state in enumerate(states):
-        if classification_error(state.net, train) > 0.0:
+    for rep, (state, train_error) in enumerate(pretrain):
+        if train_error > 0.0:
             traces.append(None)
             included.append(False)
             notes.append(f"repetition {rep}: pretraining left errors")

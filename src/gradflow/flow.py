@@ -399,9 +399,7 @@ class LinearSquareGD:
         self.x = np.asarray(x_mat, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.step = float(step)
-        gram = self.x.T @ self.x
-        gram = 0.5 * (gram + gram.T)
-        dec = symmetric_eig(gram, tol=1e-12)
+        dec = symmetric_eig(self.x.T @ self.x)
         self.eigenvalues = np.maximum(dec.eigenvalues, 0.0)
         self.basis = dec.eigenvectors
         self.w_min_norm = min_norm_least_squares(self.x, self.y)
@@ -683,7 +681,6 @@ class DirectionTrace:
     times: list
     norms: list
     directions: list
-    projector_residual_max: float
     unit_drift_max: float
 
 
@@ -716,7 +713,6 @@ def normalized_direction_flow(
         )
     t = 0.0
     times, norms, dirs = [], [], []
-    proj_resid = 0.0
     drift = 0.0
     for i in range(n_steps):
         f_tilde = y * (x @ w_dir)
@@ -725,9 +721,6 @@ def normalized_direction_flow(
         r_dot = float((weights * f_tilde).sum())
         b = (y * weights) @ x
         tangent = (b - float(w_dir @ b) * w_dir) / r
-        # projector sanity: S w = 0 with S = (I - dir dir^T)/r and w = r dir
-        s_w = (r * w_dir - float(w_dir @ (r * w_dir)) * w_dir) / r
-        proj_resid = max(proj_resid, float(np.abs(s_w).max()))
         if i % sample_every == 0:
             times.append(t)
             norms.append(r)
@@ -742,7 +735,7 @@ def normalized_direction_flow(
     times.append(t)
     norms.append(r)
     dirs.append(w_dir.copy())
-    return DirectionTrace(times, norms, dirs, proj_resid, drift)
+    return DirectionTrace(times, norms, dirs, drift)
 
 
 def growth_numeric_trace(k: int, f_tilde: float, rho0: float, t_grid):

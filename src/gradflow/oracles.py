@@ -44,7 +44,7 @@ class NonSeparableError(ValueError):
 
 def _solve_gram(gram, rhs):
     """Min-norm solution of the small symmetric system gram @ beta = rhs."""
-    dec = symmetric_eig(gram, tol=1e-12)
+    dec = symmetric_eig(gram)
     lam_max = float(np.abs(dec.eigenvalues).max(initial=0.0))
     if lam_max == 0.0:
         return None

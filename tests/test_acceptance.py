@@ -93,7 +93,7 @@ def sweep_report():
 
 
 def _null_space(x):
-    dec = symmetric_eig(x.T @ x, tol=1e-12)
+    dec = symmetric_eig(x.T @ x)
     keep = dec.eigenvalues <= RANK_CUTOFF * dec.eigenvalues.max()
     return dec.eigenvectors[:, keep]
 

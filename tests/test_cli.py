@@ -4,9 +4,13 @@ seed precedence, and byte-identical reruns."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gradflow.cli import main
+from gradflow.losses import Dataset, batch_outputs
+from gradflow.network import random_net
+from gradflow.spectra import DEFAULT_ZERO_TOL, MAX_HESSIAN_DIM, hessian
 
 
 def _write(path, body):
@@ -244,6 +248,38 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 1
         assert "convention" in capsys.readouterr().err
+
+    def test_counts_at_max_hessian_dim_match_eigvalsh(self, tmp_path, capsys):
+        # 7-62-1 net: 62*7 + 62 = 496 weights, just under MAX_HESSIAN_DIM;
+        # labels are the net's own outputs, so the square-loss Hessian is
+        # 2 J^T J with rank at most 20 and at least 476 zero modes
+        rng = np.random.default_rng(8)
+        net = random_net(rng, (7, 62, 1), "smoothed_relu", scale=0.4)
+        x = rng.normal(size=(20, 7))
+        data = Dataset(x, batch_outputs(net, x), task="regression")
+        assert 490 <= sum(w.size for w in net.layers) <= MAX_HESSIAN_DIM
+        cfg = _write(tmp_path / "big.json", {
+            "dataset": {"inputs": x.tolist(), "labels": data.labels.tolist(),
+                        "task": "regression"},
+            "net": {"layers": [w.tolist() for w in net.layers],
+                    "activation": "smoothed_relu"},
+            "loss": "square",
+        })
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+        evals = np.linalg.eigvalsh(hessian("square", net, data))
+        thr = DEFAULT_ZERO_TOL * np.abs(evals).max()
+        stable = int((evals > thr).sum())
+        unstable = int((evals < -thr).sum())
+        zero = evals.size - stable - unstable
+        assert zero >= 476
+        assert (f"(stable {stable}, unstable {unstable}, zero {zero})"
+                in capsys.readouterr().out)
+        rows = (out / "spectrum.csv").read_text().splitlines()[3:]
+        classes = [r.rsplit(",", 1)[1] for r in rows]
+        assert [classes.count(c) for c in ("stable", "unstable", "zero")] == [
+            stable, unstable, zero]
 
 
 class TestScenarios:

@@ -2,20 +2,25 @@
 
 Oracles deliberately avoid the code under test: eigenvalues of a random
 symmetric matrix are cross-checked against bisection on its characteristic
-polynomial, and the minimum-norm solver against the ridge-regression limit.
+polynomial and against a cyclic-Jacobi solver (jacobi_oracle.py), and the
+minimum-norm solver against the ridge-regression limit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradflow.spectra as spectra
 from gradflow.linalg import (
+    RANK_CUTOFF,
     EigenDecomposition,
     extended_min_norm,
     frobenius_norm,
     min_norm_least_squares,
     symmetric_eig,
 )
+from gradflow.spectra import classify
+from jacobi_oracle import jacobi_eig
 
 
 def _charpoly_roots_by_bisection(a, tol=1e-13):
@@ -102,7 +107,7 @@ def test_orthonormality_and_reconstruction():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(30, 30))
     a = 0.5 * (a + a.T)
-    dec = symmetric_eig(a, tol=1e-10)
+    dec = symmetric_eig(a)
     q = dec.eigenvectors
     assert np.abs(q.T @ q - np.eye(30)).max() <= 1e-10
     assert frobenius_norm(dec.reconstruct() - a) <= 1e-8 * frobenius_norm(a)
@@ -287,3 +292,97 @@ class TestExtendedMinNorm:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             extended_min_norm(np.eye(3), np.ones(4))
+
+
+class TestAgainstJacobiOracle:
+    """symmetric_eig (LAPACK) against the cyclic-Jacobi oracle in
+    jacobi_oracle.py, on random, graded and exactly degenerate matrices.
+
+    The oracle runs at tol=1e-12, so by Weyl its eigenvalues are within
+    1e-12 ||A||_F of exact; the bounds below leave 10x for rounding in
+    the rotations. Invariant subspaces are compared through their
+    projectors, whose error is at most residual / gap (Davis-Kahan).
+    """
+
+    EIG_RTOL = 1e-11
+    SUBSPACE_RTOL = 1e-10
+
+    @staticmethod
+    def _clusters(evals, split):
+        """Index ranges of runs of the descending evals closer than split."""
+        edges = [0] + [i + 1 for i in range(len(evals) - 1)
+                       if evals[i] - evals[i + 1] > split] + [len(evals)]
+        return [np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    @staticmethod
+    def _rank_zero_count(dec):
+        # the rule of min_norm_least_squares, _solve_gram and _null_space
+        lam_max = float(dec.eigenvalues.max(initial=0.0))
+        return int((dec.eigenvalues <= RANK_CUTOFF * lam_max).sum())
+
+    def _cross_check(self, a, monkeypatch):
+        dec = symmetric_eig(a)
+        ref = jacobi_eig(a, tol=1e-12)
+        norm = max(frobenius_norm(a), 1e-300)
+        assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= (
+            self.EIG_RTOL * norm)
+        ev = dec.eigenvalues
+        clusters = self._clusters(ev, 1e-8 * norm)
+        # a single cluster spans the whole space: nothing to compare
+        for k, idx in enumerate(clusters if len(clusters) > 1 else []):
+            above = ev[clusters[k - 1][-1]] - ev[idx[0]] if k > 0 else np.inf
+            below = (ev[idx[-1]] - ev[clusters[k + 1][0]]
+                     if k + 1 < len(clusters) else np.inf)
+            gap = min(above, below)
+            p_dec = dec.eigenvectors[:, idx] @ dec.eigenvectors[:, idx].T
+            p_ref = ref.eigenvectors[:, idx] @ ref.eigenvectors[:, idx].T
+            assert frobenius_norm(p_dec - p_ref) <= (
+                self.SUBSPACE_RTOL * norm / gap)
+        assert self._rank_zero_count(dec) == self._rank_zero_count(ref)
+        counts = classify(a).counts()
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "symmetric_eig", jacobi_eig)
+            assert classify(a).counts() == counts
+        return dec, ref
+
+    def test_random_symmetric_n_1_to_40(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for n in range(1, 41):
+            a = rng.normal(size=(n, n))
+            dec, ref = self._cross_check(0.5 * (a + a.T), monkeypatch)
+            # distinct eigenvalues: the sign convention pins each vector
+            assert np.all((dec.eigenvectors * ref.eigenvectors).sum(0) > 0.5)
+
+    @pytest.mark.parametrize("n", [2, 5, 13, 40])
+    def test_graded_spectrum_1_to_1e_minus_12(self, n, monkeypatch):
+        # top eigenvalue 1, then magnitudes 10^-e with e spread below 12;
+        # no ratio to the top lands on the 1e-8 or 1e-12 thresholds
+        rng = np.random.default_rng(100 + n)
+        e = np.concatenate([[0.0], (np.arange(n - 1) + 0.5) * 12.0 / (n - 1)])
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        signs[0] = 1.0
+        for lam in (10.0 ** -e, signs * 10.0 ** -e):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            a = (q * lam) @ q.T
+            a = 0.5 * (a + a.T)
+            self._cross_check(a, monkeypatch)
+            assert classify(a).n_zero == int((e > 8.0).sum())
+
+    def test_exactly_degenerate(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        lam = np.array([3.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, -2.0, -2.0])
+        x_wide = rng.normal(size=(3, 8))
+        b = rng.normal(size=(4, 4))
+        cases = [
+            ((q * lam) @ q.T, 3),
+            (x_wide.T @ x_wide, 5),
+            (np.ones((6, 6)), 5),
+            (np.eye(5), 0),
+            (np.zeros((4, 4)), 4),
+            (np.kron(np.eye(3), 0.5 * (b + b.T)), 0),
+        ]
+        for a, n_zero in cases:
+            a = 0.5 * (a + a.T)
+            self._cross_check(a, monkeypatch)
+            assert classify(a).n_zero == n_zero
