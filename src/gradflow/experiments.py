@@ -23,12 +23,14 @@ from .flow import (
     StopRule,
     TraceRefs,
     TrajectoryTrace,
+    _write_table,
     growth_numeric_trace,
     perturb_and_reconverge,
     run_flow,
     write_trace_csv,
 )
-from .linalg import RANK_CUTOFF, extended_min_norm, symmetric_eig
+from .linalg import (RANK_CUTOFF, extended_min_norm, min_norm_least_squares,
+                     symmetric_eig)
 from .losses import Dataset
 from .network import DeepNet, random_net
 from .oracles import (
@@ -36,7 +38,6 @@ from .oracles import (
     growth_closed_form,
     hard_margin_svm,
 )
-from .linalg import min_norm_least_squares
 
 # a report fails outright past this exclusion rate, whatever else passed
 MAX_EXCLUSION_RATE = 0.10
@@ -240,27 +241,6 @@ def write_report_json(report: ScenarioReport, path, header: str = ""):
         fh.write("\n")
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_table(path, header_comment, columns, rows):
-    with open(path, "w", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
-
-
 def chebyshev_nodes(n: int) -> np.ndarray:
     i = np.arange(1, n + 1)
     return np.cos((2.0 * i - 1.0) * np.pi / (2.0 * n))
@@ -281,16 +261,53 @@ def _out_path(config, name):
     return os.path.join(config.output_dir, name)
 
 
+def _write_csv(config, name, trace_paths, columns, rows):
+    """Write one table of the run, if it has an output directory."""
+    path = _out_path(config, name)
+    if path:
+        _write_table(path, config.header(), columns, rows)
+        trace_paths.append(path)
+
+
+def _write_trace(config, name, trace_paths, trace):
+    """Write one trace CSV of the run, if it has an output directory."""
+    path = _out_path(config, name)
+    if path:
+        write_trace_csv(trace, path, header_comment=config.header())
+        trace_paths.append(path)
+
+
+def _finish_report(config, repetitions, excluded, predicates, aggregates,
+                   trace_paths, notes) -> ScenarioReport:
+    """Every scenario's report; written, if the run has an output
+    directory, as the run's last file."""
+    report = ScenarioReport(
+        scenario=config.scenario,
+        seed=config.seed,
+        config_hash=config.config_hash(),
+        repetitions=repetitions,
+        excluded=excluded,
+        predicates=predicates,
+        aggregates=aggregates,
+        trace_paths=trace_paths,
+        notes=notes,
+    )
+    path = _out_path(config, f"{config.scenario}_report.json")
+    if path:
+        write_report_json(report, path, header=config.header())
+        report.trace_paths.append(path)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # sine target, polynomial model, perturb-and-reconverge study
 
 
-def _null_space(design):
-    """Orthonormal basis (columns) of the feature-space null space."""
-    dec = symmetric_eig(design.T @ design)
-    lam_max = float(dec.eigenvalues.max(initial=0.0))
-    null = dec.eigenvalues <= RANK_CUTOFF * lam_max
-    return dec.eigenvectors[:, null]
+def _null_space(eigenvalues, eigenvectors):
+    """Orthonormal basis (columns) of the feature-space null space, from
+    an eigendecomposition of X^T X."""
+    lam_max = float(eigenvalues.max(initial=0.0))
+    return eigenvectors[:, eigenvalues <= RANK_CUTOFF * lam_max]
 
 
 def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
@@ -311,7 +328,8 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     x_test = np.linspace(-1.0, 1.0, p["n_test"])
     test_design = _monomials(x_test, p["degree"])
     y_test = _sine_target(x_test, p["frequency"])
-    null_basis = _null_space(design)
+    # gd's eigenvalues are clipped at 0, which leaves the null mask as is
+    null_basis = _null_space(gd.eigenvalues, gd.basis)
     null_dim = null_basis.shape[1]
 
     total = int(p["total_steps"])
@@ -360,7 +378,6 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             trace.layer_norms.append((float(np.sqrt(w @ w)),))
             trace.margin_cosines.append(None)
             trace.nullspace_norms.append(null_norm)
-            trace.residual_norms.append(None)
             trace.perturbation_counts.append(pert_count)
             trace.row_flags.append(flag)
             if p["perturb"] and cp < stop_after and cp < total:
@@ -378,10 +395,8 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
         trace.stop_reason = "schedule_complete"
         traces.append(trace)
         included.append(not bad)
-        path = _out_path(config, f"{config.scenario}_rep{rep:02d}.csv")
-        if path:
-            write_trace_csv(trace, path, header_comment=config.header())
-            trace_paths.append(path)
+        _write_trace(config, f"{config.scenario}_rep{rep:02d}.csv",
+                     trace_paths, trace)
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
@@ -444,47 +459,34 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             predicates["norms_flat_after_convergence"] = bool(
                 rel <= p["flat_tol"]
             )
-        plot_path = _out_path(config, f"{config.scenario}_plot.csv")
-        if plot_path:
-            cols = [
-                "checkpoint",
-                "time",
-                "mean_train_error",
-                "mean_test_error",
-                "mean_norm",
-                "mean_null_sq",
-                "perturbation_count",
+        cols = [
+            "checkpoint",
+            "time",
+            "mean_train_error",
+            "mean_test_error",
+            "mean_norm",
+            "mean_null_sq",
+            "perturbation_count",
+        ]
+        rows = [
+            [
+                i,
+                checkpoints[i] * step,
+                float(train.mean(axis=0)[i]),
+                float(test.mean(axis=0)[i]),
+                float(norms.mean(axis=0)[i]),
+                float(nulls2.mean(axis=0)[i]),
+                int(counts[i]),
             ]
-            rows = [
-                [
-                    i,
-                    checkpoints[i] * step,
-                    float(train.mean(axis=0)[i]),
-                    float(test.mean(axis=0)[i]),
-                    float(norms.mean(axis=0)[i]),
-                    float(nulls2.mean(axis=0)[i]),
-                    int(counts[i]),
-                ]
-                for i in range(len(checkpoints))
-            ]
-            _write_table(plot_path, config.header(), cols, rows)
-            trace_paths.append(plot_path)
+            for i in range(len(checkpoints))
+        ]
+        _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
+                   rows)
     else:
         predicates["exclusions_ok"] = False
 
-    report = ScenarioReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        repetitions=reps,
-        excluded=excluded,
-        predicates=predicates,
-        aggregates=aggregates,
-        trace_paths=trace_paths,
-        notes=notes,
-    )
-    _maybe_write_report(config, report)
-    return report
+    return _finish_report(config, reps, excluded, predicates, aggregates,
+                          trace_paths, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -579,29 +581,15 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
         "flagged_degrees": sum(1 for r in solved if r[5]),
     }
     trace_paths = []
-    table_path = _out_path(config, f"{config.scenario}_plot.csv")
-    if table_path:
-        _write_table(
-            table_path,
-            config.header(),
-            ["degree", "train_sse", "test_mse", "norm", "condition", "flag"],
-            rows,
-        )
-        trace_paths.append(table_path)
-
-    report = ScenarioReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        repetitions=1,
-        excluded=excluded,
-        predicates=predicates,
-        aggregates=aggregates,
-        trace_paths=trace_paths,
-        notes=notes,
+    _write_csv(
+        config,
+        f"{config.scenario}_plot.csv",
+        trace_paths,
+        ["degree", "train_sse", "test_mse", "norm", "condition", "flag"],
+        rows,
     )
-    _maybe_write_report(config, report)
-    return report
+    return _finish_report(config, 1, excluded, predicates, aggregates,
+                          trace_paths, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +662,8 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         ok = not any(trace.row_flags)
         traces.append(trace)
         included.append(ok)
-        path = _out_path(config, f"{config.scenario}_rep{rep:02d}.csv")
-        if path:
-            write_trace_csv(trace, path, header_comment=config.header())
-            trace_paths.append(path)
+        _write_trace(config, f"{config.scenario}_rep{rep:02d}.csv",
+                     trace_paths, trace)
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
@@ -734,34 +720,21 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
             and (pert_growth >= p["control_growth_factor"]
                  * np.maximum(ctrl, 0.0)).all()
         )
-        plot_path = _out_path(config, f"{config.scenario}_plot.csv")
-        if plot_path:
-            cols = ["cycle"] + [
-                f"mean_norm_l{k + 1}" for k in range(mean_norms.shape[1])
-            ] + ["mean_train01", "mean_test01"]
-            rows = [
-                [i, *[float(v) for v in mean_norms[i]],
-                 float(train01.mean(axis=0)[i]), float(mean_test[i])]
-                for i in range(mean_norms.shape[0])
-            ]
-            _write_table(plot_path, config.header(), cols, rows)
-            trace_paths.append(plot_path)
+        cols = ["cycle"] + [
+            f"mean_norm_l{k + 1}" for k in range(mean_norms.shape[1])
+        ] + ["mean_train01", "mean_test01"]
+        rows = [
+            [i, *[float(v) for v in mean_norms[i]],
+             float(train01.mean(axis=0)[i]), float(mean_test[i])]
+            for i in range(mean_norms.shape[0])
+        ]
+        _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
+                   rows)
     else:
         predicates["exclusions_ok"] = False
 
-    report = ScenarioReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        repetitions=reps,
-        excluded=excluded,
-        predicates=predicates,
-        aggregates=aggregates,
-        trace_paths=trace_paths,
-        notes=notes,
-    )
-    _maybe_write_report(config, report)
-    return report
+    return _finish_report(config, reps, excluded, predicates, aggregates,
+                          trace_paths, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -808,16 +781,12 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
         curves[k] = rho[np.searchsorted(grid, t_grid)]
         if k in extra:
             at_extra[k] = rho[np.searchsorted(grid, extra[k])]
-        path = _out_path(config, f"{config.scenario}_k{k}.csv")
-        if path:
-            rows = [
-                [float(t), float(np.log(t)), float(r), float(r**k)]
-                for t, r in zip(t_grid, curves[k])
-            ]
-            _write_table(
-                path, config.header(), ["t", "log_t", "rho", "product"], rows
-            )
-            trace_paths.append(path)
+        rows = [
+            [float(t), float(np.log(t)), float(r), float(r**k)]
+            for t, r in zip(t_grid, curves[k])
+        ]
+        _write_csv(config, f"{config.scenario}_k{k}.csv", trace_paths,
+                   ["t", "log_t", "rho", "product"], rows)
 
     predicates = {"exclusions_ok": not bad}
     aggregates = {"t_max": p["t_max"]}
@@ -865,19 +834,8 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
             curves[hi_k][-1] ** hi_k
         ) > float(curves[lo_k][-1] ** lo_k)
 
-    report = ScenarioReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        repetitions=1,
-        excluded=len(bad),
-        predicates=predicates,
-        aggregates=aggregates,
-        trace_paths=trace_paths,
-        notes=notes,
-    )
-    _maybe_write_report(config, report)
-    return report
+    return _finish_report(config, 1, len(bad), predicates, aggregates,
+                          trace_paths, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -950,14 +908,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
             w = out.final_state.net.layers[0].ravel()
             finals.append(w / np.sqrt(w @ w))
             if init == 0:
-                path = _out_path(
-                    config, f"{config.scenario}_ds{ds:02d}.csv"
-                )
-                if path:
-                    write_trace_csv(
-                        out, path, header_comment=config.header()
-                    )
-                    trace_paths.append(path)
+                _write_trace(config, f"{config.scenario}_ds{ds:02d}.csv",
+                             trace_paths, out)
         finals = np.array(finals)
         oracle_cos = finals @ margin.w_tilde
         pair_cos = finals @ finals.T
@@ -982,7 +934,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     y_sq = sq_rng.normal(size=int(p["square_samples"]))
     sq_data = Dataset(x_sq, y_sq, task="regression")
     w_min = min_norm_least_squares(x_sq, y_sq)
-    null_basis = _null_space(x_sq)
+    dec = symmetric_eig(x_sq.T @ x_sq)
+    null_basis = _null_space(dec.eigenvalues, dec.eigenvectors)
     c = null_basis @ sq_rng.normal(size=null_basis.shape[1])
 
     def square_limit(w0):
@@ -1019,34 +972,19 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
         "square_null_init_gap": gap_null,
         "regenerated_datasets": total_regen,
     }
-    plot_path = _out_path(config, f"{config.scenario}_plot.csv")
-    if plot_path:
-        _write_table(
-            plot_path,
-            config.header(),
-            ["dataset", "min_cosine_to_oracle", "min_pairwise_cosine",
-             "margin"],
-            [
-                [d["dataset"], d["min_cosine_to_oracle"],
-                 d["min_pairwise_cosine"], d["margin"]]
-                for d in per_dataset
-            ],
-        )
-        trace_paths.append(plot_path)
-
-    report = ScenarioReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        repetitions=int(p["n_datasets"]),
-        excluded=0,
-        predicates=predicates,
-        aggregates=aggregates,
-        trace_paths=trace_paths,
-        notes=notes,
+    _write_csv(
+        config,
+        f"{config.scenario}_plot.csv",
+        trace_paths,
+        ["dataset", "min_cosine_to_oracle", "min_pairwise_cosine", "margin"],
+        [
+            [d["dataset"], d["min_cosine_to_oracle"],
+             d["min_pairwise_cosine"], d["margin"]]
+            for d in per_dataset
+        ],
     )
-    _maybe_write_report(config, report)
-    return report
+    return _finish_report(config, int(p["n_datasets"]), 0, predicates,
+                          aggregates, trace_paths, notes)
 
 
 SCENARIO_RUNNERS = {
@@ -1056,13 +994,6 @@ SCENARIO_RUNNERS = {
     "growth_asymptotics": growth_asymptotics,
     "convergence_direction_study": convergence_direction_study,
 }
-
-
-def _maybe_write_report(config, report):
-    path = _out_path(config, f"{config.scenario}_report.json")
-    if path:
-        write_report_json(report, path, header=config.header())
-        report.trace_paths.append(path)
 
 
 def run_scenario(config: ExperimentConfig) -> ScenarioReport:

@@ -8,7 +8,8 @@ scale/direction systems, and the perturb-and-reconverge protocol.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
 norm_l1..norm_lK, margin_cosine, nullspace_norm, residual_norm,
-perturbation_count. Cells without a configured reference stay empty.
+perturbation_count. Cells without a configured reference stay empty;
+residual_norm has none and is always empty, kept so the format stays put.
 """
 
 from __future__ import annotations
@@ -100,15 +101,14 @@ class TraceRefs:
     """Optional references that turn on the extra trace columns.
 
     margin_cosine compares the flattened weights against reference_direction;
-    nullspace_norm projects them on the rows of null_basis; residual_norm is
-    ||w(t) - log_reference * log(t)||. All three are meant for single-layer
-    linear runs where the flattened weights are the weight vector itself.
+    nullspace_norm projects them on the rows of null_basis. Both are meant
+    for single-layer linear runs where the flattened weights are the weight
+    vector itself.
     """
 
     test_data: Dataset | None = None
     reference_direction: np.ndarray | None = None
     null_basis: np.ndarray | None = None
-    log_reference: np.ndarray | None = None
 
 
 @dataclass
@@ -121,7 +121,6 @@ class TrajectoryTrace:
     layer_norms: list = field(default_factory=list)  # one K-tuple per row
     margin_cosines: list = field(default_factory=list)
     nullspace_norms: list = field(default_factory=list)
-    residual_norms: list = field(default_factory=list)
     perturbation_counts: list = field(default_factory=list)
     row_flags: list = field(default_factory=list)  # "" or a short marker
     converged: bool = False
@@ -131,9 +130,6 @@ class TrajectoryTrace:
     # loss_rescaled steps taken although the loss still rose after
     # MAX_HALVINGS halvings; a count only, not a CSV column
     backtrack_giveups: int = 0
-
-    def n_rows(self) -> int:
-        return len(self.times)
 
     def header(self) -> list:
         cols = ["time", "loss", "train_error", "test_error"]
@@ -151,27 +147,38 @@ class TrajectoryTrace:
             row = [self.times[i], self.losses[i], self.train_errors[i],
                    self.test_errors[i]]
             row += list(self.layer_norms[i])
-            row += [self.margin_cosines[i], self.nullspace_norms[i],
-                    self.residual_norms[i], self.perturbation_counts[i]]
+            row += [self.margin_cosines[i], self.nullspace_norms[i], None,
+                    self.perturbation_counts[i]]
             yield row
 
 
-def _fmt(value) -> str:
+def _fmt_cell(value) -> str:
+    # most cells are floats, np.float64 among them, so they are tested first
+    if isinstance(value, float):
+        return repr(float(value))
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def write_trace_csv(trace: TrajectoryTrace, path, header_comment: str = ""):
-    """CSV with LF endings and shortest-round-trip float formatting."""
+def _write_table(path, header_comment, columns, rows):
+    """The one CSV writer: LF endings, shortest-round-trip floats."""
     with open(path, "w", newline="\n") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write(",".join(trace.header()) + "\n")
-        for row in trace.rows():
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+
+
+def write_trace_csv(trace: TrajectoryTrace, path, header_comment: str = ""):
+    _write_table(path, header_comment, trace.header(), trace.rows())
 
 
 def _error_metric(net: DeepNet, data: Dataset | None):
@@ -206,11 +213,6 @@ def _record(trace, refs, net, train_error, time, value, pert_count, flag=""):
         trace.nullspace_norms.append(float(np.sqrt(((refs.null_basis @ flat) ** 2).sum())))
     else:
         trace.nullspace_norms.append(None)
-    if refs is not None and refs.log_reference is not None and time > 0.0:
-        resid = flat - refs.log_reference * np.log(time)
-        trace.residual_norms.append(float(np.sqrt((resid * resid).sum())))
-    else:
-        trace.residual_norms.append(None)
     trace.perturbation_counts.append(pert_count)
     trace.row_flags.append(flag)
 
@@ -475,7 +477,8 @@ def perturb_and_reconverge(
     The trace records one row per cycle boundary (just before each
     perturbation) plus the final state. A cycle whose training criterion
     (classification error 0, or loss <= reconverge_tol for regression) is
-    not met gets flagged, and the run continues.
+    not met gets flagged, and the run continues. kink_events counts the
+    relu kinks met by the re-convergence steps and the perturbation redraws.
     """
     net = state.net
     value = loss(kind, net, data)
@@ -501,18 +504,13 @@ def perturb_and_reconverge(
     _record(trace, refs, net, train_error, t, value, pert_count)
     while step_idx < total_steps:
         chunk = min(protocol.interval, total_steps - step_idx)
-        inner = run_flow(
-            replace(state, net=net, time=t),
-            kind,
-            data,
-            StopRule(max_steps=chunk),
-            sample_every=max(1, chunk),
-        )
-        net = inner.final_state.net
-        t = inner.final_state.time
+        euler = _Euler(net, kind, data, state.lambda_array())
+        for _ in range(chunk):
+            t += euler.step(state.step, backtrack=False)
+        net, value = euler.net, euler.value
+        train_error = _error_metric(net, data)
+        trace.kink_events += euler.kink_events
         step_idx += chunk
-        # run_flow's last row is its final state: reuse, do not re-evaluate
-        value, train_error = inner.losses[-1], inner.train_errors[-1]
         ok = (
             value <= reconverge_tol
             if data.task == "regression"

@@ -56,10 +56,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
-
 
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries (any array shape)."""

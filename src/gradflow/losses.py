@@ -10,7 +10,6 @@ over samples is fixed, so repeated evaluation is bit-identical.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -57,34 +56,8 @@ class Dataset:
         object.__setattr__(self, "labels", y)
 
     @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.inputs.shape[1]
-
-
-def dataset_to_json(data: Dataset) -> str:
-    return json.dumps(
-        {
-            "inputs": data.inputs.tolist(),
-            "labels": data.labels.tolist(),
-            "task": data.task,
-        }
-    )
-
-
-def dataset_from_json(text: str) -> Dataset:
-    obj = json.loads(text)
-    for key in ("inputs", "labels", "task"):
-        if key not in obj:
-            raise ValueError(f"dataset is missing field {key!r}")
-    return Dataset(
-        inputs=np.array(obj["inputs"], dtype=float),
-        labels=np.array(obj["labels"]),
-        task=obj["task"],
-    )
 
 
 def _check_kind(kind: str, data: Dataset, net: DeepNet):
@@ -229,24 +202,3 @@ def classification_error(net: DeepNet, data: Dataset) -> float:
 def mean_squared_error(net: DeepNet, data: Dataset) -> float:
     f = batch_outputs(net, data.inputs)
     return float(np.mean((data.labels - f) ** 2))
-
-
-def descent_direction_check(
-    net: DeepNet, separator: DeepNet, data: Dataset, kind: str = "exponential"
-) -> float:
-    """sum_k <W*_k, grad_k L(W)> where W* is a separating weight setting.
-
-    The contract for exponential-family losses on data that W* separates is
-    a strictly negative value: the loss keeps decreasing along W*.
-    """
-    margin = separability_margin(separator, data)
-    if margin <= 0.0:
-        raise ValueError(
-            f"separator does not separate the data (margin {margin:.3e})"
-        )
-    if [w.shape for w in separator.layers] != [w.shape for w in net.layers]:
-        raise ValueError("separator layers must match the net's shapes")
-    grads = loss_gradient(kind, net, data)
-    return float(
-        sum((ws * g).sum() for ws, g in zip(separator.layers, grads))
-    )

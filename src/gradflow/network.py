@@ -18,7 +18,6 @@ be checked entry by entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,10 +80,6 @@ class DeepNet:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.layers)
 
     def with_layers(self, layers) -> "DeepNet":
         return replace(self, layers=tuple(layers))
@@ -204,13 +199,6 @@ def layer_gradients(net: DeepNet, x) -> LayerGradient:
     return backprop(net, x, np.ones(1))
 
 
-def activation_profile(net: DeepNet, x) -> list:
-    """0/1 indicator per hidden unit (1 iff pre-activation > 0)."""
-    _, preacts, _ = _forward_pass(net, x)
-    upto = net.depth - 1 if net.top_linear else net.depth
-    return [(preacts[k][:, 0] > 0.0).astype(float) for k in range(upto)]
-
-
 def homogeneity_residual(net: DeepNet, x, k: int) -> float:
     """|sum_ij df/d(W_k)_ij (W_k)_ij - f(x)| for one layer k (1-based).
 
@@ -259,40 +247,6 @@ def unflatten_params(vec, shapes) -> list:
     if i != len(vec):
         raise ValueError("parameter vector length mismatch")
     return out
-
-
-def to_json(net: DeepNet) -> str:
-    """Serialize; floats go through repr so decoding is bit-exact."""
-    obj = {
-        "activation": net.activation,
-        "top_linear": net.top_linear,
-        "layers": [
-            {"rows": w.shape[0], "cols": w.shape[1], "entries": w.ravel().tolist()}
-            for w in net.layers
-        ],
-    }
-    if net.activation == "smoothed_relu":
-        obj["epsilon"] = net.epsilon
-    if net.activation == "polynomial":
-        obj["coefficients"] = list(net.coefficients)
-    return json.dumps(obj)
-
-
-def from_json(text: str) -> DeepNet:
-    obj = json.loads(text)
-    layers = []
-    for spec in obj["layers"]:
-        w = np.array(spec["entries"], dtype=float).reshape(
-            spec["rows"], spec["cols"]
-        )
-        layers.append(w)
-    return DeepNet(
-        layers=tuple(layers),
-        activation=obj["activation"],
-        epsilon=float(obj.get("epsilon", DEFAULT_EPSILON)),
-        coefficients=tuple(obj.get("coefficients", ())),
-        top_linear=bool(obj.get("top_linear", True)),
-    )
 
 
 def random_net(rng, dims, activation="relu", scale=1.0, **kwargs) -> DeepNet:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately brute-force or closed-form: subset
 enumeration for the hard-margin SVM, the convergent Ei series for the
-logarithmic integral with a safeguarded Newton inverse, bisection for the
-1-d non-separable equilibrium, and a central-difference gradient checker.
-If a flow result disagrees with these, the flow is wrong.
+logarithmic integral with a safeguarded Newton inverse, and bisection for
+the 1-d non-separable equilibrium. If a flow result disagrees with these,
+the flow is wrong.
 """
 
 from __future__ import annotations
@@ -237,28 +237,3 @@ def nonseparable_equilibrium_1d(x1: float, x2: float) -> Equilibrium1D:
     w_star = 0.5 * (lo + hi)
     f_prime = float(-x1**2 * np.exp(x1 * w_star) - x2**2 * np.exp(-x2 * w_star))
     return Equilibrium1D(float(w_star), f_prime)
-
-
-def fd_gradient_check(f, grad, point, step: float = 1e-6) -> float:
-    """Worst relative mismatch between an analytic gradient and central
-    finite differences of f, normalized by the largest gradient magnitude.
-    """
-    point = np.asarray(point, dtype=float)
-    grad_vec = np.asarray(grad(point) if callable(grad) else grad, dtype=float)
-    grad_vec = grad_vec.reshape(-1)
-    if grad_vec.shape != point.reshape(-1).shape:
-        raise ValueError("gradient and point sizes differ")
-    flat = point.reshape(-1)
-    fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += step
-        dn = flat.copy()
-        dn[i] -= step
-        f_up = float(f(up.reshape(point.shape)))
-        f_dn = float(f(dn.reshape(point.shape)))
-        if not (np.isfinite(f_up) and np.isfinite(f_dn)):
-            raise ValueError(f"non-finite evaluation at coordinate {i}")
-        fd[i] = (f_up - f_dn) / (2.0 * step)
-    scale = max(float(np.abs(grad_vec).max()), float(np.abs(fd).max()), 1e-12)
-    return float(np.abs(grad_vec - fd).max() / scale)

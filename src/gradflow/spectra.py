@@ -11,23 +11,21 @@ reports the eigenvalues of H itself (positive = stable for the flow).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowState, StopRule, run_flow
+from .flow import FlowState, StopRule, _grad_norm, _total_gradient, run_flow
 from .linalg import check_matrix, symmetric_eig
-from .losses import Dataset, batch_outputs, loss, loss_and_gradient, loss_gradient
+from .losses import Dataset, batch_outputs, loss_and_gradient, loss_gradient
 from .network import DeepNet, flatten_params, layer_gradients, unflatten_params
 
 MAX_HESSIAN_DIM = 500
 ASYMMETRY_RTOL = 1e-4
 DEFAULT_ZERO_TOL = 1e-8
 FD_STEP_BASE = 1e-5
-CLUSTER_RTOL = 1e-6
 
 FLOW_CONVENTION = (
     "input is the linearized flow matrix A of dx/dt = A x; "
@@ -130,43 +128,6 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
     return h_mat
 
 
-def hessian_by_second_differences(
-    kind: str, net: DeepNet, data: Dataset, lambdas=(), step: float = 1e-4
-) -> np.ndarray:
-    """Slow reference construction: second differences of the loss value
-    itself. Independent of the analytic gradient, used to cross-check
-    hessian() on small nets.
-    """
-    flat = flatten_params(net.layers)
-    dim = flat.size
-    shapes = [w.shape for w in net.layers]
-    lams = tuple(float(l) for l in lambdas)
-
-    def value_at(delta):
-        candidate = net.with_layers(unflatten_params(flat + delta, shapes))
-        v = loss(kind, candidate, data)
-        for lam, w in zip(lams or [0.0] * net.depth, candidate.layers):
-            v += lam * float((w * w).sum())
-        return v
-
-    h_mat = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            ei = np.zeros(dim)
-            ej = np.zeros(dim)
-            ei[i] = step
-            ej[j] = step
-            val = (
-                value_at(ei + ej)
-                - value_at(ei - ej)
-                - value_at(-ei + ej)
-                + value_at(-ei - ej)
-            ) / (4.0 * step * step)
-            h_mat[i, j] = val
-            h_mat[j, i] = val
-    return h_mat
-
-
 def classify(h_mat, tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
     """Spectrum of a symmetric flow matrix split into stable (< -thr),
     unstable (> +thr) and zero (within thr = tol * spectral radius)."""
@@ -244,8 +205,7 @@ def hyperbolicity_sweep(
             )
             current = trace.final_state.net
         grads = loss_gradient(kind, current, data)
-        total = [g + 2.0 * lam * w for g, w in zip(grads, current.layers)]
-        gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in total)))
+        gnorm = _grad_norm(_total_gradient(grads, current.layers, lams))
         warning = ""
         if gnorm > grad_tol:
             warning = (
@@ -300,30 +260,6 @@ def linear_exponential_hessian(w, data: Dataset) -> np.ndarray:
     x = data.inputs
     weights = np.exp(-data.labels * (x @ w))
     return (x.T * weights) @ x
-
-
-def cluster_eigenvalues(values, rtol: float = CLUSTER_RTOL, zero_tol: float = DEFAULT_ZERO_TOL):
-    """Distinct nonzero eigenvalues up to relative clustering.
-
-    Returns (representatives, multiplicities); zeros (relative to the
-    spectral radius) are dropped first.
-    """
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
-        return [], []
-    radius = float(np.abs(vals).max())
-    if radius == 0.0:
-        return [], []
-    nonzero = vals[np.abs(vals) > zero_tol * radius]
-    reps, mults = [], []
-    for v in nonzero:
-        if reps and abs(v - reps[-1][-1]) <= rtol * radius:
-            reps[-1].append(v)
-        else:
-            reps.append([v])
-    mults = [len(group) for group in reps]
-    reps = [float(np.mean(group)) for group in reps]
-    return reps, mults
 
 
 def conjugacy_compare(h_a, h_b, tol: float = 1e-6) -> ConjugacyVerdict:
@@ -389,20 +325,3 @@ def write_spectrum_csv(report: SpectrumReport, path, header_comment: str = ""):
         fh.write("index,eigenvalue,class\n")
         for i, v in enumerate(report.eigenvalues):
             fh.write(f"{i},{v!r},{_class_label(v, thr, report.convention)}\n")
-
-
-def write_verdict_json(verdict: ConjugacyVerdict, path, extra: dict | None = None):
-    payload = {
-        "topological": verdict.topologically_conjugate,
-        "differentiable_candidate": verdict.differentiably_conjugate_candidate,
-        "counts_a": list(verdict.counts_a),
-        "counts_b": list(verdict.counts_b),
-        "exponent_map": (
-            list(verdict.exponent_map) if verdict.exponent_map is not None else None
-        ),
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -42,7 +42,7 @@ from gradflow.network import (
     unflatten_params,
 )
 from gradflow.network import _forward_pass
-from gradflow.oracles import fd_gradient_check, nonseparable_equilibrium_1d
+from gradflow.oracles import nonseparable_equilibrium_1d
 from gradflow.spectra import (
     classify_loss_hessian,
     hessian,
@@ -50,6 +50,7 @@ from gradflow.spectra import (
     linear_square_hessian,
     virtual_linear_system,
 )
+from fd_oracles import fd_gradient_check
 
 SEP_X = np.array([[2.0, 0.3], [1.5, -0.4], [-1.0, 2.0], [-2.0, -0.5]])
 SEP_Y = np.array([1.0, 1.0, -1.0, -1.0])

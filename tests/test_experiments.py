@@ -22,9 +22,8 @@ from gradflow.experiments import (
     chebyshev_nodes,
     run_scenario,
     write_report_json,
-    _fmt_cell,
-    _write_table,
 )
+from gradflow.flow import _fmt_cell, _write_table
 
 
 class TestExperimentConfig:
@@ -86,6 +85,10 @@ class TestReportPlumbing:
         # shortest round-trip float text
         assert float(_fmt_cell(0.1)) == 0.1
         assert _fmt_cell(0.1) == "0.1"
+        # numpy scalars write as the Python values they hold
+        assert _fmt_cell(np.float64(0.1)) == "0.1"
+        assert _fmt_cell(np.int64(7)) == "7"
+        assert _fmt_cell(np.bool_(True)) == "1"
 
     def test_write_table_layout(self, tmp_path):
         path = tmp_path / "t.csv"

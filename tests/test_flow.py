@@ -6,6 +6,8 @@ step, a direct numpy gradient-descent loop for the exact propagator, the
 subset-enumeration SVM solver, and bisection for 1D regularized equilibria.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from gradflow.flow import (
     TraceRefs,
     TrajectoryTrace,
     _draw_perturbation,
+    _error_metric,
+    _record,
     flow_step,
     growth_numeric_trace,
     normalized_direction_flow,
@@ -32,7 +36,7 @@ from gradflow.flow import (
 from gradflow.linalg import min_norm_least_squares
 from gradflow.losses import (Dataset, classification_error, loss, loss_gradient,
                              mean_squared_error, separability_margin)
-from gradflow.network import DeepNet, flatten_params
+from gradflow.network import DeepNet, batch_forward, flatten_params, random_net
 from gradflow.oracles import growth_closed_form, hard_margin_svm
 
 
@@ -321,6 +325,45 @@ class TestLinearSquareGD:
         assert not LinearSquareGD(x, y, 1e3).stable
 
 
+def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
+    """perturb_and_reconverge built from run_flow: one run_flow call per
+    re-convergence chunk, sampled only at its ends, whose last row is the
+    cycle boundary; the same _draw_perturbation calls and redraw rule.
+    Returns the trace (kink_events not counted) and the final net."""
+    net, t = state.net, state.time
+    stop_after = protocol.interval * protocol.repetitions
+    total = stop_after + protocol.interval
+    rng = np.random.default_rng(state.rng_seed)
+    trace = TrajectoryTrace(layer_count=net.depth)
+    _record(trace, refs, net, _error_metric(net, data), t,
+            loss(kind, net, data), 0)
+    pert_count = done = 0
+    while done < total:
+        chunk = min(protocol.interval, total - done)
+        inner = run_flow(replace(state, net=net, time=t), kind, data,
+                         StopRule(max_steps=chunk), sample_every=chunk)
+        net, t = inner.final_state.net, inner.final_state.time
+        done += chunk
+        value, train_error = inner.losses[-1], inner.train_errors[-1]
+        if data.task == "regression":
+            ok = value <= 1e-6  # perturb_and_reconverge's default tolerance
+        else:
+            ok = train_error == 0.0
+        _record(trace, refs, net, train_error, t, value, pert_count,
+                "" if ok else "not_reconverged")
+        if done <= stop_after and pert_count < protocol.repetitions \
+                and done < total:
+            for _ in range(5):
+                deltas = _draw_perturbation(rng, net.layers, protocol)
+                candidate = net.with_layers(
+                    [w + d for w, d in zip(net.layers, deltas)])
+                if not batch_forward(candidate, data.inputs)[-1]:
+                    break
+            net = candidate
+            pert_count += 1
+    return trace, net
+
+
 class TestPerturbationProtocol:
     def _setup(self, seed=5):
         rng = np.random.default_rng(seed)
@@ -348,6 +391,53 @@ class TestPerturbationProtocol:
         walks = [v for v in trace.nullspace_norms if v is not None]
         assert walks[0] <= 1e-10
         assert walks[-1] > 0.01
+
+    def _assert_matches_run_flow_chunks(self, state, proto, kind, data,
+                                        refs):
+        trace = perturb_and_reconverge(state, proto, kind, data, refs=refs)
+        ref, ref_net = _protocol_by_run_flow_chunks(state, proto, kind, data,
+                                                    refs)
+        assert len(trace.times) == proto.repetitions + 2
+        for got, want in zip(trace.rows(), ref.rows(), strict=True):
+            assert repr(got) == repr(want)
+        assert trace.row_flags == ref.row_flags
+        for got, want in zip(trace.final_state.net.layers, ref_net.layers):
+            assert repr(got.tolist()) == repr(want.tolist())
+
+    def test_rows_bitwise_run_flow_chunks_logistic(self):
+        rng = np.random.default_rng(12)
+        net = random_net(rng, (2, 8, 1), activation="smoothed_relu", scale=0.7)
+        pre = run_flow(FlowState(net=net, step=0.05), "logistic", SEP,
+                       StopRule(max_steps=1500), sample_every=1500)
+        assert pre.train_errors[-1] == 0.0
+        state = replace(pre.final_state, rng_seed=31)
+        test = Dataset(SEP_X + 0.3, SEP_Y)
+        proto = PerturbationProtocol(noise_std=0.25, interval=150,
+                                     repetitions=3, mode="relative")
+        self._assert_matches_run_flow_chunks(state, proto, "logistic", SEP,
+                                             TraceRefs(test_data=test))
+
+    def test_rows_bitwise_run_flow_chunks_square_null_basis(self):
+        x, data, state = self._setup()
+        _, _, vt = np.linalg.svd(x, full_matrices=True)
+        refs = TraceRefs(null_basis=vt[4:])
+        proto = PerturbationProtocol(noise_std=0.05, interval=400,
+                                     repetitions=3)
+        self._assert_matches_run_flow_chunks(state, proto, "square", data,
+                                             refs)
+
+    def test_kinks_during_reconvergence_are_counted(self):
+        # f(x) = relu(x1) - relu(-x1) separates SEP; the third hidden row is
+        # zero, so its pre-activation sits on the kink at every step until
+        # the one perturbation moves it
+        net = DeepNet(([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+                       [[1.0, -1.0, 0.0]]), activation="relu")
+        state = FlowState(net=net, step=0.01, rng_seed=3)
+        proto = PerturbationProtocol(noise_std=0.1, interval=40,
+                                     repetitions=1, mode="relative")
+        trace = perturb_and_reconverge(state, proto, "exponential", SEP)
+        assert trace.perturbation_counts[-1] == 1
+        assert trace.kink_events >= proto.interval
 
     def test_budget_too_small_flags_but_continues(self):
         _, data, state = self._setup()

@@ -13,19 +13,16 @@ from gradflow.network import (
     _activate,
     _forward_pass,
     _sigmoid,
-    activation_profile,
     backprop,
     batch_backprop,
     batch_forward,
     flatten_params,
     forward,
     forward_multi,
-    from_json,
     homogeneity_residual,
     layer_gradients,
     normalize_layers,
     random_net,
-    to_json,
     unflatten_params,
 )
 
@@ -212,15 +209,6 @@ def test_normalize_layers_rejects_zero_layer():
         normalize_layers(net)
 
 
-def test_activation_profile_matches_preactivation_signs():
-    net = DeepNet(
-        layers=([[1.0, 0.0], [0.0, -1.0]], [[1.0, 1.0]]), activation="relu"
-    )
-    prof = activation_profile(net, [1.0, 1.0])
-    assert len(prof) == 1
-    assert np.array_equal(prof[0], [1.0, 0.0])
-
-
 def test_backprop_multihead_seeding():
     rng = np.random.default_rng(30)
     net = random_net(rng, (2, 3, 4), activation="smoothed_relu")
@@ -241,31 +229,6 @@ def test_backprop_multihead_seeding():
         f_dn = forward_multi(net.with_layers(unflatten_params(dn, shapes)), x)[2]
         fd = (f_up - f_dn) / (2.0 * step)
         assert flatten_params(g.grads)[i] == pytest.approx(fd, abs=2e-6)
-
-
-def test_json_round_trip_is_bit_exact():
-    rng = np.random.default_rng(55)
-    net = random_net(rng, (3, 5, 1), activation="smoothed_relu", scale=0.31)
-    text = to_json(net)
-    back = from_json(text)
-    assert back.activation == net.activation
-    assert back.epsilon == net.epsilon
-    assert back.top_linear == net.top_linear
-    for a, b in zip(back.layers, net.layers):
-        assert np.array_equal(a, b)
-    assert to_json(back) == text
-
-
-def test_json_round_trip_polynomial():
-    net = DeepNet(
-        layers=([[1.25]],),
-        activation="polynomial",
-        coefficients=(0.0, 1.0, 0.5),
-        top_linear=False,
-    )
-    back = from_json(to_json(net))
-    assert back.coefficients == net.coefficients
-    assert back.top_linear is False
 
 
 def _two_mask_sigmoid(u):

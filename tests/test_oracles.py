@@ -14,13 +14,13 @@ from gradflow.oracles import (
     Equilibrium1D,
     MarginSolution,
     NonSeparableError,
-    fd_gradient_check,
     growth_closed_form,
     hard_margin_svm,
     inverse_logarithmic_integral,
     logarithmic_integral,
     nonseparable_equilibrium_1d,
 )
+from fd_oracles import fd_gradient_check
 
 
 def _rk4_growth(k, f_tilde, rho0, t_end, n_steps=40000):
