@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .experiments import ExperimentConfig, run_scenario
+from .experiments import ExperimentConfig, _write_json, run_scenario
 from .flow import FlowState, StopRule, run_flow, write_trace_csv
 from .losses import LOSS_KINDS, Dataset
 from .network import DeepNet, random_net
@@ -89,6 +89,22 @@ def _resolve_seed(args, body) -> int:
     return 0
 
 
+def _number(value, name, integer=False):
+    """A JSON number as a float (or int); else a CliError naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integer and not (isinstance(value, int) or value.is_integer())):
+        kind = "an integer" if integer else "a number"
+        raise CliError(f"{name}: must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _numbers(values, name, integer=False) -> tuple:
+    if not isinstance(values, list):
+        raise CliError(f"{name}: must be a list, got {values!r}")
+    return tuple(_number(v, f"{name}[{i}]", integer)
+                 for i, v in enumerate(values))
+
+
 def _run_header(command, body, seed) -> str:
     digest = hashlib.sha256(
         json.dumps({"command": command, "config": body, "seed": seed},
@@ -120,9 +136,11 @@ def _net_from(body, seed) -> DeepNet:
         raise CliError("net: required object with dims or layers")
     kwargs = {}
     if "epsilon" in obj:
-        kwargs["epsilon"] = float(obj["epsilon"])
+        kwargs["epsilon"] = _number(obj["epsilon"], "net.epsilon")
     if "top_linear" in obj:
         kwargs["top_linear"] = bool(obj["top_linear"])
+    dims = _numbers(obj.get("dims", []), "net.dims", integer=True)
+    scale = _number(obj.get("scale", 1.0), "net.scale")
     try:
         if "layers" in obj:
             layers = tuple(
@@ -133,9 +151,9 @@ def _net_from(body, seed) -> DeepNet:
         if "dims" in obj:
             return random_net(
                 np.random.default_rng(seed),
-                tuple(int(d) for d in obj["dims"]),
+                dims,
                 activation=obj.get("activation", "relu"),
-                scale=float(obj.get("scale", 1.0)),
+                scale=scale,
                 **kwargs,
             )
     except ValueError as err:
@@ -161,8 +179,11 @@ def _stop_rule(body) -> StopRule:
             raise CliError(f"stop.{key}: unknown stop bound")
     if not obj:
         raise CliError("stop: at least one bound required")
+    bounds = {key: None if value is None
+              else _number(value, f"stop.{key}", key == "max_steps")
+              for key, value in obj.items()}
     try:
-        return StopRule(**obj)
+        return StopRule(**bounds)
     except (TypeError, ValueError) as err:
         raise CliError(f"stop: {err}") from err
 
@@ -172,23 +193,23 @@ def _out(args, name) -> str:
     return os.path.join(args.output_dir, name)
 
 
-def _cmd_flow(args) -> int:
-    body = _load_config(args.config)
-    seed = _resolve_seed(args, body)
+def _cmd_flow(args, body, seed) -> int:
     header = _run_header("flow", body, seed)
     data = _dataset_from(body)
     net = _net_from(body, seed)
     if "step" not in body:
         raise CliError("step: required")
-    lambdas = tuple(float(l) for l in body.get("lambdas", ()))
+    step = _number(body["step"], "step")
+    lambdas = _numbers(body.get("lambdas", []), "lambdas")
+    sample_every = _number(body.get("sample_every", 100), "sample_every",
+                           integer=True)
+    if sample_every < 1:
+        raise CliError(f"sample_every: must be >= 1, got {sample_every}")
+    kind, stop = _loss_kind(body), _stop_rule(body)
     try:
-        state = FlowState(net=net, step=float(body["step"]), lambdas=lambdas,
-                          rng_seed=seed)
-        trace = run_flow(
-            state, _loss_kind(body), data, _stop_rule(body),
-            sample_every=int(body.get("sample_every", 100)),
-            stepping=body.get("stepping", "fixed"),
-        )
+        state = FlowState(net=net, step=step, lambdas=lambdas, rng_seed=seed)
+        trace = run_flow(state, kind, data, stop, sample_every=sample_every,
+                         stepping=body.get("stepping", "fixed"))
     except ValueError as err:
         raise CliError(str(err)) from err
     path = _out(args, "flow_trace.csv")
@@ -202,19 +223,17 @@ def _cmd_flow(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    body = _load_config(args.config)
-    seed = _resolve_seed(args, body)
+def _cmd_spectrum(args, body, seed) -> int:
     header = _run_header("spectrum", body, seed)
     data = _dataset_from(body)
     net = _net_from(body, seed)
-    lambdas = tuple(float(l) for l in body.get("lambdas", ()))
+    lambdas = _numbers(body.get("lambdas", []), "lambdas")
     convention = body.get("convention", "loss")
     if convention not in ("loss", "flow"):
         raise CliError(f"convention: must be loss or flow, got {convention!r}")
+    tol = _number(body.get("tol", 1e-8), "tol")
     try:
         h_mat = hessian(_loss_kind(body), net, data, lambdas=lambdas)
-        tol = float(body.get("tol", 1e-8))
         if convention == "loss":
             report = classify_loss_hessian(h_mat, tol=tol)
         else:
@@ -229,9 +248,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_svm(args) -> int:
-    body = _load_config(args.config)
-    seed = _resolve_seed(args, body)
+def _cmd_svm(args, body, seed) -> int:
     header = _run_header("svm", body, seed)
     data = _dataset_from(body)
     try:
@@ -246,9 +263,7 @@ def _cmd_svm(args) -> int:
         "margin": float(sol.margin),
         "support_indices": [int(i) for i in sol.support_indices],
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     print(f"wrote {path} (margin {sol.margin!r}, "
           f"{len(sol.support_indices)} support points)")
     if args.verbose:
@@ -256,9 +271,7 @@ def _cmd_svm(args) -> int:
     return 0
 
 
-def _cmd_scenario(args, command) -> int:
-    body = _load_config(args.config)
-    seed = _resolve_seed(args, body)
+def _cmd_scenario(args, command, body, seed) -> int:
     if command == "perturb":
         variant = body.get("variant", "sine")
         if variant not in PERTURB_VARIANTS:
@@ -315,13 +328,15 @@ def main(argv=None) -> int:
         # argparse already printed a message naming the flag
         return 0 if exc.code == 0 else 1
     try:
+        body = _load_config(args.config)
+        seed = _resolve_seed(args, body)
         if command == "flow":
-            return _cmd_flow(args)
+            return _cmd_flow(args, body, seed)
         if command == "spectrum":
-            return _cmd_spectrum(args)
+            return _cmd_spectrum(args, body, seed)
         if command == "svm":
-            return _cmd_svm(args)
-        return _cmd_scenario(args, command)
+            return _cmd_svm(args, body, seed)
+        return _cmd_scenario(args, command, body, seed)
     except (CliError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

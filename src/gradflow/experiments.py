@@ -24,14 +24,13 @@ from .flow import (
     TraceRefs,
     TrajectoryTrace,
     _write_table,
+    flow_step,
     growth_numeric_trace,
     perturb_and_reconverge,
     run_flow,
-    write_trace_csv,
 )
-from .linalg import (RANK_CUTOFF, extended_min_norm, min_norm_least_squares,
-                     symmetric_eig)
-from .losses import Dataset
+from .linalg import extended_min_norm
+from .losses import Dataset, classification_error
 from .network import DeepNet, random_net
 from .oracles import (
     NonSeparableError,
@@ -220,6 +219,13 @@ def _jsonable(obj):
     return obj
 
 
+def _write_json(path, body):
+    """The one JSON writer: sorted keys, two-space indent, LF endings."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report_json(report: ScenarioReport, path, header: str = ""):
     # Basenames only: reruns into a different directory stay byte-identical.
     body = {
@@ -236,9 +242,7 @@ def write_report_json(report: ScenarioReport, path, header: str = ""):
     }
     if header:
         body["header"] = header
-    with open(path, "w", newline="\n") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, body)
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:
@@ -269,14 +273,6 @@ def _write_csv(config, name, trace_paths, columns, rows):
         trace_paths.append(path)
 
 
-def _write_trace(config, name, trace_paths, trace):
-    """Write one trace CSV of the run, if it has an output directory."""
-    path = _out_path(config, name)
-    if path:
-        write_trace_csv(trace, path, header_comment=config.header())
-        trace_paths.append(path)
-
-
 def _finish_report(config, repetitions, excluded, predicates, aggregates,
                    trace_paths, notes) -> ScenarioReport:
     """Every scenario's report; written, if the run has an output
@@ -303,13 +299,6 @@ def _finish_report(config, repetitions, excluded, predicates, aggregates,
 # sine target, polynomial model, perturb-and-reconverge study
 
 
-def _null_space(eigenvalues, eigenvectors):
-    """Orthonormal basis (columns) of the feature-space null space, from
-    an eigendecomposition of X^T X."""
-    lam_max = float(eigenvalues.max(initial=0.0))
-    return eigenvectors[:, eigenvalues <= RANK_CUTOFF * lam_max]
-
-
 def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     """Polynomial regression on a sine, trained by exact square-loss GD,
     with periodic Gaussian weight perturbations through the first half of
@@ -328,8 +317,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     x_test = np.linspace(-1.0, 1.0, p["n_test"])
     test_design = _monomials(x_test, p["degree"])
     y_test = _sine_target(x_test, p["frequency"])
-    # gd's eigenvalues are clipped at 0, which leaves the null mask as is
-    null_basis = _null_space(gd.eigenvalues, gd.basis)
+    null_basis = gd.null_basis
     null_dim = null_basis.shape[1]
 
     total = int(p["total_steps"])
@@ -395,8 +383,8 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
         trace.stop_reason = "schedule_complete"
         traces.append(trace)
         included.append(not bad)
-        _write_trace(config, f"{config.scenario}_rep{rep:02d}.csv",
-                     trace_paths, trace)
+        _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
+                   trace_paths, trace.header(), trace.rows())
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
@@ -641,13 +629,8 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         state = FlowState(
             net=net, step=p["step"], rng_seed=config.seed + 500_000 + rep
         )
-        out = run_flow(
-            state, kind, train,
-            StopRule(max_steps=int(p["pretrain_steps"])),
-            sample_every=int(p["pretrain_steps"]),
-        )
-        # the last row is the final state's training error
-        return out.final_state, out.train_errors[-1]
+        state = flow_step(state, kind, train, int(p["pretrain_steps"]))
+        return state, classification_error(state.net, train)
 
     pretrain = [pretrained(rep) for rep in range(reps)]
     states = [state for state, _ in pretrain]
@@ -662,8 +645,8 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         ok = not any(trace.row_flags)
         traces.append(trace)
         included.append(ok)
-        _write_trace(config, f"{config.scenario}_rep{rep:02d}.csv",
-                     trace_paths, trace)
+        _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
+                   trace_paths, trace.header(), trace.rows())
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
@@ -704,12 +687,8 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         for state in states[: int(p["control_repetitions"])]:
             base = np.array([float(np.sqrt((w * w).sum()))
                              for w in state.net.layers])
-            out = run_flow(
-                state, kind, train, StopRule(max_steps=horizon),
-                sample_every=horizon,
-            )
-            fin = np.array([float(np.sqrt((w * w).sum()))
-                            for w in out.final_state.net.layers])
+            fin = np.array([float(np.sqrt((w * w).sum())) for w in
+                            flow_step(state, kind, train, horizon).net.layers])
             ctrl_growth.append(fin - base)
         ctrl = np.array(ctrl_growth).mean(axis=0)
         pert_growth = mean_norms[-1] - mean_norms[0]
@@ -908,8 +887,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
             w = out.final_state.net.layers[0].ravel()
             finals.append(w / np.sqrt(w @ w))
             if init == 0:
-                _write_trace(config, f"{config.scenario}_ds{ds:02d}.csv",
-                             trace_paths, out)
+                _write_csv(config, f"{config.scenario}_ds{ds:02d}.csv",
+                           trace_paths, out.header(), out.rows())
         finals = np.array(finals)
         oracle_cos = finals @ margin.w_tilde
         pair_cos = finals @ finals.T
@@ -933,10 +912,9 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     x_sq = sq_rng.normal(size=(int(p["square_samples"]), int(p["square_dim"])))
     y_sq = sq_rng.normal(size=int(p["square_samples"]))
     sq_data = Dataset(x_sq, y_sq, task="regression")
-    w_min = min_norm_least_squares(x_sq, y_sq)
-    dec = symmetric_eig(x_sq.T @ x_sq)
-    null_basis = _null_space(dec.eigenvalues, dec.eigenvectors)
-    c = null_basis @ sq_rng.normal(size=null_basis.shape[1])
+    gd = LinearSquareGD(x_sq, y_sq, p["square_step"])
+    w_min = gd.w_min_norm
+    c = gd.null_basis @ sq_rng.normal(size=gd.null_basis.shape[1])
 
     def square_limit(w0):
         state = FlowState(

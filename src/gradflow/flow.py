@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import frobenius_norm, min_norm_least_squares, symmetric_eig
+from .linalg import frobenius_norm, gram_solve, symmetric_eig
 from .losses import (
     Dataset,
     _check_kind,
@@ -167,11 +167,13 @@ def _fmt_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_table(path, header_comment, columns, rows):
-    """The one CSV writer: LF endings, shortest-round-trip floats."""
+def _write_table(path, header_comment, columns, rows, extra_comment=""):
+    """The one CSV writer: LF endings, shortest-round-trip floats, and up
+    to two '#' comment lines above the column names."""
     with open(path, "w", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+        for comment in (header_comment, extra_comment):
+            if comment:
+                fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
@@ -290,12 +292,16 @@ class _Euler:
         return dt
 
 
-def flow_step(state: FlowState, kind: str, data: Dataset) -> FlowState:
-    """One guarded explicit-Euler step, W_k <- W_k - step*(grad_k + 2 lam W_k),
-    the step run_flow takes with fixed stepping."""
+def flow_step(state: FlowState, kind: str, data: Dataset,
+              n_steps: int = 1) -> FlowState:
+    """n_steps guarded explicit-Euler steps, W_k <- W_k - step*(grad_k +
+    2 lam W_k), the steps run_flow takes with fixed stepping; time adds up
+    step by step as in run_flow."""
     euler = _Euler(state.net, kind, data, state.lambda_array())
-    euler.step(state.step, backtrack=False)
-    return replace(state, net=euler.net, time=state.time + state.step)
+    t = state.time
+    for _ in range(n_steps):
+        t += euler.step(state.step, backtrack=False)
+    return replace(state, net=euler.net, time=t)
 
 
 def run_flow(
@@ -390,10 +396,11 @@ class LinearSquareGD:
     """Exact fixed-step gradient descent for the summed square loss of a
     linear model, propagated mode by mode.
 
-    One eigendecomposition of X^T X up front; afterwards n steps of GD from
-    any w cost a couple of matrix-vector products, bit-identical in exact
-    arithmetic to iterating w <- w - step * 2 X^T (X w - y). Null modes
-    (zero eigenvalues) pass through unchanged, which is the invariance the
+    One eigendecomposition of X^T X up front, which also gives w_min_norm
+    and the null_basis columns; afterwards n steps of GD from any w cost a
+    couple of matrix-vector products, bit-identical in exact arithmetic to
+    iterating w <- w - step * 2 X^T (X w - y). Null modes (zero
+    eigenvalues) pass through unchanged, which is the invariance the
     perturbation experiments measure.
     """
 
@@ -402,9 +409,10 @@ class LinearSquareGD:
         self.y = np.asarray(y, dtype=float)
         self.step = float(step)
         dec = symmetric_eig(self.x.T @ self.x)
+        self.w_min_norm, keep = gram_solve(dec, self.x.T @ self.y)
+        self.null_basis = dec.eigenvectors[:, ~keep]
         self.eigenvalues = np.maximum(dec.eigenvalues, 0.0)
         self.basis = dec.eigenvectors
-        self.w_min_norm = min_norm_least_squares(self.x, self.y)
         self.stable = bool(np.abs(1.0 - 2.0 * self.step * self.eigenvalues).max() <= 1.0)
 
     def propagate(self, w0, n_steps: int) -> np.ndarray:
@@ -412,10 +420,6 @@ class LinearSquareGD:
         c = self.basis.T @ (np.asarray(w0, float) - self.w_min_norm)
         factors = (1.0 - 2.0 * self.step * self.eigenvalues) ** n_steps
         return self.w_min_norm + self.basis @ (factors * c)
-
-    def loss(self, w) -> float:
-        r = self.x @ w - self.y
-        return float(r @ r)
 
 
 @dataclass(frozen=True)
@@ -752,33 +756,26 @@ def growth_numeric_trace(k: int, f_tilde: float, rho0: float, t_grid):
     def rhs(rho):
         return f_tilde * k * rho ** (k - 1) * np.exp(-(rho**k) * f_tilde)
 
-    def advance(rho, t_a, t_b):
-        if t_b <= t_a:
-            return rho
-        if t_b <= 1.0:  # linear-time RK4
-            n = max(1, int(np.ceil((t_b - t_a) / 5e-4)))
-            h = (t_b - t_a) / n
-            for _ in range(n):
-                k1 = rhs(rho)
-                k2 = rhs(rho + 0.5 * h * k1)
-                k3 = rhs(rho + 0.5 * h * k2)
-                k4 = rhs(rho + h * k3)
-                rho += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            return rho
-        if t_a < 1.0:
-            rho = advance(rho, t_a, 1.0)
-            t_a = 1.0
-        u_a, u_b = np.log(t_a), np.log(t_b)
-        n = max(1, int(np.ceil((u_b - u_a) / 1e-3)))
-        h = (u_b - u_a) / n
-        u = u_a
+    def rk4(rho, s, s_end, max_h, dt_ds):
+        """RK4 in s from s to s_end, d rho/ds = dt_ds(s) * rhs(rho)."""
+        n = max(1, int(np.ceil((s_end - s) / max_h)))
+        h = (s_end - s) / n
         for _ in range(n):
-            k1 = np.exp(u) * rhs(rho)
-            k2 = np.exp(u + 0.5 * h) * rhs(rho + 0.5 * h * k1)
-            k3 = np.exp(u + 0.5 * h) * rhs(rho + 0.5 * h * k2)
-            k4 = np.exp(u + h) * rhs(rho + h * k3)
+            a, b, c = dt_ds(s), dt_ds(s + 0.5 * h), dt_ds(s + h)
+            k1 = a * rhs(rho)
+            k2 = b * rhs(rho + 0.5 * h * k1)
+            k3 = b * rhs(rho + 0.5 * h * k2)
+            k4 = c * rhs(rho + h * k3)
             rho += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u += h
+            s += h
+        return rho
+
+    def advance(rho, t_a, t_b):
+        if t_a < min(t_b, 1.0):  # plain time, s = t
+            rho = rk4(rho, t_a, min(t_b, 1.0), 5e-4, lambda s: 1.0)
+            t_a = 1.0
+        if t_a < t_b:  # log time, s = log t
+            rho = rk4(rho, np.log(t_a), np.log(t_b), 1e-3, np.exp)
         return rho
 
     rhos = []

@@ -3,8 +3,9 @@
 The symmetric eigensolver is LAPACK's ``eigh`` (through numpy), wrapped to
 a fixed contract: a symmetry check, descending eigenvalues with stable
 ties, and a sign convention on the eigenvectors, so that every caller
-sees deterministic output. The Gram-route minimum-norm least-squares
-solver and the long-double Householder QR are written out here.
+sees deterministic output. ``gram_solve`` alone applies the rank cutoff;
+every minimum-norm solution and null basis in the package comes from it.
+The long-double Householder QR is written out here.
 
 A cyclic-Jacobi eigensolver in ``tests/`` is the independent oracle for
 ``symmetric_eig``: it shares no code with LAPACK, and Jacobi keeps high
@@ -24,7 +25,7 @@ import numpy as np
 
 # relative asymmetry tolerated by the eigensolver before rejection
 SYMMETRY_RTOL = 1e-12
-# Gram eigenvalues below RANK_CUTOFF * largest are treated as exact zeros
+# Gram eigenvalues at or below RANK_CUTOFF * largest are exact zeros
 RANK_CUTOFF = 1e-12
 
 
@@ -94,12 +95,22 @@ def symmetric_eig(a) -> EigenDecomposition:
     return EigenDecomposition(evals, vecs)
 
 
+def gram_solve(dec: EigenDecomposition, rhs):
+    """Minimum-norm solution of G x = rhs from G's eigendecomposition, and
+    the mask of the eigenvalues kept: those above RANK_CUTOFF times the
+    largest. A zero G keeps none, and x = 0."""
+    lam_max = float(dec.eigenvalues.max(initial=0.0))
+    keep = dec.eigenvalues > RANK_CUTOFF * lam_max
+    vecs = dec.eigenvectors[:, keep]
+    return vecs @ ((vecs.T @ rhs) / dec.eigenvalues[keep]), keep
+
+
 def min_norm_least_squares(x_mat, y) -> np.ndarray:
     """Smallest-norm minimizer of ||X w - y||.
 
-    Goes through the n x n Gram system, w = X^T (X X^T)^+ y, with Gram
-    eigenvalues below RANK_CUTOFF times the largest treated as exact
-    zeros. The output lies in the row space of X by construction.
+    Goes through the n x n Gram system, w = X^T (X X^T)^+ y, with the rank
+    rule of gram_solve. The output lies in the row space of X by
+    construction.
     """
     x_mat = check_matrix(x_mat, "X")
     y = check_vector(y, "y")
@@ -108,13 +119,9 @@ def min_norm_least_squares(x_mat, y) -> np.ndarray:
         raise ValueError(f"y has length {y.shape[0]}, expected {n}")
     if not np.any(x_mat):
         raise ValueError("X is entirely zero; no row space to solve in")
-    dec = symmetric_eig(x_mat @ x_mat.T)
-    lam_max = float(dec.eigenvalues.max(initial=0.0))
-    keep = dec.eigenvalues > RANK_CUTOFF * lam_max
+    coeff, keep = gram_solve(symmetric_eig(x_mat @ x_mat.T), y)
     if not np.any(keep):
         raise ValueError("X X^T is numerically zero")
-    vecs = dec.eigenvectors[:, keep]
-    coeff = vecs @ ((vecs.T @ y) / dec.eigenvalues[keep])
     return x_mat.T @ coeff
 
 

@@ -71,12 +71,14 @@ def _check_kind(kind: str, data: Dataset, net: DeepNet):
                 f"label {int(data.labels.max())} out of range for "
                 f"{net.out_dim} output rows"
             )
-    elif kind in ("exponential", "logistic"):
-        if data.task != "binary":
-            raise ValueError(f"{kind} loss needs binary -1/+1 labels")
-    else:  # square accepts binary or real-valued targets
-        if data.task == "multiclass":
-            raise ValueError("square loss needs binary or regression labels")
+    elif kind in ("exponential", "logistic") and data.task != "binary":
+        raise ValueError(f"{kind} loss needs binary -1/+1 labels")
+    elif kind == "square" and data.task == "multiclass":
+        raise ValueError("square loss needs binary or regression labels")
+    if kind != "softmax_cross_entropy" and net.out_dim != 1:
+        raise ValueError(
+            f"{kind} loss needs a single output row, got {net.out_dim}"
+        )
     if data.dim != net.in_dim:
         raise ValueError(
             f"dataset dimension {data.dim} does not match net input "
@@ -101,51 +103,23 @@ def _clamped_exp(u, context):
     return np.exp(u)
 
 
-def _softmax_cross_entropy(logits, y):
-    """Summed cross-entropy by log-sum-exp, and the row probabilities.
+def _loss_terms(kind: str, out, y):
+    """The one table of loss formulas: the summed loss of the (C, N)
+    outputs and its derivative with respect to them.
 
-    One formula for loss and loss_and_gradient, so both give the same bits;
-    -log of an underflowed probability would be inf where this is finite.
+    Softmax goes by log-sum-exp: -log of an underflowed probability would
+    be inf where this is finite. Logistic, log(1 + e^{-yf}), is stable on
+    both tails.
     """
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    norm = e.sum(axis=1, keepdims=True)
-    value = float((np.log(norm[:, 0]) - z[np.arange(len(y)), y]).sum())
-    return value, e / norm
-
-
-def loss(kind: str, net: DeepNet, data: Dataset) -> float:
-    """Sum over samples of the per-sample loss."""
-    _check_kind(kind, data, net)
     if kind == "softmax_cross_entropy":
-        logits = batch_forward(net, data.inputs)[0].T
-        return _softmax_cross_entropy(logits, data.labels)[0]
-    f = batch_outputs(net, data.inputs)
-    y = data.labels
-    if kind == "square":
-        return float(((y - f) ** 2).sum())
-    if kind == "exponential":
-        return float(_clamped_exp(-y * f, "exponential loss").sum())
-    # logistic: log(1 + e^{-yf}), stable on both tails
-    m = -y * f
-    return float((np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))).sum())
-
-
-def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
-    """Returns (loss value, per-layer gradient list, relu kink flag)."""
-    _check_kind(kind, data, net)
-    return _loss_and_gradient(kind, net, data)
-
-
-def _loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
-    """loss_and_gradient without the argument check, for loops that make
-    the check once up front."""
-    out, _, acts, derivs, kink = batch_forward(net, data.inputs)
-    y = data.labels
-    if kind == "softmax_cross_entropy":
-        value, p = _softmax_cross_entropy(out.T, y)
-        p[np.arange(len(y)), y] -= 1.0
-        return value, batch_backprop(net, acts, derivs, p.T), kink
+        z = out.T - out.T.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        norm = e.sum(axis=1, keepdims=True)
+        rows = np.arange(len(y))
+        value = float((np.log(norm[:, 0]) - z[rows, y]).sum())
+        p = e / norm
+        p[rows, y] -= 1.0
+        return value, p.T
     f = out[0]
     if kind == "square":
         value = float(((y - f) ** 2).sum())
@@ -158,7 +132,27 @@ def _loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
         m = -y * f
         value = float((np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))).sum())
         ddelta = -y * _sigmoid(m)
-    return value, batch_backprop(net, acts, derivs, ddelta[None, :]), kink
+    return value, ddelta[None, :]
+
+
+def loss(kind: str, net: DeepNet, data: Dataset) -> float:
+    """Sum over samples of the per-sample loss."""
+    _check_kind(kind, data, net)
+    return _loss_terms(kind, batch_forward(net, data.inputs)[0], data.labels)[0]
+
+
+def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
+    """Returns (loss value, per-layer gradient list, relu kink flag)."""
+    _check_kind(kind, data, net)
+    return _loss_and_gradient(kind, net, data)
+
+
+def _loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
+    """loss_and_gradient without the argument check, for loops that make
+    the check once up front."""
+    out, _, acts, derivs, kink = batch_forward(net, data.inputs)
+    value, ddelta = _loss_terms(kind, out, data.labels)
+    return value, batch_backprop(net, acts, derivs, ddelta), kink
 
 
 def loss_gradient(kind: str, net: DeepNet, data: Dataset) -> list:

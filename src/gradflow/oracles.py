@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, symmetric_eig
+from .linalg import gram_solve, symmetric_eig
 from .losses import Dataset
 
 MAX_SVM_SAMPLES = 20
@@ -40,19 +40,6 @@ class NonSeparableError(ValueError):
     def __init__(self, message, violated_indices):
         super().__init__(message)
         self.violated_indices = tuple(violated_indices)
-
-
-def _solve_gram(gram, rhs):
-    """Min-norm solution of the small symmetric system gram @ beta = rhs."""
-    dec = symmetric_eig(gram)
-    lam_max = float(np.abs(dec.eigenvalues).max(initial=0.0))
-    if lam_max == 0.0:
-        return None
-    keep = dec.eigenvalues > RANK_CUTOFF * lam_max
-    if not np.any(keep):
-        return None
-    vecs = dec.eigenvectors[:, keep]
-    return vecs @ ((vecs.T @ rhs) / dec.eigenvalues[keep])
 
 
 def hard_margin_svm(data: Dataset) -> MarginSolution:
@@ -79,10 +66,8 @@ def hard_margin_svm(data: Dataset) -> MarginSolution:
     for size in range(1, max_size + 1):
         for subset in combinations(range(n), size):
             z = signed[list(subset)]
-            beta = _solve_gram(z @ z.T, np.ones(size))
-            if beta is None:
-                continue
-            w = z.T @ beta
+            # a zero Gram keeps no eigenvalue: w = 0 is infeasible below
+            w = z.T @ gram_solve(symmetric_eig(z @ z.T), np.ones(size))[0]
             if (signed @ w).min() < 1.0 - FEASIBILITY_SLACK:
                 continue
             norm = float(w @ w)

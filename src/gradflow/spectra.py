@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowState, StopRule, _grad_norm, _total_gradient, run_flow
+from .flow import (FlowState, StopRule, _grad_norm, _total_gradient,
+                   _write_table, run_flow)
 from .linalg import check_matrix, symmetric_eig
 from .losses import Dataset, batch_outputs, loss_and_gradient, loss_gradient
 from .network import DeepNet, flatten_params, layer_gradients, unflatten_params
@@ -37,6 +38,12 @@ LOSS_CONVENTION = (
 )
 
 
+def _zero_threshold(eigenvalues, tol: float) -> float:
+    """tol times the spectral radius of ascending eigenvalues: the zero
+    class's bound, for classify and every report."""
+    return tol * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: tuple  # ascending
@@ -49,6 +56,10 @@ class SpectrumReport:
     def __post_init__(self):
         if self.n_stable + self.n_unstable + self.n_zero != len(self.eigenvalues):
             raise ValueError("class counts must partition the spectrum")
+
+    @property
+    def threshold(self) -> float:
+        return _zero_threshold(self.eigenvalues, self.tol)
 
     @property
     def hyperbolic(self) -> bool:
@@ -134,8 +145,7 @@ def classify(h_mat, tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
     a = check_matrix(h_mat, "matrix")
     dec = symmetric_eig(a)
     evals = np.sort(dec.eigenvalues)
-    radius = float(np.abs(evals).max()) if evals.size else 0.0
-    thr = tol * radius
+    thr = _zero_threshold(evals, tol)
     n_stable = int((evals < -thr).sum())
     n_unstable = int((evals > thr).sum())
     n_zero = evals.size - n_stable - n_unstable
@@ -287,8 +297,7 @@ def conjugacy_compare(h_a, h_b, tol: float = 1e-6) -> ConjugacyVerdict:
         differentiable = bool(diffs.max() <= tol * scale)
     exponent_map = None
     if counts_match and same_dim:
-        thr_a = rep_a.tol * max(abs(v) for v in rep_a.eigenvalues)
-        thr_b = rep_b.tol * max(abs(v) for v in rep_b.eigenvalues)
+        thr_a, thr_b = rep_a.threshold, rep_b.threshold
         ratios = []
         for sign in (-1.0, 1.0):
             mu = sorted(v for v in rep_a.eigenvalues if sign * v > thr_a)
@@ -316,12 +325,10 @@ def _class_label(value: float, thr: float, convention: str) -> str:
 def write_spectrum_csv(report: SpectrumReport, path, header_comment: str = ""):
     """CSV rows index,eigenvalue,class; a comment line states the
     orientation convention."""
-    radius = max(abs(v) for v in report.eigenvalues) if report.eigenvalues else 0.0
-    thr = report.tol * radius
-    with open(path, "w", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"# convention: {report.convention}\n")
-        fh.write("index,eigenvalue,class\n")
-        for i, v in enumerate(report.eigenvalues):
-            fh.write(f"{i},{v!r},{_class_label(v, thr, report.convention)}\n")
+    thr = report.threshold
+    _write_table(
+        path, header_comment, ["index", "eigenvalue", "class"],
+        ([i, v, _class_label(v, thr, report.convention)]
+         for i, v in enumerate(report.eigenvalues)),
+        extra_comment=f"convention: {report.convention}",
+    )

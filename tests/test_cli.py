@@ -188,6 +188,33 @@ class TestFlow:
                      "--output-dir", str(tmp_path)]) == 1
         assert "loss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"step": "x"}, "step"),
+        ({"lambdas": 0.1}, "lambdas"),
+        ({"lambdas": ["x"]}, "lambdas[0]"),
+        ({"sample_every": 0}, "sample_every"),
+        ({"sample_every": 2.5}, "sample_every"),
+        ({"net": {"dims": [2, 1], "epsilon": "x"}}, "net.epsilon"),
+        ({"net": {"dims": [2, 1], "scale": "x"}}, "net.scale"),
+        ({"net": {"dims": 3}}, "net.dims"),
+        ({"net": {"dims": [2, "x"]}}, "net.dims[1]"),
+        ({"stop": {"max_steps": "10"}}, "stop.max_steps"),
+        ({"stop": {"max_time": "1"}}, "stop.max_time"),
+        ({"stop": {"max_steps": 9, "loss_below": "x"}}, "stop.loss_below"),
+        ({"stop": {"max_steps": 9, "grad_norm_below": []}},
+         "stop.grad_norm_below"),
+        ({"stop": {"max_steps": 9, "direction_angle_below": True}},
+         "stop.direction_angle_below"),
+    ])
+    def test_malformed_value_names_field(self, tmp_path, capsys, extra,
+                                         field):
+        cfg = self._config(tmp_path, **extra)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: must be ")
+        assert "Traceback" not in err
+
     def test_backtrack_giveups_are_printed(self, tmp_path, capsys):
         # square loss under loss-rescaled steps: dt = step / loss grows
         # without bound as the loss nears 0, and backtracking gives up
@@ -242,6 +269,12 @@ class TestSpectrum:
                      "--output-dir", str(out)]) == 0
         rows = (out / "spectrum.csv").read_text().splitlines()[3:]
         assert all(r.endswith(",stable") for r in rows)
+
+    def test_malformed_tol_names_field(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, tol="x")
+        assert main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: tol: must be ")
 
     def test_bad_convention_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path, convention="sideways")

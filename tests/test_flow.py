@@ -228,13 +228,21 @@ class TestSharedStep:
             run_flow(state, "square", self.ONE, StopRule(max_steps=5),
                      stepping=stepping)
 
+    @pytest.mark.parametrize("kind", ["square", "exponential", "logistic"])
+    def test_scalar_loss_rejects_multi_row_net(self, kind):
+        state = FlowState(net=DeepNet((np.eye(2),), activation="linear"),
+                          step=0.01)
+        with pytest.raises(ValueError, match="single output row, got 2"):
+            run_flow(state, kind, SEP, StopRule(max_steps=1))
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 25])
     @pytest.mark.parametrize("kind, net, data, lambdas", [
         ("exponential", _linear_net([0.3, -0.2]), SEP, ()),
         ("logistic", None, SEP, (0.01, 0.02)),
         ("softmax_cross_entropy", None, None, ()),
     ])
     def test_iterated_flow_step_is_bitwise_run_flow(self, kind, net, data,
-                                                    lambdas):
+                                                    lambdas, n_steps):
         rng = np.random.default_rng(8)
         if kind == "logistic":
             net = DeepNet((rng.normal(size=(5, 2)), rng.normal(size=(1, 5))),
@@ -245,8 +253,8 @@ class TestSharedStep:
             data = Dataset(SEP_X, np.array([0, 1, 2, 1]), task="multiclass")
         start = FlowState(net=net, step=0.01, lambdas=lambdas)
         state = start
-        for _ in range(25):
-            state = flow_step(state, kind, data)
+        for _ in range(25 // n_steps):
+            state = flow_step(state, kind, data, n_steps)
         trace = run_flow(start, kind, data, StopRule(max_steps=25))
         final = trace.final_state
         assert final.time == state.time
@@ -316,6 +324,19 @@ class TestLinearSquareGD:
         c0 = vt[4:] @ w0
         c_t = vt[4:] @ w_t
         assert np.abs(c_t - c0).max() <= 1e-9
+
+    def test_min_norm_and_null_basis_from_one_decomposition(self):
+        # the sine scenario's design: degree 39 on 9 Chebyshev nodes
+        x = np.cos((2.0 * np.arange(1, 10) - 1.0) * np.pi / 18.0)
+        design = np.vander(x, 40, increasing=True)
+        y = np.sin(8.0 * np.pi * x)
+        gd = LinearSquareGD(design, y, 0.01)
+        w = gd.w_min_norm
+        norm = np.sqrt(w @ w)
+        assert gd.null_basis.shape == (40, 31)
+        assert np.sqrt(((gd.null_basis.T @ w) ** 2).sum()) <= 1e-14 * norm
+        w_ref = min_norm_least_squares(design, y)
+        assert np.sqrt(((w - w_ref) ** 2).sum()) <= 1e-12 * norm
 
     def test_stability_flag(self):
         rng = np.random.default_rng(33)
@@ -590,6 +611,36 @@ class TestGrowthTrace:
         expect = [growth_closed_form(2, 1.0, t, rho0=rho0) for t in grid]
         rel = np.abs(got - np.array(expect)) / np.array(expect)
         assert rel.max() <= 1e-3
+
+    # frozen as reprs: a change to the integrator must not move a bit
+    FROZEN = {
+        (1, "below"): ("0.04879016416943199", "0.2623642644674911",
+                       "0.6931471805599468"),
+        (1, "across"): ("0.4054651081081648", "0.6931471805599468",
+                        "1.6094379124340936"),
+        (1, "above"): ("0.9162907318741575", "3.0445224377233866",
+                       "5.707110264748859"),
+        (2, "below"): ("0.5396569879008938", "0.7506348585252639",
+                       "1.2457164873866733"),
+        (2, "across"): ("0.9163752145936216", "1.2457164873866733",
+                        "1.911330092115426"),
+        (2, "above"): ("1.4600270809142686", "2.428722796162417",
+                       "3.0276230507704"),
+        (4, "below"): ("0.525106411963153", "0.7255640410038056",
+                       "1.372238607523011"),
+        (4, "across"): ("1.0083540251334882", "1.372238607523011",
+                        "1.5960155755248782"),
+        (4, "above"): ("1.4668082798660658", "1.7207197171923907",
+                       "1.8634474462643784"),
+    }
+    GRIDS = {"below": [0.05, 0.3, 1.0], "across": [0.5, 1.0, 4.0],
+             "above": [1.5, 20.0, 300.0]}
+
+    @pytest.mark.parametrize("k, grid", sorted(FROZEN))
+    def test_bitwise_frozen_values(self, k, grid):
+        got = growth_numeric_trace(k, 1.0, 0.0 if k == 1 else 0.5,
+                                   self.GRIDS[grid])
+        assert tuple(repr(float(v)) for v in got) == self.FROZEN[k, grid]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -210,6 +210,11 @@ def test_loss_label_mismatches_rejected():
         loss("exponential", net2, multi)
     with pytest.raises(ValueError, match="out of range"):
         loss("softmax_cross_entropy", net2.with_layers([np.zeros((2, 2))]), multi)
+    # one label per sample cannot score three output rows
+    for kind in ("square", "exponential", "logistic"):
+        for evaluate in (loss, loss_and_gradient):
+            with pytest.raises(ValueError, match="single output row, got 3"):
+                evaluate(kind, net2, binary)
 
 
 def test_dataset_validation():

@@ -103,6 +103,15 @@ def test_svm_rejects_nonseparable():
         hard_margin_svm(data)
 
 
+def test_svm_zero_input_is_named_nonseparable():
+    # the zero row alone has a zero Gram, which keeps no eigenvalue: w = 0
+    data = Dataset([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], [1.0, 1.0, -1.0],
+                   task="binary")
+    with pytest.raises(NonSeparableError, match=r"\[1\]") as err:
+        hard_margin_svm(data)
+    assert err.value.violated_indices == (1,)
+
+
 def test_svm_budget_guard():
     x = np.ones((21, 2))
     y = np.ones(21)

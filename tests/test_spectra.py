@@ -349,13 +349,16 @@ class TestWriters:
         rep = classify_loss_hessian(np.diag([2.0, 0.0, -1.0]))
         path = tmp_path / "spec.csv"
         write_spectrum_csv(rep, path, header_comment="cfg=z")
-        lines = path.read_text().split("\n")
-        assert lines[0] == "# cfg=z"
-        assert lines[1].startswith("# convention:")
-        assert lines[2] == "index,eigenvalue,class"
-        assert lines[3] == "0,-1.0,unstable"
-        assert lines[4] == "1,0.0,zero"
-        assert lines[5] == "2,2.0,stable"
+        assert path.read_bytes() == (
+            b"# cfg=z\n"
+            b"# convention: eigenvalues are of the loss Hessian H; the "
+            b"linearized flow matrix is A = -H, so stable = eigenvalue of "
+            b"H > +thr\n"
+            b"index,eigenvalue,class\n"
+            b"0,-1.0,unstable\n"
+            b"1,0.0,zero\n"
+            b"2,2.0,stable\n"
+        )
 
     def test_rerun_byte_identical(self, tmp_path):
         rep = classify_loss_hessian(np.diag([1.5, -0.25, 0.0, 3.0]))
