@@ -219,77 +219,190 @@ def _record(trace, refs, net, train_error, time, value, pert_count, flag=""):
     trace.row_flags.append(flag)
 
 
-def _total_gradient(grads, layers, lambdas):
+def _two_lambdas(lambdas):
+    """Per-layer 2 lam_k, (R, 1, 1) for (R, K) lambdas, so that it scales
+    stacked layers member by member; None when no lambda is set."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if not lambdas.any():
+        return None
+    return [2.0 * lam[..., None, None] for lam in np.moveaxis(lambdas, -1, 0)]
+
+
+def _total_gradient(grads, layers, two_lambdas):
     """Gradient of the ridge-regularized objective, per layer."""
-    if not np.any(lambdas):
+    if two_lambdas is None:
         return grads
-    return [g + 2.0 * lam * w for g, lam, w in zip(grads, lambdas, layers)]
+    return [g + tl * w for g, tl, w in zip(grads, two_lambdas, layers)]
 
 
-def _grad_norm(grads) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+def _grad_norm(grads):
+    """Frobenius norm over all layers; one per member for stacked grads."""
+    return np.sqrt(sum((g * g).reshape(g.shape[:-2] + (-1,)).sum(axis=-1)
+                       for g in grads))
+
+
+_ALL = slice(None)  # every member of an _Euler
 
 
 class _Euler:
-    """The flow's one explicit-Euler step, shared by flow_step and run_flow.
+    """The flow's one explicit-Euler step, for R flows ("members") that
+    advance as one array computation.
 
-    The current point and a trial point live in two flat float64 buffers,
-    each wrapped once in a DeepNet whose layers are views into it, so a
-    step rewrites numbers in place instead of building a net. The loss
-    kind is checked once up front; every trial point is checked for
-    non-finite weights once, and one is an error, never absorbed.
+    Member r has its own weights, data (or data shared by all members),
+    step size, halving count and give-up count. The current point and a
+    trial point live in two (R, P) float64 buffers; the stacked layers
+    (R, rows, cols) and, per member, a DeepNet are views into them, so a
+    step rewrites numbers in place instead of building nets. The loss kind
+    is checked once per member up front; every trial point is checked for
+    non-finite weights, and one is an error, never absorbed.
     """
 
-    def __init__(self, net: DeepNet, kind: str, data: Dataset, lambdas):
-        _check_kind(kind, data, net)
-        self.kind, self.data, self.lambdas = kind, data, lambdas
-        shapes = [w.shape for w in net.layers]
-        self.flat = flatten_params(net.layers)
-        self.net = net.with_layers(unflatten_params(self.flat, shapes))
-        # zeros, not empty: the net built on it checks its entries are finite
-        self._trial_flat = np.zeros_like(self.flat)
-        self._trial = net.with_layers(unflatten_params(self._trial_flat, shapes))
-        self.value, grads, kink = _loss_and_gradient(kind, self.net, data)
-        self.total = _total_gradient(grads, self.net.layers, lambdas)
-        self.kink_events = int(kink)
-        self.backtrack_giveups = 0
+    def __init__(self, nets, kind: str, datasets, lambdas):
+        """nets: R nets of one architecture; datasets: one Dataset for
+        every member or one per member; lambdas: (R, K) ridge strengths."""
+        arch = nets[0]
+        self.shapes = [w.shape for w in arch.layers]
+        for net in nets[1:]:
+            if ([w.shape for w in net.layers] != self.shapes
+                    or replace(net, layers=arch.layers) != arch):
+                raise ValueError("stacked flows need nets of one architecture")
+        shared = isinstance(datasets, Dataset)
+        self.datasets = [datasets] * len(nets) if shared else list(datasets)
+        if len(self.datasets) != len(nets):
+            raise ValueError(
+                f"{len(self.datasets)} datasets for {len(nets)} flows"
+            )
+        for net, data in zip(nets, self.datasets):
+            _check_kind(kind, data, net)
+        if shared:
+            self.inputs, self.labels = datasets.inputs, datasets.labels
+        else:
+            self.inputs = np.stack([d.inputs for d in self.datasets])
+            self.labels = np.stack([d.labels for d in self.datasets])
+        self.kind, self.arch, self.shared = kind, arch, shared
+        self.members = list(nets)
+        self.ids = np.arange(len(nets))  # each member's place in nets
+        self.two_lambdas = _two_lambdas(lambdas)
+        self._bind(np.stack([flatten_params(net.layers) for net in nets]))
+        self.value, self.grads, kink = self._evaluate(self.layers, _ALL)
+        self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
+        self.kink_events = np.zeros(len(nets), dtype=int) + kink
+        self.backtrack_giveups = np.zeros(len(nets), dtype=int)
 
-    def step(self, dt: float, backtrack: bool) -> float:
-        """Move to W_k - dt * (grad_k + 2 lam_k W_k); returns the dt taken.
+    def _bind(self, flat):
+        """Take flat as the current point; views and nets on it and on a
+        fresh trial buffer."""
+        self.flat = flat
+        # zeros, not empty: the nets built on it check their entries are finite
+        self._trial_flat = np.zeros_like(flat)
+        self.layers, self.nets = self._views(flat)
+        self._trial_layers, self._trial_nets = self._views(self._trial_flat)
+
+    def _views(self, flat):
+        layers = unflatten_params(flat, self.shapes)
+        return layers, [net.with_layers(w[r] for w in layers)
+                        for r, net in enumerate(self.members)]
+
+    def keep(self, mask):
+        """Drop the members where mask is False. The dropped members' nets
+        keep their values: the survivors move to new buffers."""
+        index = np.flatnonzero(mask)
+        self.ids = self.ids[index]
+        self.members = [self.members[i] for i in index]
+        self.datasets = [self.datasets[i] for i in index]
+        if not self.shared:
+            self.inputs, self.labels = self.inputs[index], self.labels[index]
+        if self.two_lambdas is not None:
+            self.two_lambdas = [tl[index] for tl in self.two_lambdas]
+        self._bind(self.flat[index])
+        self.value, self.grads = self.value[index], [g[index]
+                                                     for g in self.grads]
+        self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
+        self.kink_events = self.kink_events[index]
+        self.backtrack_giveups = self.backtrack_giveups[index]
+
+    def _evaluate(self, layers, rows):
+        inputs, labels = self.inputs, self.labels
+        if not self.shared:
+            inputs, labels = inputs[rows], labels[rows]
+        return _loss_and_gradient(self.kind, self.arch, inputs, labels, layers)
+
+    def _commit(self, rows, value, grads, kink):
+        """Make the trial point of the given members (all, or an index
+        array) their current point."""
+        if rows is _ALL:
+            self.flat, self._trial_flat = self._trial_flat, self.flat
+            self.layers, self._trial_layers = self._trial_layers, self.layers
+            self.nets, self._trial_nets = self._trial_nets, self.nets
+            self.value, self.grads = value, grads
+        else:
+            self.flat[rows] = self._trial_flat[rows]
+            self.value[rows] = value
+            for cur, g in zip(self.grads, grads):
+                cur[rows] = g
+        if kink is not False:
+            self.kink_events[rows] += kink
+
+    def step(self, dt, backtrack: bool):
+        """Move every member to W_k - dt * (grad_k + 2 lam_k W_k), dt one
+        entry per member; returns dt, holding the dt each member took.
 
         Without backtrack a loss jump by more than LOSS_EXPLOSION_FACTOR
         raises: it is the signature of a step beyond the stability limit.
-        With it, dt halves while the loss would rise; a step still rising
-        after MAX_HALVINGS halvings is taken and counted as a give-up.
+        With it, a member's dt halves (in place) while its loss would rise;
+        a step still rising after MAX_HALVINGS halvings is taken and
+        counted as a give-up of that member.
         """
+        rows = _ALL  # the members still looking for their step
         halvings = 0
         while True:
-            for w, g, out in zip(self.net.layers, self.total, self._trial.layers):
-                np.subtract(w, dt * g, out=out)
-            if not np.isfinite(self._trial_flat).all():
-                raise ValueError(
-                    f"non-finite weights after a step of {dt:.3e}; "
-                    "reduce the step"
-                )
-            value, grads, kink = _loss_and_gradient(self.kind, self._trial, self.data)
-            if not backtrack and value > LOSS_EXPLOSION_FACTOR * max(self.value, 1e-300):
-                raise ValueError(
-                    f"loss exploded {self.value:.3e} -> {value:.3e}; "
-                    f"reduce step below {dt:.3e}"
-                )
-            if not backtrack or value <= self.value:
+            d = dt[rows, None, None]
+            if rows is _ALL:
+                for w, g, out in zip(self.layers, self.total,
+                                     self._trial_layers):
+                    np.subtract(w, d * g, out=out)
+                trial = self._trial_layers
+            else:
+                trial = [w[rows] - d * g[rows]
+                         for w, g in zip(self.layers, self.total)]
+                for out, w in zip(self._trial_layers, trial):
+                    out[rows] = w
+            if not np.isfinite(self._trial_flat[rows]).all():
+                bad = ~np.isfinite(self._trial_flat[rows]).all(axis=-1)
+                r = np.arange(len(dt))[rows][bad][0]
+                raise ValueError(self._named(
+                    r, f"non-finite weights after a step of {dt[r]:.3e}; "
+                    "reduce the step"))
+            value, grads, kink = self._evaluate(trial, rows)
+            old = self.value[rows]
+            if not backtrack:
+                blown = value > LOSS_EXPLOSION_FACTOR * np.maximum(old, 1e-300)
+                if blown.any():
+                    i = np.flatnonzero(blown)[0]
+                    r = np.arange(len(dt))[rows][i]
+                    raise ValueError(self._named(
+                        r, f"loss exploded {old[i]:.3e} -> {value[i]:.3e}; "
+                        f"reduce step below {dt[r]:.3e}"))
+                break
+            rising = value > old
+            if not rising.any():
                 break
             if halvings >= MAX_HALVINGS:
-                self.backtrack_giveups += 1
+                self.backtrack_giveups[rows] += rising
                 break
-            dt *= 0.5
+            # members whose loss fell keep this step; the others halve dt
+            index, taken = np.arange(len(dt))[rows], ~rising
+            self._commit(index[taken], value[taken], [g[taken] for g in grads],
+                         kink if kink is False else kink[taken])
+            rows = index[rising]
+            dt[rows] *= 0.5
             halvings += 1
-        self.net, self._trial = self._trial, self.net
-        self.flat, self._trial_flat = self._trial_flat, self.flat
-        self.value = value
-        self.total = _total_gradient(grads, self.net.layers, self.lambdas)
-        self.kink_events += int(kink)
+        self._commit(rows, value, grads, kink)
+        self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
         return dt
+
+    def _named(self, r, text) -> str:
+        return text if len(self.ids) == 1 else f"flow {self.ids[r]}: {text}"
 
 
 def flow_step(state: FlowState, kind: str, data: Dataset,
@@ -297,11 +410,11 @@ def flow_step(state: FlowState, kind: str, data: Dataset,
     """n_steps guarded explicit-Euler steps, W_k <- W_k - step*(grad_k +
     2 lam W_k), the steps run_flow takes with fixed stepping; time adds up
     step by step as in run_flow."""
-    euler = _Euler(state.net, kind, data, state.lambda_array())
-    t = state.time
+    euler = _Euler([state.net], kind, data, [state.lambda_array()])
+    dt, t = np.array([state.step]), np.array([state.time])
     for _ in range(n_steps):
-        t += euler.step(state.step, backtrack=False)
-    return replace(state, net=euler.net, time=t)
+        t += euler.step(dt, backtrack=False)
+    return replace(state, net=euler.nets[0], time=float(t[0]))
 
 
 def run_flow(
@@ -313,7 +426,28 @@ def run_flow(
     stepping: str = "fixed",
     refs: TraceRefs | None = None,
 ) -> TrajectoryTrace:
-    """Iterate the Euler flow until the stop rule or budget hits.
+    """Iterate the Euler flow until the stop rule or budget hits: the one
+    flow of run_flows."""
+    return run_flows([state], kind, data, stop, sample_every=sample_every,
+                     stepping=stepping, refs=refs)[0]
+
+
+def run_flows(
+    states,
+    kind: str,
+    datasets,
+    stop: StopRule,
+    sample_every: int = 100,
+    stepping: str = "fixed",
+    refs=None,
+) -> list:
+    """Iterate R Euler flows as one stacked computation until each one's
+    stop rule or budget hits; one TrajectoryTrace per state.
+
+    datasets and refs are one Dataset / TraceRefs for every flow, or one
+    per flow. Each flow keeps its own step, time, stop reason and trace
+    rows, bitwise as if run alone; a flow that has stopped takes no
+    further step.
 
     stepping="fixed" advances time by `step` per iteration. For
     stepping="loss_rescaled" each iteration advances time by step/loss,
@@ -324,72 +458,111 @@ def run_flow(
     """
     if stepping not in ("fixed", "loss_rescaled"):
         raise ValueError(f"unknown stepping {stepping!r}")
-    euler = _Euler(state.net, kind, data, state.lambda_array())
-    t = state.time
-    trace = TrajectoryTrace(layer_count=state.net.depth)
-    max_steps = stop.max_steps
-    if max_steps is None:
-        if stepping == "fixed":
-            max_steps = int(np.ceil((stop.max_time - t) / state.step)) + 1
-        else:
-            max_steps = MAX_ITERATIONS_HARD_CAP
-    max_steps = min(max_steps, MAX_ITERATIONS_HARD_CAP)
+    if (isinstance(sample_every, bool)
+            or not isinstance(sample_every, (int, np.integer))
+            or sample_every < 1):
+        raise ValueError(
+            f"sample_every: must be an integer >= 1, got {sample_every!r}"
+        )
+    n = len(states)
+    if not isinstance(refs, (list, tuple)):
+        refs = [refs] * n
+    if len(refs) != n:
+        raise ValueError(f"{len(refs)} refs for {n} flows")
+    euler = _Euler([s.net for s in states], kind, datasets,
+                   [s.lambda_array() for s in states])
+    steps = np.array([s.step for s in states])
+    t = np.array([s.time for s in states], dtype=float)
+    traces = [TrajectoryTrace(layer_count=s.net.depth) for s in states]
+    if stop.max_steps is not None:
+        max_steps = np.full(n, min(stop.max_steps, MAX_ITERATIONS_HARD_CAP))
+    elif stepping == "fixed":
+        max_steps = np.minimum(np.ceil((stop.max_time - t) / steps) + 1,
+                               MAX_ITERATIONS_HARD_CAP)
+    else:
+        max_steps = np.full(n, MAX_ITERATIONS_HARD_CAP)
+    backtrack = stepping == "loss_rescaled"
+    snapshots = np.zeros_like(euler.flat)  # direction_angle_below state
+    snapshot_times = np.full(n, np.nan)
 
-    dir_snapshot = None
-    dir_snapshot_time = None
+    def finish(i, converged, reason):
+        """Close the trace of euler's member i, which stops here."""
+        r = euler.ids[i]
+        trace, state = traces[r], states[r]
+        time, value, net = float(t[i]), float(euler.value[i]), euler.nets[i]
+        if not trace.times or trace.times[-1] != time:
+            _record(trace, refs[r], net,
+                    _error_metric(net, euler.datasets[i]), time, value, 0)
+        trace.converged, trace.stop_reason = converged, reason
+        trace.kink_events = int(euler.kink_events[i])
+        trace.backtrack_giveups = int(euler.backtrack_giveups[i])
+        # no buffer behind net is written again: keep() moves the
+        # survivors to new ones
+        trace.final_state = replace(state, net=net, time=time)
+
     iteration = 0
     while True:
         if iteration % sample_every == 0:
-            _record(trace, refs, euler.net, _error_metric(euler.net, data),
-                    t, euler.value, 0)
-        if stop.loss_below is not None and euler.value <= stop.loss_below:
-            converged, reason = True, "loss_below"
-            break
-        if (stop.grad_norm_below is not None
-                and _grad_norm(euler.total) <= stop.grad_norm_below):
-            converged, reason = True, "grad_norm_below"
-            break
+            for i, r in enumerate(euler.ids):
+                _record(traces[r], refs[r], euler.nets[i],
+                        _error_metric(euler.nets[i], euler.datasets[i]),
+                        float(t[i]), float(euler.value[i]), 0)
+        # (hits, converged, reason), first match wins; with only a budget,
+        # exhausting it is the (trivial) rule
+        checks = []
+        if stop.loss_below is not None:
+            checks.append((euler.value <= stop.loss_below, True,
+                           "loss_below"))
+        if stop.grad_norm_below is not None:
+            checks.append((_grad_norm(euler.total) <= stop.grad_norm_below,
+                           True, "grad_norm_below"))
         if stop.direction_angle_below is not None:
-            flat = euler.flat
-            norm = float(np.sqrt((flat * flat).sum()))
-            if norm > 0.0:
-                direction = flat / norm
-                if dir_snapshot is None:
-                    dir_snapshot, dir_snapshot_time = direction, max(t, 1e-12)
-                elif t >= 2.0 * dir_snapshot_time:
-                    # 2 asin(|u - v|/2) resolves angles arccos cannot
-                    gap = float(np.sqrt(((direction - dir_snapshot) ** 2).sum()))
-                    angle = 2.0 * np.arcsin(min(1.0, 0.5 * gap))
-                    if angle < stop.direction_angle_below:
-                        converged, reason = True, "direction_stalled"
-                        break
-                    dir_snapshot, dir_snapshot_time = direction, t
-        if stop.max_time is not None and t >= stop.max_time:
-            converged = not stop.has_target
-            reason = "max_time"
-            break
-        if iteration >= max_steps:
-            converged = not stop.has_target and stop.max_steps is not None
-            reason = "max_steps"
-            break
+            checks.append((_direction_stalled(
+                euler.flat, t, snapshots, snapshot_times,
+                stop.direction_angle_below), True, "direction_stalled"))
+        if stop.max_time is not None:
+            checks.append((t >= stop.max_time, not stop.has_target,
+                           "max_time"))
+        checks.append((iteration >= max_steps,
+                       not stop.has_target and stop.max_steps is not None,
+                       "max_steps"))
+        halt = checks[0][0]
+        for hits, _, _ in checks[1:]:
+            halt = halt | hits
+        if halt.any():
+            for i in np.flatnonzero(halt):
+                finish(i, *next((ok, why) for hits, ok, why in checks
+                                if hits[i]))
+            keep = ~halt
+            if not keep.any():
+                break
+            euler.keep(keep)
+            t, steps, max_steps = t[keep], steps[keep], max_steps[keep]
+            snapshots, snapshot_times = snapshots[keep], snapshot_times[keep]
 
-        if stepping == "fixed":
-            dt = state.step
-        else:
-            dt = state.step / max(euler.value, 1e-300)
-        t += euler.step(dt, backtrack=stepping == "loss_rescaled")
+        dt = steps / np.maximum(euler.value, 1e-300) if backtrack else steps
+        t += euler.step(dt, backtrack)
         iteration += 1
+    return traces
 
-    if not trace.times or trace.times[-1] != t:
-        _record(trace, refs, euler.net, _error_metric(euler.net, data), t,
-                euler.value, 0)
-    trace.converged = converged
-    trace.stop_reason = reason
-    trace.kink_events = euler.kink_events
-    trace.backtrack_giveups = euler.backtrack_giveups
-    # the buffers behind euler.net are not written once run_flow returns
-    trace.final_state = replace(state, net=euler.net, time=t)
-    return trace
+
+def _direction_stalled(flat, t, snapshots, snapshot_times, threshold):
+    """direction_angle_below, one flag per flow: a flow has stalled when its
+    unit direction moved by less than `threshold` radians since the
+    snapshot taken at half its current time; snapshots are then renewed."""
+    norm = np.sqrt((flat * flat).sum(axis=-1))
+    moving = norm > 0.0
+    direction = flat / np.where(moving, norm, 1.0)[:, None]
+    first = moving & np.isnan(snapshot_times)
+    due = moving & (t >= 2.0 * snapshot_times)
+    # 2 asin(|u - v|/2) resolves angles arccos cannot
+    gap = np.sqrt(((direction - snapshots) ** 2).sum(axis=-1))
+    angle = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * gap))
+    stalled = due & (angle < threshold)
+    renew = first | (due & ~stalled)
+    snapshots[renew] = direction[renew]
+    snapshot_times[renew] = np.where(first, np.maximum(t, 1e-12), t)[renew]
+    return stalled
 
 
 class LinearSquareGD:
@@ -508,12 +681,13 @@ def perturb_and_reconverge(
     _record(trace, refs, net, train_error, t, value, pert_count)
     while step_idx < total_steps:
         chunk = min(protocol.interval, total_steps - step_idx)
-        euler = _Euler(net, kind, data, state.lambda_array())
+        euler = _Euler([net], kind, data, [state.lambda_array()])
+        dt, times = np.array([state.step]), np.array([t])
         for _ in range(chunk):
-            t += euler.step(state.step, backtrack=False)
-        net, value = euler.net, euler.value
+            times += euler.step(dt, backtrack=False)
+        net, value, t = euler.nets[0], float(euler.value[0]), float(times[0])
         train_error = _error_metric(net, data)
-        trace.kink_events += euler.kink_events
+        trace.kink_events += int(euler.kink_events[0])
         step_idx += chunk
         ok = (
             value <= reconverge_tol

@@ -93,7 +93,7 @@ def batch_outputs(net: DeepNet, inputs) -> np.ndarray:
 
 
 def _clamped_exp(u, context):
-    if np.any(u > EXP_CLAMP):
+    if (u > EXP_CLAMP).any():
         warnings.warn(
             f"{context}: exponent clamped at {EXP_CLAMP:.0f}; the flow has "
             "left the regime where the exponential loss is meaningful",
@@ -105,54 +105,60 @@ def _clamped_exp(u, context):
 
 def _loss_terms(kind: str, out, y):
     """The one table of loss formulas: the summed loss of the (C, N)
-    outputs and its derivative with respect to them.
+    outputs and its derivative with respect to them. Stacked outputs
+    (R, C, N) give one sum per member; labels are (N,) or (R, N).
 
     Softmax goes by log-sum-exp: -log of an underflowed probability would
     be inf where this is finite. Logistic, log(1 + e^{-yf}), is stable on
     both tails.
     """
     if kind == "softmax_cross_entropy":
-        z = out.T - out.T.max(axis=1, keepdims=True)
+        z = out.mT - out.mT.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        norm = e.sum(axis=1, keepdims=True)
-        rows = np.arange(len(y))
-        value = float((np.log(norm[:, 0]) - z[rows, y]).sum())
-        p = e / norm
-        p[rows, y] -= 1.0
-        return value, p.T
-    f = out[0]
+        norm = e.sum(axis=-1, keepdims=True)
+        hot = y[..., None] == np.arange(out.shape[-2])
+        # the one entry of each row where hot is set is z at the label
+        picked = np.where(hot, z, 0.0).sum(axis=-1)
+        value = (np.log(norm[..., 0]) - picked).sum(axis=-1)
+        return value, (e / norm - hot).mT
+    f = out[..., 0, :]
     if kind == "square":
-        value = float(((y - f) ** 2).sum())
+        value = ((y - f) ** 2).sum(axis=-1)
         ddelta = 2.0 * (f - y)
     elif kind == "exponential":
         e = _clamped_exp(-y * f, "exponential loss")
-        value = float(e.sum())
+        value = e.sum(axis=-1)
         ddelta = -y * e
     else:
         m = -y * f
-        value = float((np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))).sum())
-        ddelta = -y * _sigmoid(m)
-    return value, ddelta[None, :]
+        e = np.exp(-np.abs(m))
+        value = (np.maximum(m, 0.0) + np.log1p(e)).sum(axis=-1)
+        ddelta = -y * _sigmoid(m, e)
+    return value, ddelta[..., None, :]
 
 
 def loss(kind: str, net: DeepNet, data: Dataset) -> float:
     """Sum over samples of the per-sample loss."""
     _check_kind(kind, data, net)
-    return _loss_terms(kind, batch_forward(net, data.inputs)[0], data.labels)[0]
+    return float(_loss_terms(kind, batch_forward(net, data.inputs)[0],
+                             data.labels)[0])
 
 
 def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     """Returns (loss value, per-layer gradient list, relu kink flag)."""
     _check_kind(kind, data, net)
-    return _loss_and_gradient(kind, net, data)
+    value, grads, kink = _loss_and_gradient(kind, net, data.inputs,
+                                            data.labels)
+    return float(value), grads, kink
 
 
-def _loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
+def _loss_and_gradient(kind: str, net: DeepNet, inputs, labels, layers=None):
     """loss_and_gradient without the argument check, for loops that make
-    the check once up front."""
-    out, _, acts, derivs, kink = batch_forward(net, data.inputs)
-    value, ddelta = _loss_terms(kind, out, data.labels)
-    return value, batch_backprop(net, acts, derivs, ddelta), kink
+    the check once up front. Stacked layers (see batch_forward) stand in
+    for net's and give one value, gradient and kink flag per member."""
+    out, _, acts, derivs, kink = batch_forward(net, inputs, layers)
+    value, ddelta = _loss_terms(kind, out, labels)
+    return value, batch_backprop(net, acts, derivs, ddelta, layers), kink
 
 
 def loss_gradient(kind: str, net: DeepNet, data: Dataset) -> list:

@@ -10,6 +10,9 @@ samples as the columns of one matrix and caches, per layer, the input and
 the activation derivative next to the activation itself; batch_backprop
 reuses that cache instead of recomputing the activation. The per-sample
 calls (forward, backprop, layer_gradients) are batch-of-one wrappers.
+Both batch calls also take stacked layers (R, rows, cols) in place of the
+net's, for R flows that advance as one computation; every product then
+carries the leading member axis.
 
 Gradients are exact backprop, returned per layer with the same shapes as
 the weights, so that Euler identities like sum_ij dF/dW_ij * W_ij = f can
@@ -29,11 +32,14 @@ DEFAULT_EPSILON = 0.05
 HOMOGENEOUS = ("relu", "linear")
 
 
-def _sigmoid(u):
-    """Logistic function from one exp(-|u|): 1/(1+e) for u >= 0 and
-    e/(1+e) below, so neither tail overflows."""
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(u, e=None):
+    """Logistic function from one e = exp(-|u|), passed in by a caller
+    that has it: 1/(1+e) for u >= 0 and e/(1+e) below, so neither tail
+    overflows."""
+    if e is None:
+        e = np.exp(-np.abs(u))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,8 @@ def _activate(net: DeepNet, z: np.ndarray):
     if net.activation == "linear":
         return z, np.ones_like(z), False
     if net.activation == "relu":
-        kink = bool(np.any(z == 0.0))
+        # one flag per member of stacked (R, rows, N) pre-activations
+        kink = (z == 0.0).reshape(*z.shape[:-2], -1).any(axis=-1)
         return np.maximum(z, 0.0), (z > 0.0).astype(float), kink
     if net.activation == "smoothed_relu":
         u = z / net.epsilon**2
@@ -116,41 +123,48 @@ def _activate(net: DeepNet, z: np.ndarray):
     return out, deriv, False
 
 
-def batch_forward(net: DeepNet, inputs):
+def batch_forward(net: DeepNet, inputs, layers=None):
     """Forward pass over the rows of inputs (N x d); samples are columns.
 
     Returns (out, preacts, acts, derivs, kink): out is C x N;
     preacts[k] = W_{k+1} @ acts[k]; derivs[k] is the activation derivative
     at preacts[k], None for a linear top layer; kink flags a relu
     pre-activation exactly at zero. batch_backprop reuses acts and derivs.
+
+    Stacked layers (R, rows, cols) stand in for net's; inputs are then
+    shared (N x d) or per member (R x N x d), out is R x C x N and kink
+    holds one flag per member.
     """
-    h = np.asarray(inputs, dtype=float).T
+    layers = net.layers if layers is None else layers
+    h = np.asarray(inputs, dtype=float).mT
     preacts, acts, derivs = [], [h], []
     kink = False
-    for k, w in enumerate(net.layers):
+    for k, w in enumerate(layers):
         z = w @ h
         preacts.append(z)
         if k == net.depth - 1 and net.top_linear:
             h, d = z, None
         else:
             h, d, hit = _activate(net, z)
-            kink = kink or hit
+            kink = kink | hit
         acts.append(h)
         derivs.append(d)
     return h, preacts, acts, derivs, kink
 
 
-def batch_backprop(net: DeepNet, acts, derivs, out_delta) -> list:
+def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None) -> list:
     """Per-layer gradients of sum_n <out_delta[:, n], f(W; x_n)>, given
-    batch_forward's acts and derivs and out_delta as C x N columns."""
+    batch_forward's acts and derivs and out_delta as C x N columns; with
+    stacked layers, out_delta and the gradients carry the member axis."""
+    layers = net.layers if layers is None else layers
     delta = out_delta
     grads = [None] * net.depth
     for k in range(net.depth - 1, -1, -1):
         if derivs[k] is not None:
             delta = delta * derivs[k]
-        grads[k] = delta @ acts[k].T
+        grads[k] = delta @ acts[k].mT
         if k > 0:
-            delta = net.layers[k].T @ delta
+            delta = layers[k].mT @ delta
     return grads
 
 
@@ -238,13 +252,16 @@ def flatten_params(layers) -> np.ndarray:
 
 
 def unflatten_params(vec, shapes) -> list:
+    """Layers as views into vec; a leading axis of vec (one row per
+    member) stays in front of every layer."""
+    vec = np.asarray(vec, float)
     out = []
     i = 0
     for shape in shapes:
         n = shape[0] * shape[1]
-        out.append(np.asarray(vec[i : i + n], float).reshape(shape))
+        out.append(vec[..., i : i + n].reshape(vec.shape[:-1] + tuple(shape)))
         i += n
-    if i != len(vec):
+    if i != vec.shape[-1]:
         raise ValueError("parameter vector length mismatch")
     return out
 

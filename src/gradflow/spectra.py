@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import (FlowState, StopRule, _grad_norm, _total_gradient,
-                   _write_table, run_flow)
+                   _two_lambdas, _write_table, run_flow)
 from .linalg import check_matrix, symmetric_eig
 from .losses import Dataset, batch_outputs, loss_and_gradient, loss_gradient
 from .network import DeepNet, flatten_params, layer_gradients, unflatten_params
@@ -215,7 +215,8 @@ def hyperbolicity_sweep(
             )
             current = trace.final_state.net
         grads = loss_gradient(kind, current, data)
-        gnorm = _grad_norm(_total_gradient(grads, current.layers, lams))
+        gnorm = float(_grad_norm(_total_gradient(grads, current.layers,
+                                                 _two_lambdas(lams))))
         warning = ""
         if gnorm > grad_tol:
             warning = (

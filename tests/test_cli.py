@@ -139,6 +139,40 @@ class TestSeedPrecedence:
         assert main(["svm", "--config", two_points]) == 1
         assert "GRADFLOW_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [2.9, True, "2.9", "7"])
+    def test_config_seed_must_be_a_json_integer(self, tmp_path, capsys,
+                                                 value):
+        # 2.9 was truncated to 2 and true read as 1
+        cfg = _write(tmp_path / "c.json", {
+            "seed": value,
+            "dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
+                        "labels": [1.0, -1.0]},
+        })
+        assert main(["svm", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert f"error: seed: not an integer: {value!r}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["2.9", "true", "1e3", ""])
+    def test_flag_and_env_seed_must_be_integer_strings(
+            self, tmp_path, two_points, monkeypatch, capsys, value):
+        assert main(["svm", "--config", two_points, "--seed", value]) == 1
+        assert f"--seed: not an integer: {value!r}" in (
+            capsys.readouterr().err)
+        monkeypatch.setenv("GRADFLOW_SEED", value)
+        assert main(["svm", "--config", two_points]) == 1
+        assert f"GRADFLOW_SEED: not an integer: {value!r}" in (
+            capsys.readouterr().err)
+
+    def test_integer_string_flag_and_env(self, tmp_path, two_points,
+                                         monkeypatch):
+        assert self._header_seed(
+            tmp_path, ["svm", "--config", two_points, "--seed", "-3"]) == "-3"
+        monkeypatch.setenv("GRADFLOW_SEED", " 12 ")
+        assert self._header_seed(
+            tmp_path, ["svm", "--config", two_points]) == "12"
+
 
 class TestFlow:
     def _config(self, tmp_path, **extra):
@@ -340,6 +374,39 @@ class TestScenarios:
         assert main(["growth", "--config", cfg,
                      "--output-dir", str(tmp_path / "out")]) == 1
         assert "params.widgets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n_train": "9"}, "params.n_train: must be an integer, got '9'"),
+        ({"n_train": 9.0}, "params.n_train: must be an integer, got 9.0"),
+        ({"frequency": True}, "params.frequency: must be a number, got True"),
+        ({"interp_tol": None}, "params.interp_tol: must be a number, got None"),
+    ])
+    def test_param_of_wrong_type_exit_1(self, tmp_path, capsys, params,
+                                        message):
+        cfg = _write(tmp_path / "sweep.json", params)
+        assert main(["sweep", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("center, code, message", [
+        ([1.0, 0.7], 0, ""),
+        ([1, 0.7], 0, ""),
+        (["1.0", 0.7], 1, "params.blob_center[0]: must be a number"),
+        (1.0, 1, "params.blob_center: must be a list, got 1.0"),
+    ])
+    def test_list_valued_blob_center(self, tmp_path, capsys, center, code,
+                                     message):
+        # the benchmark's small direction config, max_time null included
+        cfg = _write(tmp_path / "dir.json", {
+            "n_datasets": 1, "n_inits": 2, "blob_std": 0.1,
+            "max_time": None, "max_steps": 2000, "square_samples": 2,
+            "square_dim": 16, "blob_center": center,
+        })
+        assert main(["direction", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
 
     def test_unknown_perturb_variant_exit_1(self, tmp_path, capsys):
         cfg = _write(tmp_path / "v.json", {"variant": "cifar"})

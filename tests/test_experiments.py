@@ -356,6 +356,39 @@ class TestDirectionStudy:
         assert report.aggregates["min_pairwise_cosine"] >= 0.999
         assert report.aggregates["square_zero_init_gap"] <= 1e-6
         assert report.aggregates["square_null_init_gap"] <= 1e-6
+        assert report.excluded == 0
+
+    def test_square_flows_short_of_their_limit_are_excluded(self):
+        # 5 steps end both square-loss flows at max_steps, far from the
+        # gradient-norm target; the exponential flows, also ending at
+        # max_steps by design, are not excluded
+        report = run_scenario(ExperimentConfig(
+            scenario="convergence_direction_study", seed=0,
+            params={"n_datasets": 2, "n_inits": 2, "max_time": None,
+                    "max_steps": 500, "square_steps": 5},
+        ))
+        assert report.excluded == 2
+        assert not report.predicates["exclusions_ok"]
+        assert not report.passed
+
+    def test_giveups_are_excluded(self, monkeypatch):
+        # the rate is per dataset: one flow with a give-up among 10
+        # datasets is within the 10% rate, two are not
+        real = experiments.run_flows
+
+        def with_giveups(*args, **kwargs):
+            traces = real(*args, **kwargs)
+            for trace in traces[:count]:
+                trace.backtrack_giveups = 1
+            return traces
+
+        monkeypatch.setattr(experiments, "run_flows", with_giveups)
+        params = {"n_datasets": 10, "n_inits": 1, "max_steps": 300}
+        for count, ok in ((1, True), (2, False)):
+            report = run_scenario(ExperimentConfig(
+                scenario="convergence_direction_study", params=params))
+            assert report.excluded == count
+            assert report.predicates["exclusions_ok"] is ok
 
 
 class TestByteDeterminism:

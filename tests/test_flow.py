@@ -30,6 +30,7 @@ from gradflow.flow import (
     normalized_state_from_net,
     perturb_and_reconverge,
     run_flow,
+    run_flows,
     run_normalized_flow,
     write_trace_csv,
 )
@@ -297,6 +298,149 @@ class TestSharedStep:
                         "exponential", SEP, StopRule(max_steps=2000),
                         stepping="loss_rescaled")
         assert calm.backtrack_giveups == 0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _assert_same_trace(got, want):
+    """Bitwise the same run: every row, the stop, the counters and the
+    final point."""
+    assert [repr(r) for r in got.rows()] == [repr(r) for r in want.rows()]
+    assert got.row_flags == want.row_flags
+    assert (got.converged, got.stop_reason) == (want.converged,
+                                                want.stop_reason)
+    assert got.kink_events == want.kink_events
+    assert got.backtrack_giveups == want.backtrack_giveups
+    assert repr(got.final_state.time) == repr(want.final_state.time)
+    for a, b in zip(got.final_state.net.layers, want.final_state.net.layers,
+                    strict=True):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def _blob_sets(count, n=6, seed=0):
+    """Overlapping blob pairs: on them large loss-rescaled steps overshoot
+    and halve."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        x = np.vstack([rng.normal(size=(n, 2)) * 0.8 + [1.0, 0.6],
+                       rng.normal(size=(n, 2)) * 0.8 - [1.0, 0.6]])
+        sets.append(Dataset(x, np.repeat([1.0, -1.0], n)))
+    return sets
+
+
+class TestRunFlows:
+    """R flows stacked on a member axis are bitwise R run_flow calls."""
+
+    def _assert_stack_is_separate_runs(self, states, kind, datasets, stop,
+                                       **kwargs):
+        stacked = run_flows(states, kind, datasets, stop, **kwargs)
+        each = datasets if isinstance(datasets, list) else [datasets] * len(
+            states)
+        assert len(stacked) == len(states)
+        for state, data, got in zip(states, each, stacked):
+            _assert_same_trace(got, run_flow(state, kind, data, stop,
+                                             **kwargs))
+        return stacked
+
+    def test_rescaled_exponential_with_halvings_per_member_data(self):
+        rng = np.random.default_rng(3)
+        datasets = _blob_sets(4)
+        states = [FlowState(net=_linear_net(rng.normal(size=2)), step=st)
+                  for st in (0.05, 3.0, 8.0, 20.0)]
+        traces = self._assert_stack_is_separate_runs(
+            states, "exponential", datasets, StopRule(max_steps=60),
+            sample_every=1, stepping="loss_rescaled")
+        # rows every step: a dt of at most half step/loss is a halved step
+        halved = [np.flatnonzero(np.diff(tr.times)
+                                 < 0.75 * st.step / np.asarray(tr.losses[:-1]))
+                  for st, tr in zip(states, traces)]
+        assert not halved[0].size and not halved[1].size
+        # the two large steps halve, at different iterations
+        assert halved[2].size and halved[3].size
+        assert tuple(halved[2]) != tuple(halved[3])
+
+    def test_fixed_logistic_smoothed_relu_shared_data(self):
+        rng = np.random.default_rng(4)
+        states = [FlowState(net=random_net(rng, (2, 64, 1),
+                                           activation="smoothed_relu",
+                                           scale=0.7), step=0.05)
+                  for _ in range(3)]
+        self._assert_stack_is_separate_runs(
+            states, "logistic", SEP, StopRule(max_steps=200),
+            sample_every=7, refs=TraceRefs(test_data=Dataset(SEP_X + 0.2,
+                                                             SEP_Y)))
+
+    def test_square_grad_norm_stop(self):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.normal(size=(3, 6)), rng.normal(size=3),
+                       task="regression")
+        states = [FlowState(net=_linear_net(rng.normal(size=6) * scale),
+                            step=0.02, lambdas=lams)
+                  for scale, lams in ((0.0, ()), (1.0, ()), (3.0, (0.01,)))]
+        traces = self._assert_stack_is_separate_runs(
+            states, "square", data,
+            StopRule(max_steps=100_000, grad_norm_below=1e-9),
+            sample_every=500)
+        assert all(tr.stop_reason == "grad_norm_below" for tr in traces)
+        assert len({tr.final_state.time for tr in traces}) == 3
+
+    @pytest.mark.parametrize("stepping", ["fixed", "loss_rescaled"])
+    def test_members_stop_at_different_iterations(self, stepping):
+        states = [FlowState(net=_linear_net([0.3, -0.2]), step=st, time=t0)
+                  for st, t0 in ((0.01, 0.0), (0.03, 0.5), (0.02, 0.0))]
+        traces = self._assert_stack_is_separate_runs(
+            states, "exponential", SEP, StopRule(max_time=2.0),
+            sample_every=10, stepping=stepping)
+        assert all(tr.stop_reason == "max_time" for tr in traces)
+        assert len({len(tr.times) for tr in traces}) == 3
+
+    def test_one_members_non_finite_step_raises(self):
+        one = Dataset(np.array([[1.0]]), np.array([0.0]), task="regression")
+        states = [FlowState(net=_linear_net([1.0]), step=st)
+                  for st in (0.1, 1e308, 0.1)]
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="flow 1: non-finite"):
+            run_flows(states, "square", one, StopRule(max_steps=5))
+
+    def test_stopped_member_takes_no_step(self):
+        # the second flow is below the loss target from the start; one
+        # step of its size would blow the loss up to inf and raise
+        one = Dataset(np.array([[1.0]]), np.array([1.0]), task="regression")
+        states = [FlowState(net=_linear_net([0.0]), step=0.1),
+                  FlowState(net=_linear_net([1.001]), step=1e308)]
+        stop = StopRule(max_steps=10, loss_below=1e-5)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                      match="loss exploded"):
+            run_flow(states[1], "square", one, replace(stop, loss_below=None))
+        traces = run_flows(states, "square", one, stop)
+        assert [tr.stop_reason for tr in traces] == ["max_steps",
+                                                     "loss_below"]
+        assert traces[1].final_state.net.layers[0][0, 0] == 1.001
+        _assert_same_trace(traces[0], run_flow(states[0], "square", one,
+                                               stop))
+
+    def test_giveup_counted_on_its_member_only(self):
+        # see TestSharedStep.test_backtrack_giveup_is_counted
+        one = TestSharedStep.ONE
+        states = [FlowState(net=_linear_net([1.0]), step=st)
+                  for st in (0.05, 1e15, 0.05)]
+        stop = StopRule(max_steps=3)
+        traces = run_flows(states, "square", one, stop,
+                           stepping="loss_rescaled")
+        assert [tr.backtrack_giveups for tr in traces] == [0, 1, 0]
+        for state, got in zip(states, traces):
+            _assert_same_trace(got, run_flow(state, "square", one, stop,
+                                             stepping="loss_rescaled"))
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "10"])
+    def test_sample_every_must_be_a_positive_integer(self, bad):
+        state = FlowState(net=_linear_net([1.0]), step=0.1)
+        with pytest.raises(ValueError, match="sample_every"):
+            run_flow(state, "square", TestSharedStep.ONE,
+                     StopRule(max_steps=3), sample_every=bad)
 
 
 class TestLinearSquareGD:
