@@ -54,6 +54,16 @@ PERTURB_VARIANTS = {
 }
 COMMANDS = ("flow", "spectrum", "svm", "perturb", "growth", "sweep",
             "direction")
+# the keys each config object may hold; any other is refused by name
+FLOW_KEYS = ("seed", "dataset", "net", "loss", "step", "lambdas",
+             "sample_every", "stepping", "stop")
+SPECTRUM_KEYS = ("seed", "dataset", "net", "loss", "lambdas", "convention",
+                 "tol")
+SVM_KEYS = ("seed", "dataset")
+DATASET_KEYS = ("inputs", "labels", "task")
+NET_KEYS = ("dims", "layers", "activation", "epsilon", "scale", "top_linear")
+STOP_KEYS = ("max_time", "max_steps", "loss_below", "grad_norm_below",
+             "direction_angle_below")
 
 
 class CliError(ValueError):
@@ -96,10 +106,17 @@ def _resolve_seed(args, body) -> int:
     return 0
 
 
+def _check_keys(obj, allowed, prefix=""):
+    for key in obj:
+        if key not in allowed:
+            raise CliError(f"{prefix}{key}: unknown key")
+
+
 def _number(value, name, integer=False):
-    """A JSON number as a float (or int); else a CliError naming the field."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or integer and not (isinstance(value, int) or value.is_integer())):
+    """A JSON number as a float, or with integer=True a JSON integer (5,
+    not 5.0) as an int; else a CliError naming the field."""
+    if (isinstance(value, bool)
+            or not isinstance(value, int if integer else (int, float))):
         kind = "an integer" if integer else "a number"
         raise CliError(f"{name}: must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
@@ -124,6 +141,7 @@ def _dataset_from(body) -> Dataset:
     obj = body.get("dataset")
     if not isinstance(obj, dict):
         raise CliError("dataset: required object with inputs and labels")
+    _check_keys(obj, DATASET_KEYS, "dataset.")
     for key in ("inputs", "labels"):
         if key not in obj:
             raise CliError(f"dataset.{key}: required")
@@ -141,11 +159,15 @@ def _net_from(body, seed) -> DeepNet:
     obj = body.get("net")
     if not isinstance(obj, dict):
         raise CliError("net: required object with dims or layers")
+    _check_keys(obj, NET_KEYS, "net.")
     kwargs = {}
     if "epsilon" in obj:
         kwargs["epsilon"] = _number(obj["epsilon"], "net.epsilon")
     if "top_linear" in obj:
-        kwargs["top_linear"] = bool(obj["top_linear"])
+        if not isinstance(obj["top_linear"], bool):
+            raise CliError("net.top_linear: must be a boolean, got "
+                           f"{obj['top_linear']!r}")
+        kwargs["top_linear"] = obj["top_linear"]
     dims = _numbers(obj.get("dims", []), "net.dims", integer=True)
     scale = _number(obj.get("scale", 1.0), "net.scale")
     try:
@@ -179,11 +201,7 @@ def _stop_rule(body) -> StopRule:
     obj = body.get("stop")
     if not isinstance(obj, dict):
         raise CliError("stop: required object with at least one bound")
-    allowed = ("max_time", "max_steps", "loss_below", "grad_norm_below",
-               "direction_angle_below")
-    for key in obj:
-        if key not in allowed:
-            raise CliError(f"stop.{key}: unknown stop bound")
+    _check_keys(obj, STOP_KEYS, "stop.")
     if not obj:
         raise CliError("stop: at least one bound required")
     bounds = {key: None if value is None
@@ -201,6 +219,7 @@ def _out(args, name) -> str:
 
 
 def _cmd_flow(args, body, seed) -> int:
+    _check_keys(body, FLOW_KEYS)
     header = _run_header("flow", body, seed)
     data = _dataset_from(body)
     net = _net_from(body, seed)
@@ -223,12 +242,15 @@ def _cmd_flow(args, body, seed) -> int:
           f"stop: {trace.stop_reason})")
     if trace.backtrack_giveups:
         print(f"backtrack give-ups: {trace.backtrack_giveups}")
+    if trace.kink_events:
+        print(f"relu kinks: {trace.kink_events}")
     if args.verbose:
         print(f"final loss {trace.losses[-1]!r} at time {trace.times[-1]!r}")
     return 0
 
 
 def _cmd_spectrum(args, body, seed) -> int:
+    _check_keys(body, SPECTRUM_KEYS)
     header = _run_header("spectrum", body, seed)
     data = _dataset_from(body)
     net = _net_from(body, seed)
@@ -254,6 +276,7 @@ def _cmd_spectrum(args, body, seed) -> int:
 
 
 def _cmd_svm(args, body, seed) -> int:
+    _check_keys(body, SVM_KEYS)
     header = _run_header("svm", body, seed)
     data = _dataset_from(body)
     try:

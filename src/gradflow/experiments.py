@@ -27,7 +27,6 @@ from .flow import (
     flow_step,
     growth_numeric_trace,
     perturb_and_reconverge,
-    run_flow,
     run_flows,
 )
 from .linalg import extended_min_norm
@@ -960,21 +959,16 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     w_min = gd.w_min_norm
     c = gd.null_basis @ sq_rng.normal(size=gd.null_basis.shape[1])
 
-    def square_limit(w0):
-        state = FlowState(
-            net=DeepNet((w0.reshape(1, -1),), activation="relu",
-                        top_linear=True),
-            step=p["square_step"],
-        )
-        return run_flow(
-            state, "square", sq_data,
-            StopRule(max_steps=int(p["square_steps"]),
-                     grad_norm_below=1e-12),
-            sample_every=10_000,
-        )
-
-    squares = [square_limit(np.zeros(int(p["square_dim"]))),
-               square_limit(c.copy())]
+    # one flow from zero, one from the null-space component c
+    squares = run_flows(
+        [FlowState(net=DeepNet((w0.reshape(1, -1),), activation="relu",
+                               top_linear=True),
+                   step=p["square_step"])
+         for w0 in (np.zeros(int(p["square_dim"])), c)],
+        "square", sq_data,
+        StopRule(max_steps=int(p["square_steps"]), grad_norm_below=1e-12),
+        sample_every=10_000,
+    )
     # a square-loss flow stopped short of its limit says nothing about it
     excluded += sum(out.stop_reason != "grad_norm_below" for out in squares)
     w_zero, w_null = (out.final_state.net.layers[0].ravel() for out in squares)

@@ -241,20 +241,17 @@ def _grad_norm(grads):
                        for g in grads))
 
 
-_ALL = slice(None)  # every member of an _Euler
-
-
 class _Euler:
     """The flow's one explicit-Euler step, for R flows ("members") that
     advance as one array computation.
 
     Member r has its own weights, data (or data shared by all members),
     step size, halving count and give-up count. The current point and a
-    trial point live in two (R, P) float64 buffers; the stacked layers
-    (R, rows, cols) and, per member, a DeepNet are views into them, so a
-    step rewrites numbers in place instead of building nets. The loss kind
-    is checked once per member up front; every trial point is checked for
-    non-finite weights, and one is an error, never absorbed.
+    trial point live in two (R, P) float64 buffers with the stacked layers
+    (R, rows, cols) as views into them, so a step rewrites numbers in place
+    instead of building nets; net(r) builds member r's net when it is read.
+    The loss kind is checked once per member up front; every trial point is
+    checked for non-finite weights, and one is an error, never absorbed.
     """
 
     def __init__(self, nets, kind: str, datasets, lambdas):
@@ -280,35 +277,31 @@ class _Euler:
             self.inputs = np.stack([d.inputs for d in self.datasets])
             self.labels = np.stack([d.labels for d in self.datasets])
         self.kind, self.arch, self.shared = kind, arch, shared
-        self.members = list(nets)
         self.ids = np.arange(len(nets))  # each member's place in nets
         self.two_lambdas = _two_lambdas(lambdas)
         self._bind(np.stack([flatten_params(net.layers) for net in nets]))
-        self.value, self.grads, kink = self._evaluate(self.layers, _ALL)
+        self.value, self.grads, kink = self._evaluate(self.layers)
         self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
         self.kink_events = np.zeros(len(nets), dtype=int) + kink
         self.backtrack_giveups = np.zeros(len(nets), dtype=int)
 
     def _bind(self, flat):
-        """Take flat as the current point; views and nets on it and on a
-        fresh trial buffer."""
-        self.flat = flat
-        # zeros, not empty: the nets built on it check their entries are finite
-        self._trial_flat = np.zeros_like(flat)
-        self.layers, self.nets = self._views(flat)
-        self._trial_layers, self._trial_nets = self._views(self._trial_flat)
+        """Take flat as the current point, with a fresh trial buffer."""
+        self.flat, self._trial_flat = flat, np.empty_like(flat)
+        self.layers = unflatten_params(flat, self.shapes)
+        self._trial_layers = unflatten_params(self._trial_flat, self.shapes)
 
-    def _views(self, flat):
-        layers = unflatten_params(flat, self.shapes)
-        return layers, [net.with_layers(w[r] for w in layers)
-                        for r, net in enumerate(self.members)]
+    def net(self, r) -> DeepNet:
+        """Member r's current point as a net on the current buffer: read it
+        before the next step, or drop the member first (see keep)."""
+        return self.arch.with_layers(w[r] for w in self.layers)
 
     def keep(self, mask):
-        """Drop the members where mask is False. The dropped members' nets
-        keep their values: the survivors move to new buffers."""
+        """Drop the members where mask is False. The survivors move to new
+        buffers, so no buffer behind a dropped member's net is written
+        again."""
         index = np.flatnonzero(mask)
         self.ids = self.ids[index]
-        self.members = [self.members[i] for i in index]
         self.datasets = [self.datasets[i] for i in index]
         if not self.shared:
             self.inputs, self.labels = self.inputs[index], self.labels[index]
@@ -321,27 +314,9 @@ class _Euler:
         self.kink_events = self.kink_events[index]
         self.backtrack_giveups = self.backtrack_giveups[index]
 
-    def _evaluate(self, layers, rows):
-        inputs, labels = self.inputs, self.labels
-        if not self.shared:
-            inputs, labels = inputs[rows], labels[rows]
-        return _loss_and_gradient(self.kind, self.arch, inputs, labels, layers)
-
-    def _commit(self, rows, value, grads, kink):
-        """Make the trial point of the given members (all, or an index
-        array) their current point."""
-        if rows is _ALL:
-            self.flat, self._trial_flat = self._trial_flat, self.flat
-            self.layers, self._trial_layers = self._trial_layers, self.layers
-            self.nets, self._trial_nets = self._trial_nets, self.nets
-            self.value, self.grads = value, grads
-        else:
-            self.flat[rows] = self._trial_flat[rows]
-            self.value[rows] = value
-            for cur, g in zip(self.grads, grads):
-                cur[rows] = g
-        if kink is not False:
-            self.kink_events[rows] += kink
+    def _evaluate(self, layers):
+        return _loss_and_gradient(self.kind, self.arch, self.inputs,
+                                  self.labels, layers)
 
     def step(self, dt, backtrack: bool):
         """Move every member to W_k - dt * (grad_k + 2 lam_k W_k), dt one
@@ -353,51 +328,42 @@ class _Euler:
         a step still rising after MAX_HALVINGS halvings is taken and
         counted as a give-up of that member.
         """
-        rows = _ALL  # the members still looking for their step
         halvings = 0
         while True:
-            d = dt[rows, None, None]
-            if rows is _ALL:
-                for w, g, out in zip(self.layers, self.total,
-                                     self._trial_layers):
-                    np.subtract(w, d * g, out=out)
-                trial = self._trial_layers
-            else:
-                trial = [w[rows] - d * g[rows]
-                         for w, g in zip(self.layers, self.total)]
-                for out, w in zip(self._trial_layers, trial):
-                    out[rows] = w
-            if not np.isfinite(self._trial_flat[rows]).all():
-                bad = ~np.isfinite(self._trial_flat[rows]).all(axis=-1)
-                r = np.arange(len(dt))[rows][bad][0]
+            d = dt[:, None, None]
+            for w, g, out in zip(self.layers, self.total, self._trial_layers):
+                np.subtract(w, d * g, out=out)
+            if not np.isfinite(self._trial_flat).all():
+                bad = ~np.isfinite(self._trial_flat).all(axis=-1)
+                r = np.flatnonzero(bad)[0]
                 raise ValueError(self._named(
                     r, f"non-finite weights after a step of {dt[r]:.3e}; "
                     "reduce the step"))
-            value, grads, kink = self._evaluate(trial, rows)
-            old = self.value[rows]
+            value, grads, kink = self._evaluate(self._trial_layers)
             if not backtrack:
-                blown = value > LOSS_EXPLOSION_FACTOR * np.maximum(old, 1e-300)
+                blown = value > LOSS_EXPLOSION_FACTOR * np.maximum(self.value,
+                                                                   1e-300)
                 if blown.any():
-                    i = np.flatnonzero(blown)[0]
-                    r = np.arange(len(dt))[rows][i]
+                    r = np.flatnonzero(blown)[0]
                     raise ValueError(self._named(
-                        r, f"loss exploded {old[i]:.3e} -> {value[i]:.3e}; "
-                        f"reduce step below {dt[r]:.3e}"))
+                        r, f"loss exploded {self.value[r]:.3e} -> "
+                        f"{value[r]:.3e}; reduce step below {dt[r]:.3e}"))
                 break
-            rising = value > old
+            rising = value > self.value
             if not rising.any():
                 break
             if halvings >= MAX_HALVINGS:
-                self.backtrack_giveups[rows] += rising
+                self.backtrack_giveups += rising
                 break
-            # members whose loss fell keep this step; the others halve dt
-            index, taken = np.arange(len(dt))[rows], ~rising
-            self._commit(index[taken], value[taken], [g[taken] for g in grads],
-                         kink if kink is False else kink[taken])
-            rows = index[rising]
-            dt[rows] *= 0.5
+            # a member whose loss fell takes its step again at the same dt:
+            # the same point, value, gradient and kink flag, bit for bit
+            dt[rising] *= 0.5
             halvings += 1
-        self._commit(rows, value, grads, kink)
+        self.flat, self._trial_flat = self._trial_flat, self.flat
+        self.layers, self._trial_layers = self._trial_layers, self.layers
+        self.value, self.grads = value, grads
+        if kink is not False:  # False for nets without a relu layer
+            self.kink_events += kink
         self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
         return dt
 
@@ -414,7 +380,7 @@ def flow_step(state: FlowState, kind: str, data: Dataset,
     dt, t = np.array([state.step]), np.array([state.time])
     for _ in range(n_steps):
         t += euler.step(dt, backtrack=False)
-    return replace(state, net=euler.nets[0], time=float(t[0]))
+    return replace(state, net=euler.net(0), time=float(t[0]))
 
 
 def run_flow(
@@ -489,23 +455,23 @@ def run_flows(
         """Close the trace of euler's member i, which stops here."""
         r = euler.ids[i]
         trace, state = traces[r], states[r]
-        time, value, net = float(t[i]), float(euler.value[i]), euler.nets[i]
+        time, value, net = float(t[i]), float(euler.value[i]), euler.net(i)
         if not trace.times or trace.times[-1] != time:
             _record(trace, refs[r], net,
                     _error_metric(net, euler.datasets[i]), time, value, 0)
         trace.converged, trace.stop_reason = converged, reason
         trace.kink_events = int(euler.kink_events[i])
         trace.backtrack_giveups = int(euler.backtrack_giveups[i])
-        # no buffer behind net is written again: keep() moves the
-        # survivors to new ones
+        # member i leaves the stack next, so no step writes under net again
         trace.final_state = replace(state, net=net, time=time)
 
     iteration = 0
     while True:
         if iteration % sample_every == 0:
             for i, r in enumerate(euler.ids):
-                _record(traces[r], refs[r], euler.nets[i],
-                        _error_metric(euler.nets[i], euler.datasets[i]),
+                net = euler.net(i)
+                _record(traces[r], refs[r], net,
+                        _error_metric(net, euler.datasets[i]),
                         float(t[i]), float(euler.value[i]), 0)
         # (hits, converged, reason), first match wins; with only a budget,
         # exhausting it is the (trivial) rule
@@ -685,7 +651,7 @@ def perturb_and_reconverge(
         dt, times = np.array([state.step]), np.array([t])
         for _ in range(chunk):
             times += euler.step(dt, backtrack=False)
-        net, value, t = euler.nets[0], float(euler.value[0]), float(times[0])
+        net, value, t = euler.net(0), float(euler.value[0]), float(times[0])
         train_error = _error_metric(net, data)
         trace.kink_events += int(euler.kink_events[0])
         step_idx += chunk

@@ -96,6 +96,17 @@ class TestSvm:
         assert main(["svm", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 1
 
+    def test_unknown_key_names_field(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.json", {
+            "dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
+                        "labels": [1.0, -1.0]},
+            "bogus": 1,
+        })
+        assert main(["svm", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: bogus: unknown key\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_names_field(self, tmp_path, capsys):
         cfg = _write(tmp_path / "empty.json", {})
         assert main(["svm", "--config", cfg]) == 1
@@ -239,6 +250,9 @@ class TestFlow:
          "stop.grad_norm_below"),
         ({"stop": {"max_steps": 9, "direction_angle_below": True}},
          "stop.direction_angle_below"),
+        ({"sample_every": 5.0}, "sample_every"),
+        ({"stop": {"max_steps": 10.0}}, "stop.max_steps"),
+        ({"net": {"dims": [2, 1], "top_linear": "false"}}, "net.top_linear"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, extra,
                                          field):
@@ -248,6 +262,34 @@ class TestFlow:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: must be ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"sample_evry": 5}, "sample_evry"),
+        ({"net": {"dims": [2, 1], "activaton": "linear"}}, "net.activaton"),
+        ({"dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
+                      "labels": [1, -1], "tsak": "binary"}}, "dataset.tsak"),
+    ])
+    def test_unknown_key_names_field(self, tmp_path, capsys, extra, field):
+        cfg = self._config(tmp_path, seed=3, **extra)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {field}: unknown key\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("activation, line", [
+        ("relu", "relu kinks: 11\n"), ("smoothed_relu", "")])
+    def test_relu_kinks_are_printed(self, tmp_path, capsys, activation,
+                                    line):
+        # the all-zero hidden row sits on the relu kink at every step: its
+        # subgradient is 0, so it never moves
+        cfg = self._config(tmp_path, net={
+            "layers": [[[1.0, 0.5], [0.0, 0.0]], [[1.0, -1.0]]],
+            "activation": activation}, stop={"max_steps": 10})
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("relu kinks" in out) == bool(line)
+        assert line in out
 
     def test_backtrack_giveups_are_printed(self, tmp_path, capsys):
         # square loss under loss-rescaled steps: dt = step / loss grows
@@ -309,6 +351,13 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: tol: must be ")
+
+    def test_unknown_key_names_field(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, convnetion="flow")
+        assert main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: convnetion: unknown key\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_convention_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path, convention="sideways")

@@ -345,6 +345,13 @@ class TestRunFlows:
                                              **kwargs))
         return stacked
 
+    def _halved_steps(self, states, traces):
+        """Per member, the iterations whose dt was halved; needs rows every
+        step: a dt of at most half step/loss is a halved step."""
+        return [tuple(np.flatnonzero(
+            np.diff(tr.times) < 0.75 * st.step / np.asarray(tr.losses[:-1])))
+            for st, tr in zip(states, traces)]
+
     def test_rescaled_exponential_with_halvings_per_member_data(self):
         rng = np.random.default_rng(3)
         datasets = _blob_sets(4)
@@ -353,14 +360,31 @@ class TestRunFlows:
         traces = self._assert_stack_is_separate_runs(
             states, "exponential", datasets, StopRule(max_steps=60),
             sample_every=1, stepping="loss_rescaled")
-        # rows every step: a dt of at most half step/loss is a halved step
-        halved = [np.flatnonzero(np.diff(tr.times)
-                                 < 0.75 * st.step / np.asarray(tr.losses[:-1]))
-                  for st, tr in zip(states, traces)]
-        assert not halved[0].size and not halved[1].size
+        halved = self._halved_steps(states, traces)
+        assert not halved[0] and not halved[1]
         # the two large steps halve, at different iterations
-        assert halved[2].size and halved[3].size
-        assert tuple(halved[2]) != tuple(halved[3])
+        assert halved[2] and halved[3]
+        assert halved[2] != halved[3]
+
+    def test_kink_member_among_halving_members(self):
+        # member 0 keeps an all-zero hidden row (its relu subgradient is 0),
+        # so every point it takes sits on the kink; its small step is taken
+        # in the first round of each step where others halve, and its kink
+        # counts once per step, not once per round
+        rng = np.random.default_rng(7)
+        nets = [DeepNet((rng.normal(size=(3, 2)), rng.normal(size=(1, 3))),
+                        activation="relu") for _ in range(4)]
+        nets[0] = nets[0].with_layers(
+            (nets[0].layers[0] * [[1.0], [1.0], [0.0]], nets[0].layers[1]))
+        states = [FlowState(net=net, step=st)
+                  for net, st in zip(nets, (0.05, 1.0, 3.0, 8.0))]
+        traces = self._assert_stack_is_separate_runs(
+            states, "exponential", _blob_sets(4, seed=1),
+            StopRule(max_steps=40), sample_every=1, stepping="loss_rescaled")
+        assert [tr.kink_events for tr in traces] == [41, 0, 0, 0]
+        halved = self._halved_steps(states, traces)
+        assert not halved[0] and halved[1] and halved[3]
+        assert halved[1] != halved[3]
 
     def test_fixed_logistic_smoothed_relu_shared_data(self):
         rng = np.random.default_rng(4)
