@@ -24,10 +24,10 @@ from .flow import (
     TraceRefs,
     TrajectoryTrace,
     _write_table,
-    flow_step,
     growth_numeric_trace,
-    perturb_and_reconverge,
     run_flows,
+    stacked_flow_step,
+    stacked_perturb_and_reconverge,
 )
 from .linalg import extended_min_norm
 from .losses import Dataset, classification_error
@@ -648,34 +648,35 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
     reps = int(p["repetitions"])
     kind = p["loss"]
 
-    def pretrained(rep):
-        net = random_net(
-            np.random.default_rng(config.seed + 1 + rep),
-            tuple(p["dims"]),
-            activation=p["activation"],
-            scale=p["init_scale"],
+    # one stacked call per phase: pretrain every repetition, then run the
+    # protocol on those that pretrained to zero training error
+    states = stacked_flow_step([
+        FlowState(
+            net=random_net(np.random.default_rng(config.seed + 1 + rep),
+                           tuple(p["dims"]), activation=p["activation"],
+                           scale=p["init_scale"]),
+            step=p["step"], rng_seed=config.seed + 500_000 + rep,
         )
-        state = FlowState(
-            net=net, step=p["step"], rng_seed=config.seed + 500_000 + rep
-        )
-        state = flow_step(state, kind, train, int(p["pretrain_steps"]))
-        return state, classification_error(state.net, train)
-
-    pretrain = [pretrained(rep) for rep in range(reps)]
-    states = [state for state, _ in pretrain]
-    traces, included, trace_paths = [], [], []
-    for rep, (state, train_error) in enumerate(pretrain):
-        if train_error > 0.0:
-            traces.append(None)
-            included.append(False)
+        for rep in range(reps)
+    ], kind, train, int(p["pretrain_steps"]))
+    ready = []
+    for rep, state in enumerate(states):
+        if classification_error(state.net, train) > 0.0:
             notes.append(f"repetition {rep}: pretraining left errors")
-            continue
-        trace = perturb_and_reconverge(state, proto, kind, train, refs=refs)
-        ok = not any(trace.row_flags)
-        traces.append(trace)
-        included.append(ok)
-        _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
-                   trace_paths, trace.header(), trace.rows())
+        else:
+            ready.append(rep)
+    traces = [None] * reps
+    if ready:
+        for rep, trace in zip(ready, stacked_perturb_and_reconverge(
+                [states[rep] for rep in ready], proto, kind, train,
+                refs=refs)):
+            traces[rep] = trace
+    included, trace_paths = [], []
+    for rep, trace in enumerate(traces):
+        included.append(trace is not None and not any(trace.row_flags))
+        if trace is not None:
+            _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
+                       trace_paths, trace.header(), trace.rows())
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
@@ -713,11 +714,13 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         # control twin: same pretrained states flowed without noise
         ctrl_growth = []
         horizon = int(p["interval"]) * (int(p["cycles"]) + 1)
-        for state in states[: int(p["control_repetitions"])]:
+        controls = states[: int(p["control_repetitions"])]
+        for state, twin in zip(controls, stacked_flow_step(controls, kind,
+                                                           train, horizon)):
             base = np.array([float(np.sqrt((w * w).sum()))
                              for w in state.net.layers])
-            fin = np.array([float(np.sqrt((w * w).sum())) for w in
-                            flow_step(state, kind, train, horizon).net.layers])
+            fin = np.array([float(np.sqrt((w * w).sum()))
+                            for w in twin.net.layers])
             ctrl_growth.append(fin - base)
         ctrl = np.array(ctrl_growth).mean(axis=0)
         pert_growth = mean_norms[-1] - mean_norms[0]

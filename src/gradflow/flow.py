@@ -368,19 +368,39 @@ class _Euler:
         return dt
 
     def _named(self, r, text) -> str:
-        return text if len(self.ids) == 1 else f"flow {self.ids[r]}: {text}"
+        return _member(text, self.ids[r], len(self.ids))
+
+
+def _member(text, r, n) -> str:
+    """text as the error of flow r among n; a lone flow goes unnamed."""
+    return text if n == 1 else f"flow {r}: {text}"
 
 
 def flow_step(state: FlowState, kind: str, data: Dataset,
               n_steps: int = 1) -> FlowState:
     """n_steps guarded explicit-Euler steps, W_k <- W_k - step*(grad_k +
     2 lam W_k), the steps run_flow takes with fixed stepping; time adds up
-    step by step as in run_flow."""
-    euler = _Euler([state.net], kind, data, [state.lambda_array()])
-    dt, t = np.array([state.step]), np.array([state.time])
+    step by step as in run_flow. The one state of stacked_flow_step."""
+    return stacked_flow_step([state], kind, data, n_steps)[0]
+
+
+def _euler_of(states, kind, datasets):
+    """One _Euler for the states, with their steps and times as arrays."""
+    euler = _Euler([s.net for s in states], kind, datasets,
+                   [s.lambda_array() for s in states])
+    return (euler, np.array([s.step for s in states]),
+            np.array([s.time for s in states], dtype=float))
+
+
+def stacked_flow_step(states, kind: str, datasets, n_steps: int = 1) -> list:
+    """flow_step for R states of one architecture, advanced as one stacked
+    computation; datasets is one Dataset for every state or one per state.
+    Each state ends bitwise where its own flow_step call would."""
+    euler, dt, t = _euler_of(states, kind, datasets)
     for _ in range(n_steps):
         t += euler.step(dt, backtrack=False)
-    return replace(state, net=euler.net(0), time=float(t[0]))
+    return [replace(s, net=euler.net(r), time=float(t[r]))
+            for r, s in enumerate(states)]
 
 
 def run_flow(
@@ -435,10 +455,7 @@ def run_flows(
         refs = [refs] * n
     if len(refs) != n:
         raise ValueError(f"{len(refs)} refs for {n} flows")
-    euler = _Euler([s.net for s in states], kind, datasets,
-                   [s.lambda_array() for s in states])
-    steps = np.array([s.step for s in states])
-    t = np.array([s.time for s in states], dtype=float)
+    euler, steps, t = _euler_of(states, kind, datasets)
     traces = [TrajectoryTrace(layer_count=s.net.depth) for s in states]
     if stop.max_steps is not None:
         max_steps = np.full(n, min(stop.max_steps, MAX_ITERATIONS_HARD_CAP))
@@ -615,73 +632,100 @@ def perturb_and_reconverge(
     reconverge_tol: float = 1e-6,
     refs: TraceRefs | None = None,
 ) -> TrajectoryTrace:
-    """Alternate Gaussian weight perturbations with interval-long re-flows.
+    """Alternate Gaussian weight perturbations with interval-long re-flows:
+    the one state of stacked_perturb_and_reconverge."""
+    return stacked_perturb_and_reconverge([state], protocol, kind, data,
+                                          total_steps, reconverge_tol,
+                                          refs)[0]
 
-    The trace records one row per cycle boundary (just before each
+
+def stacked_perturb_and_reconverge(
+    states,
+    protocol: PerturbationProtocol,
+    kind: str,
+    data: Dataset,
+    total_steps: int | None = None,
+    reconverge_tol: float = 1e-6,
+    refs: TraceRefs | None = None,
+) -> list:
+    """Alternate Gaussian weight perturbations with interval-long re-flows,
+    for R states of one architecture on shared data; one trace per state.
+
+    Every trace records one row per cycle boundary (just before each
     perturbation) plus the final state. A cycle whose training criterion
     (classification error 0, or loss <= reconverge_tol for regression) is
     not met gets flagged, and the run continues. kink_events counts the
     relu kinks met by the re-convergence steps and the perturbation redraws.
+
+    The R re-flows of a cycle run as one stacked Euler computation. Each
+    state keeps its own perturbation stream (seeded by its rng_seed), time,
+    kinks, row flags and final state, bitwise as if it ran alone.
     """
-    net = state.net
-    value = loss(kind, net, data)
-    train_error = _error_metric(net, data)
-    if data.task == "regression":
-        if value > reconverge_tol:
-            raise ValueError(
-                f"start the protocol at an interpolating state "
-                f"(loss {value:.3e} > {reconverge_tol:.1e})"
-            )
-    elif train_error > 0.0:
-        raise ValueError("start the protocol at zero training error")
+    regression = data.task == "regression"
+
+    def reconverged(value, train_error):
+        return value <= reconverge_tol if regression else train_error == 0.0
+
+    traces, nets = [], []
+    for r, state in enumerate(states):
+        net = state.net
+        value, train_error = loss(kind, net, data), _error_metric(net, data)
+        if not reconverged(value, train_error):
+            raise ValueError(_member(
+                f"start the protocol at an interpolating state (loss "
+                f"{value:.3e} > {reconverge_tol:.1e})" if regression
+                else "start the protocol at zero training error",
+                r, len(states)))
+        traces.append(TrajectoryTrace(layer_count=net.depth))
+        _record(traces[-1], refs, net, train_error, state.time, value, 0)
+        nets.append(net)
     stop_after = protocol.stop_after
     if stop_after is None:
         stop_after = protocol.interval * protocol.repetitions
     if total_steps is None:
         total_steps = stop_after + protocol.interval
-    rng = np.random.default_rng(state.rng_seed)
-    trace = TrajectoryTrace(layer_count=net.depth)
+    rngs = [np.random.default_rng(s.rng_seed) for s in states]
+    lambdas = [s.lambda_array() for s in states]
+    dt = np.array([s.step for s in states])
+    t = np.array([s.time for s in states], dtype=float)
     pert_count = 0
-    t = state.time
     step_idx = 0
-    _record(trace, refs, net, train_error, t, value, pert_count)
     while step_idx < total_steps:
         chunk = min(protocol.interval, total_steps - step_idx)
-        euler = _Euler([net], kind, data, [state.lambda_array()])
-        dt, times = np.array([state.step]), np.array([t])
+        euler = _Euler(nets, kind, data, lambdas)
         for _ in range(chunk):
-            times += euler.step(dt, backtrack=False)
-        net, value, t = euler.net(0), float(euler.value[0]), float(times[0])
-        train_error = _error_metric(net, data)
-        trace.kink_events += int(euler.kink_events[0])
+            t += euler.step(dt, backtrack=False)
         step_idx += chunk
-        ok = (
-            value <= reconverge_tol
-            if data.task == "regression"
-            else train_error == 0.0
-        )
-        flag = "" if ok else "not_reconverged"
         may_perturb = (
             step_idx <= stop_after and pert_count < protocol.repetitions
             and step_idx < total_steps
         )
-        _record(trace, refs, net, train_error, t, value, pert_count, flag)
+        for r, trace in enumerate(traces):
+            net, value = euler.net(r), float(euler.value[r])
+            train_error = _error_metric(net, data)
+            trace.kink_events += int(euler.kink_events[r])
+            _record(trace, refs, net, train_error, float(t[r]), value,
+                    pert_count,
+                    "" if reconverged(value, train_error)
+                    else "not_reconverged")
+            if may_perturb:
+                for _ in range(5):
+                    deltas = _draw_perturbation(rngs[r], net.layers, protocol)
+                    candidate = net.with_layers(
+                        [w + d for w, d in zip(net.layers, deltas)]
+                    )
+                    if not batch_forward(candidate, data.inputs)[-1]:
+                        break
+                    trace.kink_events += 1
+                net = candidate
+            nets[r] = net
         if may_perturb:
-            for _ in range(5):
-                deltas = _draw_perturbation(rng, net.layers, protocol)
-                candidate = net.with_layers(
-                    [w + d for w, d in zip(net.layers, deltas)]
-                )
-                kink = batch_forward(candidate, data.inputs)[-1]
-                if not kink:
-                    break
-                trace.kink_events += 1
-            net = candidate
             pert_count += 1
-    trace.converged = True
-    trace.stop_reason = "schedule_complete"
-    trace.final_state = replace(state, net=net, time=t)
-    return trace
+    for state, trace, net, time in zip(states, traces, nets, t):
+        trace.converged = True
+        trace.stop_reason = "schedule_complete"
+        trace.final_state = replace(state, net=net, time=float(time))
+    return traces
 
 
 @dataclass(frozen=True)

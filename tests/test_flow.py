@@ -32,6 +32,8 @@ from gradflow.flow import (
     run_flow,
     run_flows,
     run_normalized_flow,
+    stacked_flow_step,
+    stacked_perturb_and_reconverge,
     write_trace_csv,
 )
 from gradflow.linalg import min_norm_least_squares
@@ -285,6 +287,21 @@ class TestSharedStep:
             fresh = (mean_squared_error(final, data) if task == "regression"
                      else classification_error(final, data))
             assert trace.train_errors[-1] == fresh
+
+    def test_stacked_flow_step_is_bitwise_flow_step(self):
+        rng = np.random.default_rng(10)
+        states = [FlowState(net=random_net(rng, (2, 5, 1), scale=0.7,
+                                           activation="smoothed_relu"),
+                            step=st, time=t0, lambdas=lams)
+                  for st, t0, lams in ((0.05, 0.0, ()), (0.02, 1.5, ()),
+                                       (0.05, 0.0, (0.01, 0.03)))]
+        stacked = stacked_flow_step(states, "logistic", SEP, 40)
+        for state, got in zip(states, stacked, strict=True):
+            want = flow_step(state, "logistic", SEP, 40)
+            assert repr(got.time) == repr(want.time)
+            assert got.lambdas == state.lambdas
+            for a, b in zip(got.net.layers, want.net.layers, strict=True):
+                assert np.array_equal(_bits(a), _bits(b))
 
     def test_backtrack_giveup_is_counted(self):
         # loss (1 - 2 dt)^2 rises for every dt > 1; from dt = 1e15 even
@@ -677,6 +694,87 @@ class TestPerturbationProtocol:
         with pytest.raises(ValueError):
             PerturbationProtocol(noise_std=1.0, interval=1, repetitions=1,
                                  mode="odd")
+
+
+class TestStackedProtocol:
+    """R protocol runs stacked on a member axis are bitwise R separate
+    perturb_and_reconverge calls: rows, flags, kinks, time and final
+    point, each member with its own perturbation stream."""
+
+    def _assert_stack_is_separate_runs(self, states, proto, kind, data,
+                                       **kwargs):
+        stacked = stacked_perturb_and_reconverge(states, proto, kind, data,
+                                                 **kwargs)
+        assert len(stacked) == len(states)
+        for state, got in zip(states, stacked):
+            _assert_same_trace(got, perturb_and_reconverge(
+                state, proto, kind, data, **kwargs))
+        return stacked
+
+    def test_smoothed_relu_logistic_members(self):
+        rng = np.random.default_rng(12)
+        starts = [FlowState(net=random_net(rng, (2, 8, 1), scale=0.7,
+                                           activation="smoothed_relu"),
+                            step=st, rng_seed=seed)
+                  for st, seed in ((0.05, 31), (0.04, 32), (0.05, 33))]
+        states = stacked_flow_step(starts, "logistic", SEP, 1500)
+        assert all(classification_error(s.net, SEP) == 0.0 for s in states)
+        proto = PerturbationProtocol(noise_std=0.25, interval=150,
+                                     repetitions=3, mode="relative")
+        traces = self._assert_stack_is_separate_runs(
+            states, proto, "logistic", SEP,
+            refs=TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y)))
+        assert all(tr.perturbation_counts[-1] == 3 for tr in traces)
+        # each member draws its own noise
+        assert len({tr.layer_norms[-1] for tr in traces}) == 3
+
+    def test_relu_members_whose_redraws_hit_the_kink(self):
+        # the origin is an input, so every pre-activation column there is
+        # exactly zero: every step and every perturbation draw sits on the
+        # kink, and each perturbation uses all five draws. Labels are the
+        # teacher's own outputs, and the rescaled twins (factors 2 and 1/2
+        # are exact) fit them exactly too, so every start has loss 0.
+        rng = np.random.default_rng(6)
+        x = np.vstack([np.zeros((1, 2)), rng.normal(size=(4, 2))])
+        teacher = random_net(rng, (2, 6, 1), activation="relu")
+        data = Dataset(x, batch_forward(teacher, x)[0][0], task="regression")
+        w1, w2 = teacher.layers
+        nets = [teacher, teacher.with_layers((2.0 * w1, 0.5 * w2)),
+                teacher.with_layers((0.5 * w1, 2.0 * w2))]
+        states = [FlowState(net=net, step=0.002, rng_seed=40 + r)
+                  for r, net in enumerate(nets)]
+        proto = PerturbationProtocol(noise_std=0.02, interval=30,
+                                     repetitions=2, mode="relative")
+        traces = self._assert_stack_is_separate_runs(states, proto, "square",
+                                                     data)
+        # 3 chunks of 30 steps plus their first evaluation, 2 x 5 draws
+        assert [tr.kink_events for tr in traces] == [3 * 31 + 2 * 5] * 3
+
+    def test_square_members_one_not_reconverged(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 8))
+        data = Dataset(x, x @ rng.normal(size=8), task="regression")
+        _, _, vt = np.linalg.svd(x, full_matrices=True)
+        w0 = min_norm_least_squares(x, data.labels)
+        # the third member's step is too small to re-converge in a cycle
+        states = [FlowState(net=_linear_net(w0), step=st, rng_seed=seed)
+                  for st, seed in ((0.01, 77), (0.02, 78), (1e-5, 79))]
+        proto = PerturbationProtocol(noise_std=0.05, interval=400,
+                                     repetitions=3)
+        traces = self._assert_stack_is_separate_runs(
+            states, proto, "square", data, refs=TraceRefs(null_basis=vt[4:]))
+        assert not any(traces[0].row_flags + traces[1].row_flags)
+        assert "not_reconverged" in traces[2].row_flags
+
+    def test_member_at_nonzero_training_error_is_refused_by_name(self):
+        good = FlowState(net=_linear_net([1.0, 0.0]), step=0.01)
+        bad = FlowState(net=_linear_net([-1.0, 0.0]), step=0.01)
+        proto = PerturbationProtocol(noise_std=0.1, interval=10,
+                                     repetitions=1)
+        with pytest.raises(ValueError, match="flow 1: start the protocol "
+                                             "at zero training error"):
+            stacked_perturb_and_reconverge([good, bad, good], proto,
+                                           "exponential", SEP)
 
 
 def _pretrained_two_layer(seed, steps=3000):
