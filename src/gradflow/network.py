@@ -42,6 +42,20 @@ def _sigmoid(u, e=None):
     return np.where(u >= 0, 1.0 / d, e / d)
 
 
+def _tanh_sigmoid(u):
+    """Logistic function as 0.5 + 0.5 tanh(u/2), for the smoothed relu.
+
+    The two forms serve different needs. The smoothed relu's z * s(z/eps^2)
+    needs only absolute accuracy in s, which this form keeps to 2^-53,
+    and one tanh pass costs a fraction of exp's where exp(-|u|) underflows,
+    which eps = 0.05 makes common. Its left tail, though, is exactly 0
+    below u of about -37. The logistic loss keeps _sigmoid: its gradient
+    on separable data is that left tail, and a flushed tail would stop the
+    slow norm growth of the separable flow.
+    """
+    return 0.5 + 0.5 * np.tanh(0.5 * u)
+
+
 @dataclass(frozen=True)
 class DeepNet:
     """Weights plus activation; immutable once built."""
@@ -111,7 +125,7 @@ def _activate(net: DeepNet, z: np.ndarray):
         return np.maximum(z, 0.0), (z > 0.0).astype(float), kink
     if net.activation == "smoothed_relu":
         u = z / net.epsilon**2
-        s = _sigmoid(u)
+        s = _tanh_sigmoid(u)
         return z * s, s + u * s * (1.0 - s), False
     # polynomial, constant term first
     out = np.zeros_like(z)

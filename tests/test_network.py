@@ -4,15 +4,18 @@ The gradient oracle is a central finite difference of the forward pass on
 the flattened parameter vector, step 1e-6.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradflow.losses import Dataset, loss_gradient
 from gradflow.network import (
     DeepNet,
     _activate,
     _forward_pass,
     _sigmoid,
+    _tanh_sigmoid,
     backprop,
     batch_backprop,
     batch_forward,
@@ -256,6 +259,59 @@ def test_single_exp_sigmoid_is_bitwise_two_mask_formula():
         got, want = _sigmoid(u), _two_mask_sigmoid(u)
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _mp_sigmoid(u):
+    return 1 / (1 + mpmath.exp(-mpmath.mpf(float(u))))
+
+
+def test_tanh_sigmoid_of_the_smoothed_relu_against_mpmath():
+    # bounds: 2^-53 absolute everywhere, 2 ulp relative where s >= e^-1/2
+    # (u >= -1), and the activation derivative s + u s (1 - s) to 1e-14
+    eps = 0.05
+    rng = np.random.default_rng(43)
+    u = np.concatenate([
+        [0.0, -0.0, 1e-320, -1e-320, 36.7, -36.7, 40.0, -40.0, 709.0,
+         -709.0, 745.2, -745.2],
+        rng.normal(scale=10.0, size=1500),
+        rng.uniform(-800.0, 800.0, size=500),
+        np.linspace(-45.0, 45.0, 601),
+        np.sign(rng.normal(size=500)) * 10.0 ** rng.uniform(-300, 2.9,
+                                                             size=500),
+    ])
+    z = u * eps**2
+    u = z / eps**2  # the u the activation sees
+    net = DeepNet(([[1.0]],), activation="smoothed_relu", epsilon=eps)
+    s = _tanh_sigmoid(u)
+    _, deriv, _ = _activate(net, z)
+    with mpmath.workdps(40):
+        exact = [_mp_sigmoid(v) for v in u]
+        err = np.array([float(abs(mpmath.mpf(float(a)) - b))
+                        for a, b in zip(s, exact)])
+        d_err = np.array([
+            float(abs(mpmath.mpf(float(d)) - (b + mpmath.mpf(float(v)) * b
+                                              * (1 - b))))
+            for d, v, b in zip(deriv, u, exact)])
+        ulps = np.array([float(b) for b in exact])
+    assert err.max() <= 2.0**-53
+    head = u >= -1.0
+    assert (err[head] <= 2.0 * np.spacing(ulps[head])).all()
+    assert d_err.max() <= 1e-14
+
+
+def test_logistic_loss_keeps_the_exact_left_tail():
+    # on separable data the logistic gradient is the sigmoid's left tail
+    # at the margins; the smoothed relu's tanh form is exactly 0 below
+    # u of about -37, and through the loss it would stop the slow norm
+    # growth of the separable flow
+    data = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with mpmath.workdps(40):
+        for margin in (40.0, 45.0, 60.0, 100.0, 300.0, 700.0):
+            net = DeepNet(([[margin, 0.0]],), activation="linear")
+            grad = loss_gradient("logistic", net, data)[0][0, 0]
+            exact = -float(_mp_sigmoid(-margin))
+            assert grad != 0.0
+            assert abs(grad - exact) <= 1e-14 * abs(exact)
 
 
 def _matvec_backprop(net, x, out_delta):
