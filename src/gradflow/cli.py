@@ -61,7 +61,8 @@ SPECTRUM_KEYS = ("seed", "dataset", "net", "loss", "lambdas", "convention",
                  "tol")
 SVM_KEYS = ("seed", "dataset")
 DATASET_KEYS = ("inputs", "labels", "task")
-NET_KEYS = ("dims", "layers", "activation", "epsilon", "scale", "top_linear")
+NET_KEYS = ("dims", "layers", "activation", "epsilon", "scale", "top_linear",
+            "coefficients")
 STOP_KEYS = ("max_time", "max_steps", "loss_below", "grad_norm_below",
              "direction_angle_below")
 
@@ -160,7 +161,18 @@ def _net_from(body, seed) -> DeepNet:
     if not isinstance(obj, dict):
         raise CliError("net: required object with dims or layers")
     _check_keys(obj, NET_KEYS, "net.")
-    kwargs = {}
+    if "layers" in obj:
+        for key in ("dims", "scale"):
+            if key in obj:
+                raise CliError(f"net.{key}: cannot be combined with "
+                               "net.layers")
+    kwargs = {"activation": obj.get("activation", "relu")}
+    if "coefficients" in obj:
+        if kwargs["activation"] != "polynomial":
+            raise CliError("net.coefficients: only for the polynomial "
+                           f"activation, not {kwargs['activation']!r}")
+        kwargs["coefficients"] = _numbers(obj["coefficients"],
+                                          "net.coefficients")
     if "epsilon" in obj:
         kwargs["epsilon"] = _number(obj["epsilon"], "net.epsilon")
     if "top_linear" in obj:
@@ -175,16 +187,10 @@ def _net_from(body, seed) -> DeepNet:
             layers = tuple(
                 np.atleast_2d(np.asarray(w, dtype=float)) for w in obj["layers"]
             )
-            return DeepNet(layers, activation=obj.get("activation", "relu"),
-                           **kwargs)
+            return DeepNet(layers, **kwargs)
         if "dims" in obj:
-            return random_net(
-                np.random.default_rng(seed),
-                dims,
-                activation=obj.get("activation", "relu"),
-                scale=scale,
-                **kwargs,
-            )
+            return random_net(np.random.default_rng(seed), dims, scale=scale,
+                              **kwargs)
     except ValueError as err:
         raise CliError(f"net: {err}") from err
     raise CliError("net: needs either dims or layers")

@@ -291,6 +291,54 @@ class TestFlow:
         assert ("relu kinks" in out) == bool(line)
         assert line in out
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"dims": [2, 7, 1]}, "net.dims"),
+        ({"scale": 100.0}, "net.scale"),
+    ])
+    def test_layers_refuse_dims_and_scale(self, tmp_path, capsys, extra,
+                                          field):
+        # net.layers fixes the shape and the weights; dims or scale beside
+        # them used to be dropped without a word
+        cfg = self._config(tmp_path, net={"layers": [[[0.5, 0.1]]],
+                                          "activation": "linear", **extra})
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {field}: cannot be combined with net.layers\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_polynomial_net_from_coefficients(self, tmp_path):
+        # sigma(z) = z + z^2/4 on a 2-3-1 net
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, net={
+            "dims": [2, 3, 1], "activation": "polynomial", "scale": 0.3,
+            "coefficients": [0, 1, 0.25]}, stop={"max_steps": 50})
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+        rows = (out / "flow_trace.csv").read_text().splitlines()[2:]
+        losses = [float(r.split(",")[1]) for r in rows]
+        assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("net, message", [
+        ({"dims": [2, 1], "activation": "linear", "coefficients": [0, 1]},
+         "net.coefficients: only for the polynomial activation, not "
+         "'linear'"),
+        ({"dims": [2, 1], "coefficients": [0, 1]},
+         "net.coefficients: only for the polynomial activation, not 'relu'"),
+        ({"dims": [2, 3, 1], "activation": "polynomial",
+          "coefficients": [0, "1"]},
+         "net.coefficients[1]: must be a number, got '1'"),
+        ({"dims": [2, 3, 1], "activation": "polynomial", "coefficients": 1},
+         "net.coefficients: must be a list, got 1"),
+    ])
+    def test_stray_or_malformed_coefficients_are_refused(self, tmp_path,
+                                                         capsys, net,
+                                                         message):
+        cfg = self._config(tmp_path, net=net)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_backtrack_giveups_are_printed(self, tmp_path, capsys):
         # square loss under loss-rescaled steps: dt = step / loss grows
         # without bound as the loss nears 0, and backtracking gives up
@@ -358,6 +406,15 @@ class TestSpectrum:
                      "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: convnetion: unknown key\n"
         assert not (tmp_path / "out").exists()
+
+    def test_layers_refuse_dims(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, net={
+            "layers": [[[0.4, -0.2], [0.1, 0.3]], [[1.0, -1.0]]],
+            "dims": [2, 2, 1], "activation": "smoothed_relu"})
+        assert main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: net.dims: cannot be combined with net.layers\n")
 
     def test_bad_convention_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path, convention="sideways")
