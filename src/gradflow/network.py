@@ -53,7 +53,11 @@ def _tanh_sigmoid(u):
     on separable data is that left tail, and a flushed tail would stop the
     slow norm growth of the separable flow.
     """
-    return 0.5 + 0.5 * np.tanh(0.5 * u)
+    s = np.multiply(u, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,17 @@ def _activate(net: DeepNet, z: np.ndarray):
         kink = (z == 0.0).reshape(*z.shape[:-2], -1).any(axis=-1)
         return np.maximum(z, 0.0), (z > 0.0).astype(float), kink
     if net.activation == "smoothed_relu":
+        # z s and s + u s (1 - s), computed in place: a stacked net's
+        # (R, rows, N) temporaries are large enough that each fresh one
+        # costs page faults
         u = z / net.epsilon**2
         s = _tanh_sigmoid(u)
-        return z * s, s + u * s * (1.0 - s), False
+        out = np.subtract(1.0, s)
+        u *= s
+        u *= out
+        u += s
+        np.multiply(z, s, out=out)
+        return out, u, False
     # polynomial, constant term first
     out = np.zeros_like(z)
     for c in reversed(net.coefficients):
@@ -175,7 +187,9 @@ def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None) -> list:
     grads = [None] * net.depth
     for k in range(net.depth - 1, -1, -1):
         if derivs[k] is not None:
-            delta = delta * derivs[k]
+            # a product made here is scaled in place, the caller's is not
+            delta = (delta * derivs[k] if delta is out_delta
+                     else np.multiply(delta, derivs[k], out=delta))
         grads[k] = delta @ acts[k].mT
         if k > 0:
             delta = layers[k].mT @ delta
