@@ -750,6 +750,22 @@ class TestStackedProtocol:
         # 3 chunks of 30 steps plus their first evaluation, 2 x 5 draws
         assert [tr.kink_events for tr in traces] == [3 * 31 + 2 * 5] * 3
 
+    def test_kinks_stay_with_their_member(self):
+        # both nets compute relu(x1) - relu(-x1), which separates SEP; the
+        # first one's all-zero third row sits on the kink at every step
+        # until its perturbation moves it, the second one's never does
+        rows = ([1.0, 0.0], [-1.0, 0.0])
+        states = [FlowState(net=DeepNet((rows + (third,), [[1.0, -1.0, 0.0]]),
+                                        activation="relu"),
+                            step=0.01, rng_seed=3)
+                  for third in ([0.0, 0.0], [0.3, 0.2])]
+        proto = PerturbationProtocol(noise_std=0.1, interval=40,
+                                     repetitions=1, mode="relative")
+        traces = self._assert_stack_is_separate_runs(states, proto,
+                                                     "exponential", SEP)
+        assert traces[0].kink_events >= proto.interval
+        assert traces[1].kink_events == 0
+
     def test_square_members_one_not_reconverged(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 8))
