@@ -666,7 +666,7 @@ def stacked_perturb_and_reconverge(
     def reconverged(value, train_error):
         return value <= reconverge_tol if regression else train_error == 0.0
 
-    traces, nets = [], []
+    states, traces = list(states), []
     for r, state in enumerate(states):
         net = state.net
         value, train_error = loss(kind, net, data), _error_metric(net, data)
@@ -678,21 +678,17 @@ def stacked_perturb_and_reconverge(
                 r, len(states)))
         traces.append(TrajectoryTrace(layer_count=net.depth))
         _record(traces[-1], refs, net, train_error, state.time, value, 0)
-        nets.append(net)
     stop_after = protocol.stop_after
     if stop_after is None:
         stop_after = protocol.interval * protocol.repetitions
     if total_steps is None:
         total_steps = stop_after + protocol.interval
     rngs = [np.random.default_rng(s.rng_seed) for s in states]
-    lambdas = [s.lambda_array() for s in states]
-    dt = np.array([s.step for s in states])
-    t = np.array([s.time for s in states], dtype=float)
     pert_count = 0
     step_idx = 0
     while step_idx < total_steps:
         chunk = min(protocol.interval, total_steps - step_idx)
-        euler = _Euler(nets, kind, data, lambdas)
+        euler, dt, t = _euler_of(states, kind, data)
         for _ in range(chunk):
             t += euler.step(dt, backtrack=False)
         step_idx += chunk
@@ -718,13 +714,13 @@ def stacked_perturb_and_reconverge(
                         break
                     trace.kink_events += 1
                 net = candidate
-            nets[r] = net
+            states[r] = replace(states[r], net=net, time=float(t[r]))
         if may_perturb:
             pert_count += 1
-    for state, trace, net, time in zip(states, traces, nets, t):
+    for state, trace in zip(states, traces):
         trace.converged = True
         trace.stop_reason = "schedule_complete"
-        trace.final_state = replace(state, net=net, time=float(time))
+        trace.final_state = state
     return traces
 
 
