@@ -35,6 +35,8 @@ MAX_HALVINGS = 40
 MAX_ITERATIONS_HARD_CAP = 200_000_000
 V_DRIFT_LOG_THRESHOLD = 1e-4
 V_DRIFT_INVARIANT = 1e-6
+# a regression fit has re-converged once its loss is at most this
+RECONVERGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -444,12 +446,7 @@ def run_flows(
     """
     if stepping not in ("fixed", "loss_rescaled"):
         raise ValueError(f"unknown stepping {stepping!r}")
-    if (isinstance(sample_every, bool)
-            or not isinstance(sample_every, (int, np.integer))
-            or sample_every < 1):
-        raise ValueError(
-            f"sample_every: must be an integer >= 1, got {sample_every!r}"
-        )
+    _check_count("sample_every", sample_every)
     n = len(states)
     if not isinstance(refs, (list, tuple)):
         refs = [refs] * n
@@ -529,6 +526,13 @@ def run_flows(
     return traces
 
 
+def _check_count(name, value):
+    """Refuse, by name, a value that is not an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name}: must be an integer >= 1, got {value!r}")
+
+
 def _direction_stalled(flat, t, snapshots, snapshot_times, threshold):
     """direction_angle_below, one flag per flow: a flow has stalled when its
     unit direction moved by less than `threshold` radians since the
@@ -580,30 +584,27 @@ class LinearSquareGD:
 
 @dataclass(frozen=True)
 class PerturbationProtocol:
-    """Perturb-then-reconverge schedule.
+    """Perturb-then-reconverge schedule: repetitions + 1 cycles of
+    `interval` flow steps (the re-convergence budget), with a perturbation
+    after every cycle but the last.
 
     noise_std is an absolute per-entry standard deviation in "absolute"
     mode, or a fraction of each layer's empirical weight std in "relative"
     mode. per_coordinate=False rescales each perturbation to total norm
-    noise_std instead. interval is the number of flow steps between
-    perturbations (also the re-convergence budget); perturbations stop
-    after step index stop_after or after `repetitions` events.
+    noise_std instead.
     """
 
     noise_std: float
     interval: int
     repetitions: int
-    stop_after: int | None = None
     mode: str = "absolute"
     per_coordinate: bool = True
 
     def __post_init__(self):
         if not self.noise_std > 0.0:
             raise ValueError("noise_std must be positive")
-        if self.interval < 1:
-            raise ValueError("interval must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        _check_count("interval", self.interval)
+        _check_count("repetitions", self.repetitions)
         if self.mode not in ("absolute", "relative"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
@@ -628,15 +629,13 @@ def perturb_and_reconverge(
     protocol: PerturbationProtocol,
     kind: str,
     data: Dataset,
-    total_steps: int | None = None,
-    reconverge_tol: float = 1e-6,
+    reconverge_tol: float = RECONVERGE_TOL,
     refs: TraceRefs | None = None,
 ) -> TrajectoryTrace:
     """Alternate Gaussian weight perturbations with interval-long re-flows:
     the one state of stacked_perturb_and_reconverge."""
     return stacked_perturb_and_reconverge([state], protocol, kind, data,
-                                          total_steps, reconverge_tol,
-                                          refs)[0]
+                                          reconverge_tol, refs)[0]
 
 
 def stacked_perturb_and_reconverge(
@@ -644,18 +643,18 @@ def stacked_perturb_and_reconverge(
     protocol: PerturbationProtocol,
     kind: str,
     data: Dataset,
-    total_steps: int | None = None,
-    reconverge_tol: float = 1e-6,
+    reconverge_tol: float = RECONVERGE_TOL,
     refs: TraceRefs | None = None,
 ) -> list:
     """Alternate Gaussian weight perturbations with interval-long re-flows,
     for R states of one architecture on shared data; one trace per state.
 
-    Every trace records one row per cycle boundary (just before each
-    perturbation) plus the final state. A cycle whose training criterion
-    (classification error 0, or loss <= reconverge_tol for regression) is
-    not met gets flagged, and the run continues. kink_events counts the
-    relu kinks met by the re-convergence steps and the perturbation redraws.
+    Every trace records the start plus one row per cycle, at its end (just
+    before its perturbation); a row's perturbation_count is its cycle's
+    index. A cycle whose training criterion (classification error 0, or
+    loss <= reconverge_tol for regression) is not met gets flagged, and the
+    run continues. kink_events counts the relu kinks met by the
+    re-convergence steps and the perturbation redraws.
 
     The R re-flows of a cycle run as one stacked Euler computation. Each
     state keeps its own perturbation stream (seeded by its rng_seed), time,
@@ -678,33 +677,19 @@ def stacked_perturb_and_reconverge(
                 r, len(states)))
         traces.append(TrajectoryTrace(layer_count=net.depth))
         _record(traces[-1], refs, net, train_error, state.time, value, 0)
-    stop_after = protocol.stop_after
-    if stop_after is None:
-        stop_after = protocol.interval * protocol.repetitions
-    if total_steps is None:
-        total_steps = stop_after + protocol.interval
     rngs = [np.random.default_rng(s.rng_seed) for s in states]
-    pert_count = 0
-    step_idx = 0
-    while step_idx < total_steps:
-        chunk = min(protocol.interval, total_steps - step_idx)
+    for cycle in range(protocol.repetitions + 1):
         euler, dt, t = _euler_of(states, kind, data)
-        for _ in range(chunk):
+        for _ in range(protocol.interval):
             t += euler.step(dt, backtrack=False)
-        step_idx += chunk
-        may_perturb = (
-            step_idx <= stop_after and pert_count < protocol.repetitions
-            and step_idx < total_steps
-        )
         for r, trace in enumerate(traces):
             net, value = euler.net(r), float(euler.value[r])
             train_error = _error_metric(net, data)
             trace.kink_events += int(euler.kink_events[r])
-            _record(trace, refs, net, train_error, float(t[r]), value,
-                    pert_count,
+            _record(trace, refs, net, train_error, float(t[r]), value, cycle,
                     "" if reconverged(value, train_error)
                     else "not_reconverged")
-            if may_perturb:
+            if cycle < protocol.repetitions:
                 for _ in range(5):
                     deltas = _draw_perturbation(rngs[r], net.layers, protocol)
                     candidate = net.with_layers(
@@ -715,8 +700,6 @@ def stacked_perturb_and_reconverge(
                     trace.kink_events += 1
                 net = candidate
             states[r] = replace(states[r], net=net, time=float(t[r]))
-        if may_perturb:
-            pert_count += 1
     for state, trace in zip(states, traces):
         trace.converged = True
         trace.stop_reason = "schedule_complete"
@@ -728,28 +711,21 @@ def stacked_perturb_and_reconverge(
 class NormalizedFlowState:
     """Scales rho_k and unit-Frobenius directions V_k, evolved separately.
 
-    lambda_mode="constraint" recomputes lambda_k = <V_k, B_k>/2 every step
-    (the multiplier that keeps V_k on the unit sphere); "fixed" uses the
-    given lambdas as a static penalty.
+    Every step recomputes lambda_k = <V_k, B_k>/2, the multiplier that
+    keeps V_k on the unit sphere.
     """
 
     unit_net: DeepNet
     rhos: tuple
     step: float
     time: float = 0.0
-    lambda_mode: str = "constraint"
-    lambdas: tuple = ()
     stepping: str = "fixed"
     renorm_events: int = 0
     max_v_drift: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_mode not in ("constraint", "fixed"):
-            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.stepping not in ("fixed", "loss_rescaled"):
             raise ValueError(f"unknown stepping {self.stepping!r}")
-        if self.lambda_mode == "fixed" and len(self.lambdas) != self.unit_net.depth:
-            raise ValueError("fixed mode needs one lambda per layer")
         rhos = tuple(float(r) for r in self.rhos)
         if len(rhos) != self.unit_net.depth:
             raise ValueError("need one rho per layer")
@@ -808,11 +784,8 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
         )
     events = state.renorm_events
     max_drift = state.max_v_drift
-    for k, (v, b) in enumerate(zip(unit.layers, b_list)):
-        if state.lambda_mode == "constraint":
-            lam = 0.5 * float((v * b).sum())
-        else:
-            lam = state.lambdas[k]
+    for v, b in zip(unit.layers, b_list):
+        lam = 0.5 * float((v * b).sum())
         v_new = v + dt * (b - 2.0 * lam * v)
         norm = frobenius_norm(v_new)
         drift = abs(norm - 1.0)
@@ -871,12 +844,12 @@ def normalized_direction_flow(
     data: Dataset,
     n_steps: int,
     step: float,
-    stepping: str = "loss_rescaled",
     sample_every: int = 100,
 ) -> DirectionTrace:
     """Single-layer split dynamics: the norm r grows by the loss-weighted
     margin sum while the unit direction moves in the tangent plane scaled
-    by 1/r. Requires the starting direction to separate the data.
+    by 1/r, with loss-rescaled steps (dt = step / loss). Requires the
+    starting direction to separate the data.
     """
     if data.task != "binary":
         raise ValueError("direction dynamics needs binary data")
@@ -907,7 +880,7 @@ def normalized_direction_flow(
             times.append(t)
             norms.append(r)
             dirs.append(w_dir.copy())
-        dt = step if stepping == "fixed" else step / max(loss_val, 1e-300)
+        dt = step / max(loss_val, 1e-300)
         r += dt * r_dot
         w_dir = w_dir + dt * tangent
         norm = float(np.sqrt(w_dir @ w_dir))

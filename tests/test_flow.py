@@ -696,6 +696,17 @@ class TestPerturbationProtocol:
                                  mode="odd")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("repetitions", 2.5), ("repetitions", True), ("repetitions", 0),
+    ("interval", 10.0), ("interval", "10"), ("interval", False),
+])
+def test_protocol_counts_must_be_integers(field, value):
+    # the schedule iterates over both counts, so a fraction is refused
+    counts = {"interval": 10, "repetitions": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+        PerturbationProtocol(noise_std=0.1, **counts)
+
+
 class TestStackedProtocol:
     """R protocol runs stacked on a member axis are bitwise R separate
     perturb_and_reconverge calls: rows, flags, kinks, time and final
@@ -851,9 +862,6 @@ class TestNormalizedFlow:
         state = normalized_state_from_net(net, step=0.1)
         with pytest.raises(ValueError, match="rho"):
             NormalizedFlowState(unit_net=state.unit_net, rhos=(1.0,), step=0.1)
-        with pytest.raises(ValueError, match="lambda"):
-            NormalizedFlowState(unit_net=state.unit_net, rhos=state.rhos,
-                                step=0.1, lambda_mode="fixed")
 
 
 class TestDirectionFlow:
