@@ -21,7 +21,8 @@ import sys
 
 import numpy as np
 
-from .experiments import ExperimentConfig, _write_json, run_scenario
+from .experiments import (ExperimentConfig, _check_param, _write_json,
+                          run_scenario)
 from .flow import FlowState, StopRule, run_flow, write_trace_csv
 from .losses import LOSS_KINDS, Dataset
 from .network import DeepNet, random_net
@@ -113,23 +114,6 @@ def _check_keys(obj, allowed, prefix=""):
             raise CliError(f"{prefix}{key}: unknown key")
 
 
-def _number(value, name, integer=False):
-    """A JSON number as a float, or with integer=True a JSON integer (5,
-    not 5.0) as an int; else a CliError naming the field."""
-    if (isinstance(value, bool)
-            or not isinstance(value, int if integer else (int, float))):
-        kind = "an integer" if integer else "a number"
-        raise CliError(f"{name}: must be {kind}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def _numbers(values, name, integer=False) -> tuple:
-    if not isinstance(values, list):
-        raise CliError(f"{name}: must be a list, got {values!r}")
-    return tuple(_number(v, f"{name}[{i}]", integer)
-                 for i, v in enumerate(values))
-
-
 def _run_header(command, body, seed) -> str:
     digest = hashlib.sha256(
         json.dumps({"command": command, "config": body, "seed": seed},
@@ -171,17 +155,15 @@ def _net_from(body, seed) -> DeepNet:
         if kwargs["activation"] != "polynomial":
             raise CliError("net.coefficients: only for the polynomial "
                            f"activation, not {kwargs['activation']!r}")
-        kwargs["coefficients"] = _numbers(obj["coefficients"],
-                                          "net.coefficients")
+        kwargs["coefficients"] = _check_param(
+            "net.coefficients", obj["coefficients"], (0.0,))
     if "epsilon" in obj:
-        kwargs["epsilon"] = _number(obj["epsilon"], "net.epsilon")
+        kwargs["epsilon"] = _check_param("net.epsilon", obj["epsilon"], 0.0)
     if "top_linear" in obj:
-        if not isinstance(obj["top_linear"], bool):
-            raise CliError("net.top_linear: must be a boolean, got "
-                           f"{obj['top_linear']!r}")
-        kwargs["top_linear"] = obj["top_linear"]
-    dims = _numbers(obj.get("dims", []), "net.dims", integer=True)
-    scale = _number(obj.get("scale", 1.0), "net.scale")
+        kwargs["top_linear"] = _check_param("net.top_linear",
+                                            obj["top_linear"], False)
+    dims = _check_param("net.dims", obj.get("dims", []), (0,))
+    scale = _check_param("net.scale", obj.get("scale", 1.0), 0.0)
     try:
         if "layers" in obj:
             layers = tuple(
@@ -211,7 +193,8 @@ def _stop_rule(body) -> StopRule:
     if not obj:
         raise CliError("stop: at least one bound required")
     bounds = {key: None if value is None
-              else _number(value, f"stop.{key}", key == "max_steps")
+              else _check_param(f"stop.{key}", value,
+                                0 if key == "max_steps" else 0.0)
               for key, value in obj.items()}
     try:
         return StopRule(**bounds)
@@ -231,10 +214,10 @@ def _cmd_flow(args, body, seed) -> int:
     net = _net_from(body, seed)
     if "step" not in body:
         raise CliError("step: required")
-    step = _number(body["step"], "step")
-    lambdas = _numbers(body.get("lambdas", []), "lambdas")
-    sample_every = _number(body.get("sample_every", 100), "sample_every",
-                           integer=True)
+    step = _check_param("step", body["step"], 0.0)
+    lambdas = _check_param("lambdas", body.get("lambdas", []), (0.0,))
+    sample_every = _check_param("sample_every", body.get("sample_every", 100),
+                                0)
     kind, stop = _loss_kind(body), _stop_rule(body)
     try:
         state = FlowState(net=net, step=step, lambdas=lambdas, rng_seed=seed)
@@ -260,11 +243,11 @@ def _cmd_spectrum(args, body, seed) -> int:
     header = _run_header("spectrum", body, seed)
     data = _dataset_from(body)
     net = _net_from(body, seed)
-    lambdas = _numbers(body.get("lambdas", []), "lambdas")
+    lambdas = _check_param("lambdas", body.get("lambdas", []), (0.0,))
     convention = body.get("convention", "loss")
     if convention not in ("loss", "flow"):
         raise CliError(f"convention: must be loss or flow, got {convention!r}")
-    tol = _number(body.get("tol", 1e-8), "tol")
+    tol = _check_param("tol", body.get("tol", 1e-8), 0.0)
     try:
         h_mat = hessian(_loss_kind(body), net, data, lambdas=lambdas)
         if convention == "loss":

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import (
+    RECONVERGE_TOL,
     FlowState,
     LinearSquareGD,
     PerturbationProtocol,
@@ -43,26 +44,34 @@ MAX_EXCLUSION_RATE = 0.10
 # params that may also be null: no time budget, only the step budget
 NULLABLE_PARAMS = ("max_time",)
 
+# The predicates' acceptance thresholds. They are fixed here, not scenario
+# params, so that no config can turn a failing run into a pass; the sine's
+# re-convergence tolerance is flow.RECONVERGE_TOL.
+FLAT_TOL = 1e-4  # sine control: relative norm drift after the halfway mark
+INTERP_TOL = 1e-8  # sweep: training SSE at which a fit interpolates
+CONDITION_FLAG_THRESHOLD = 1e8  # sweep: condition number flagged ill
+TREND_SLOPE_TOL = 1e-4  # toy deepnet: test-risk fall per cycle allowed
+CONTROL_GROWTH_FACTOR = 2.0  # toy deepnet: perturbed over control growth
+SLOPE_BAND = (0.95, 1.05)  # growth: depth-1 slope of rho against log t
+LI_REL_TOL = 1e-3  # growth: depth-2 relative gap to the li closed form
+COSINE_TARGET = 0.999  # direction: cosine to the oracle and pairwise
+SQUARE_TOL = 1e-6  # direction: square-loss gap to its limit point
+
 SCENARIO_DEFAULTS = {
     "sine_polynomial_perturbation": {
         "n_train": 9,
         "n_test": 100,
         "degree": 39,
         "frequency": 4.0,
+        # per sample: the summed loss steps by step / n_train
         "step": 0.2,
-        # the step above is quoted per-sample; False applies it to the
-        # summed loss unscaled
-        "mean_loss_step": True,
         "interval": 120_000,
         "noise_std": 0.45,
-        "per_coordinate": True,
         "total_steps": 10_000_000,
         "stop_fraction": 0.5,
         "repetitions": 29,
         "perturb": True,
         "init_scale": 0.0,
-        "reconverge_tol": 1e-6,
-        "flat_tol": 1e-4,
     },
     "min_norm_degree_sweep": {
         "min_degree": 1,
@@ -70,9 +79,6 @@ SCENARIO_DEFAULTS = {
         "n_train": 76,
         "n_test": 600,
         "frequency": 4.0,
-        "interp_tol": 1e-8,
-        "condition_flag_threshold": 1e8,
-        "repetitions": 1,
     },
     "toy_deepnet_perturbation": {
         "dims": (2, 64, 1),
@@ -90,8 +96,6 @@ SCENARIO_DEFAULTS = {
         "noise_rel_std": 0.25,
         "repetitions": 16,
         "control_repetitions": 4,
-        "trend_slope_tol": 1e-4,
-        "control_growth_factor": 2.0,
     },
     "growth_asymptotics": {
         "ks": (1, 2, 4),
@@ -103,10 +107,7 @@ SCENARIO_DEFAULTS = {
         "grid_points": 61,
         "slope_window": (1e3, 1e5),
         "slope_points": 21,
-        "slope_band": (0.95, 1.05),
         "closed_form_points": 9,
-        "li_rel_tol": 1e-3,
-        "repetitions": 1,
     },
     "convergence_direction_study": {
         "n_datasets": 10,
@@ -122,14 +123,11 @@ SCENARIO_DEFAULTS = {
         # at cosine 0.9969 after 40k steps)
         "max_time": 1e150,
         "max_steps": 120_000,
-        "cosine_target": 0.999,
         "square_samples": 4,
         "square_dim": 8,
         "square_step": 0.02,
         "square_steps": 200_000,
-        "square_tol": 1e-6,
         "max_regenerations": 50,
-        "repetitions": 1,
     },
 }
 
@@ -193,15 +191,15 @@ class ExperimentConfig:
 
 
 def _check_param(name, value, default):
-    """value has default's type: a bool for a bool, an integer for an
-    integer count, any number for a float, a string for a string, and a
-    list (or tuple) of such entries for a tuple."""
+    """value as default's type, refused by name unless it has that type: a
+    bool for a bool, an integer for an integer count, any number (made a
+    float) for a float, a string for a string, and a list (or tuple) of
+    such entries (made a tuple) for a tuple."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name}: must be a list, got {value!r}")
-        for i, entry in enumerate(value):
-            _check_param(f"{name}[{i}]", entry, default[0])
-        return
+        return tuple(_check_param(f"{name}[{i}]", entry, default[0])
+                     for i, entry in enumerate(value))
     if isinstance(default, bool):
         ok, kind = isinstance(value, (bool, np.bool_)), "true or false"
     elif isinstance(default, str):
@@ -214,6 +212,7 @@ def _check_param(name, value, default):
         kind = "a number" if isinstance(default, float) else "an integer"
     if not ok:
         raise ValueError(f"{name}: must be {kind}, got {value!r}")
+    return type(default)(value)
 
 
 @dataclass
@@ -340,7 +339,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     x = chebyshev_nodes(p["n_train"])
     y = _sine_target(x, p["frequency"])
     design = _monomials(x, p["degree"])
-    step = p["step"] / p["n_train"] if p["mean_loss_step"] else p["step"]
+    step = p["step"] / p["n_train"]
     gd = LinearSquareGD(design, y, step)
     if not gd.stable:
         notes.append(f"step {step:.4g} exceeds the GD stability limit")
@@ -363,7 +362,6 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     sigma = float(p["noise_std"])
     dim = design.shape[1]
     reps = int(p["repetitions"])
-    tol = float(p["reconverge_tol"])
 
     traces, included = [], []
     trace_paths = []
@@ -386,7 +384,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             test_mse = float(((test_design @ w - y_test) ** 2).mean())
             null_norm = float(np.sqrt(((null_basis.T @ w) ** 2).sum()))
             flag = ""
-            if p["perturb"] and mse > tol:
+            if p["perturb"] and mse > RECONVERGE_TOL:
                 flag = "not_reconverged"
                 bad = True
             trace.times.append(done * step)
@@ -399,14 +397,10 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             trace.perturbation_counts.append(pert_count)
             trace.row_flags.append(flag)
             if p["perturb"] and cp < stop_after and cp < total:
-                if p["per_coordinate"]:
-                    w = w + rng.normal(0.0, sigma, size=dim)
-                else:
-                    draw = rng.normal(size=dim)
-                    w = w + draw * (sigma / np.sqrt(draw @ draw))
+                w = w + rng.normal(0.0, sigma, size=dim)
                 pert_count += 1
         if not p["perturb"]:
-            bad = trace.train_errors[-1] > tol
+            bad = trace.train_errors[-1] > RECONVERGE_TOL
             if bad:
                 trace.row_flags[-1] = "not_converged"
         trace.converged = not bad
@@ -443,10 +437,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             # each event adds an independent Gaussian whose null component
             # re-convergence cannot touch, so null energy performs a
             # random walk with E = m * sigma^2 * null_dim
-            per_event = sigma**2 * (
-                null_dim if p["per_coordinate"] else null_dim / dim
-            )
-            prediction = counts * per_event
+            prediction = counts * (sigma**2 * null_dim)
             aggregates["null_sq_prediction"] = prediction
             final_m = int(counts[-1])
             obs = float(nulls2.mean(axis=0)[-1])
@@ -454,7 +445,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             aggregates["final_null_sq_observed"] = obs
             aggregates["final_null_sq_predicted"] = pred
             predicates["train_reconverges_every_cycle"] = bool(
-                (train <= tol).all()
+                (train <= RECONVERGE_TOL).all()
             )
             # through the first checkpoint after the last event; later rows
             # shed residual row-space noise and may dip by rounding-scale
@@ -472,11 +463,9 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             rel = abs(mean_norm[-1] - mean_norm[half]) / (1.0 + mean_norm[-1])
             aggregates["norm_drift_after_halfway"] = float(rel)
             predicates["train_converges"] = bool(
-                (train[:, -1] <= tol).all()
+                (train[:, -1] <= RECONVERGE_TOL).all()
             )
-            predicates["norms_flat_after_convergence"] = bool(
-                rel <= p["flat_tol"]
-            )
+            predicates["norms_flat_after_convergence"] = bool(rel <= FLAT_TOL)
         cols = [
             "checkpoint",
             "time",
@@ -500,8 +489,6 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
         ]
         _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
                    rows)
-    else:
-        predicates["exclusions_ok"] = False
 
     return _finish_report(config, reps, excluded, predicates, aggregates,
                           trace_paths, notes)
@@ -545,7 +532,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
         w_ld = w.astype(np.longdouble)
         train_sse = float(((v_ld @ w_ld - y) ** 2).sum())
         test_mse = float(((vt_ld @ w_ld - y_test) ** 2).mean())
-        flag = "ill_conditioned" if cond >= p["condition_flag_threshold"] else ""
+        flag = "ill_conditioned" if cond >= CONDITION_FLAG_THRESHOLD else ""
         rows.append(
             [deg, train_sse, test_mse, float(np.sqrt(w @ w)), cond, flag]
         )
@@ -553,8 +540,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     solved = [r for r in rows if r[1] is not None]
     excluded = len(rows) - len(solved)
     by_degree = {r[0]: r for r in solved}
-    tol = float(p["interp_tol"])
-    interp_degrees = [r[0] for r in solved if r[1] <= tol]
+    interp_degrees = [r[0] for r in solved if r[1] <= INTERP_TOL]
     # the analytic target lets plain approximation cross the tolerance
     # well before rank forces interpolation, so the first crossing is
     # informative only; the load-bearing claim is that everything from
@@ -574,9 +560,9 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
             and by_degree[1][2] >= 0.1
         ),
         "interpolates_from_n_train": bool(high)
-        and all(r[1] <= tol for r in high),
+        and all(r[1] <= INTERP_TOL for r in high),
         "interpolates_from_threshold": bool(at_threshold)
-        and all(r[1] <= tol for r in at_threshold),
+        and all(r[1] <= INTERP_TOL for r in at_threshold),
         "test_rises_at_max_degree": (
             max_deg in by_degree
             and bool(intermediate)
@@ -606,8 +592,8 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
         ["degree", "train_sse", "test_mse", "norm", "condition", "flag"],
         rows,
     )
-    return _finish_report(config, 1, excluded, predicates, aggregates,
-                          trace_paths, notes)
+    return _finish_report(config, len(degrees), excluded, predicates,
+                          aggregates, trace_paths, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +685,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
             (inc > 0.0).all()
         )
         predicates["test_risk_trend_nondecreasing"] = bool(
-            slope >= -p["trend_slope_tol"]
+            slope >= -TREND_SLOPE_TOL
             and mean_test[-1] >= mean_test[0] - 1e-12
         )
         aggregates.update(
@@ -729,7 +715,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         aggregates["perturbed_growth"] = pert_growth
         predicates["control_grows_slowly"] = bool(
             (ctrl >= -1e-9).all()
-            and (pert_growth >= p["control_growth_factor"]
+            and (pert_growth >= CONTROL_GROWTH_FACTOR
                  * np.maximum(ctrl, 0.0)).all()
         )
         cols = ["cycle"] + [
@@ -742,8 +728,6 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         ]
         _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
                    rows)
-    else:
-        predicates["exclusions_ok"] = False
 
     return _finish_report(config, reps, excluded, predicates, aggregates,
                           trace_paths, notes)
@@ -806,7 +790,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
 
     if 1 in ks:
         slope = float(np.polyfit(np.log(extra[1]), at_extra[1], 1)[0])
-        lo, hi = p["slope_band"]
+        lo, hi = SLOPE_BAND
         predicates["k1_slope_in_band"] = lo <= slope <= hi
         aggregates["k1_slope"] = slope
 
@@ -817,7 +801,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
             rel.append(abs(float(num) - ref) / max(abs(ref), 1e-300))
         worst = float(np.max(rel))  # a NaN propagates, unlike max()
         aggregates["k2_closed_form_max_rel_err"] = worst
-        predicates["k2_matches_closed_form"] = worst <= p["li_rel_tol"]
+        predicates["k2_matches_closed_form"] = worst <= LI_REL_TOL
 
     deep = [k for k in ks if k >= 2]
     tail = t_grid > np.e
@@ -846,7 +830,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
             curves[hi_k][-1] ** hi_k
         ) > float(curves[lo_k][-1] ** lo_k)
 
-    return _finish_report(config, 1, len(bad), predicates, aggregates,
+    return _finish_report(config, len(ks), len(bad), predicates, aggregates,
                           trace_paths, notes)
 
 
@@ -897,7 +881,6 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     """
     p = config.resolved()
     notes = []
-    target = float(p["cosine_target"])
     n_datasets, n_inits = int(p["n_datasets"]), int(p["n_inits"])
     drawn = [_separable_dataset(config, p, ds, notes)
              for ds in range(n_datasets)]
@@ -980,10 +963,10 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     gap_null = float(np.abs(w_null - (w_min + c)).max())
 
     predicates = {
-        "all_inits_match_oracle": min_oracle >= target,
-        "pairwise_directions_agree": min_pair >= target,
-        "square_zero_init_matches_min_norm": gap_zero <= p["square_tol"],
-        "square_null_component_preserved": gap_null <= p["square_tol"],
+        "all_inits_match_oracle": min_oracle >= COSINE_TARGET,
+        "pairwise_directions_agree": min_pair >= COSINE_TARGET,
+        "square_zero_init_matches_min_norm": gap_zero <= SQUARE_TOL,
+        "square_null_component_preserved": gap_null <= SQUARE_TOL,
         "exclusions_ok": excluded <= MAX_EXCLUSION_RATE * n_datasets,
     }
     aggregates = {
@@ -1005,8 +988,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
             for d in per_dataset
         ],
     )
-    return _finish_report(config, n_datasets, excluded, predicates,
-                          aggregates, trace_paths, notes)
+    return _finish_report(config, len(outs) + len(squares), excluded,
+                          predicates, aggregates, trace_paths, notes)
 
 
 SCENARIO_RUNNERS = {

@@ -467,9 +467,9 @@ class TestScenarios:
         assert lines[1] == "t,log_t,rho,product"
 
     def test_predicate_failure_exit_2(self, tmp_path, capsys):
+        # ten steps per cycle are too few to re-converge
         cfg = _write(tmp_path / "hard.json", {
-            "repetitions": 3, "total_steps": 480_000,
-            "reconverge_tol": 1e-30,
+            "repetitions": 3, "total_steps": 40, "interval": 10,
         })
         assert main(["perturb", "--config", cfg,
                      "--output-dir", str(tmp_path / "out")]) == 2
@@ -485,7 +485,7 @@ class TestScenarios:
         ({"n_train": "9"}, "params.n_train: must be an integer, got '9'"),
         ({"n_train": 9.0}, "params.n_train: must be an integer, got 9.0"),
         ({"frequency": True}, "params.frequency: must be a number, got True"),
-        ({"interp_tol": None}, "params.interp_tol: must be a number, got None"),
+        ({"frequency": None}, "params.frequency: must be a number, got None"),
     ])
     def test_param_of_wrong_type_exit_1(self, tmp_path, capsys, params,
                                         message):
@@ -495,6 +495,40 @@ class TestScenarios:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, scenario, key", [
+        ("perturb", "sine_polynomial_perturbation", "reconverge_tol"),
+        ("perturb", "sine_polynomial_perturbation", "flat_tol"),
+        ("sweep", "min_norm_degree_sweep", "interp_tol"),
+        ("sweep", "min_norm_degree_sweep", "condition_flag_threshold"),
+        ("perturb", "toy_deepnet_perturbation", "trend_slope_tol"),
+        ("perturb", "toy_deepnet_perturbation", "control_growth_factor"),
+        ("growth", "growth_asymptotics", "slope_band"),
+        ("growth", "growth_asymptotics", "li_rel_tol"),
+        ("direction", "convergence_direction_study", "cosine_target"),
+        ("direction", "convergence_direction_study", "square_tol"),
+    ])
+    def test_predicate_threshold_is_no_param(self, tmp_path, capsys,
+                                             command, scenario, key):
+        # thresholds are fixed, so no config can turn a fail into a pass
+        body = {"variant": "deepnet"} if scenario.startswith("toy") else {}
+        cfg = _write(tmp_path / "cfg.json", {**body, key: 0.5})
+        assert main([command, "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: params.{key}: unknown parameter for {scenario}\n")
+
+    def test_short_direction_run_fails_whatever_the_config(self, tmp_path,
+                                                           capsys):
+        # ten steps leave the directions far from the margin oracle
+        short = {"max_steps": 10, "max_time": None}
+        argv = ["direction", "--output-dir", str(tmp_path / "out"),
+                "--config"]
+        cfg = _write(tmp_path / "short.json", short)
+        assert main(argv + [cfg]) == 2
+        cfg = _write(tmp_path / "lax.json", {**short, "cosine_target": -1.0})
+        assert main(argv + [cfg]) == 1
+        assert "params.cosine_target" in capsys.readouterr().err
 
     @pytest.mark.parametrize("center, code, message", [
         ([1.0, 0.7], 0, ""),

@@ -38,7 +38,7 @@ class TestExperimentConfig:
 
     def test_repetitions_floor(self):
         with pytest.raises(ValueError, match="params.repetitions"):
-            ExperimentConfig(scenario="min_norm_degree_sweep",
+            ExperimentConfig(scenario="sine_polynomial_perturbation",
                              params={"repetitions": 0})
 
     def test_seed_must_be_integer(self):
@@ -164,10 +164,10 @@ class TestSinePerturbation:
             assert first.startswith(f"# {cfg.header()}")
 
     def test_impossible_tolerance_excludes_everything(self):
+        # ten steps per cycle are too few to re-converge
         cfg = ExperimentConfig(
             scenario="sine_polynomial_perturbation", seed=0,
-            params={"repetitions": 3, "total_steps": 480_000,
-                    "reconverge_tol": 1e-30},
+            params={"repetitions": 3, "total_steps": 40, "interval": 10},
         )
         report = run_scenario(cfg)
         assert report.excluded == 3
@@ -389,6 +389,52 @@ class TestDirectionStudy:
                 scenario="convergence_direction_study", params=params))
             assert report.excluded == count
             assert report.predicates["exclusions_ok"] is ok
+
+
+# one small config per scenario, with the count of units it excludes from
+SMALL_RUNS = {
+    "sine_polynomial_perturbation": (
+        {"repetitions": 2, "total_steps": 480_000}, 2),
+    "min_norm_degree_sweep": ({"max_degree": 20}, 20),
+    "toy_deepnet_perturbation": (
+        {"repetitions": 1, "control_repetitions": 1, "cycles": 1,
+         "interval": 100, "pretrain_steps": 1000, "blob_std": 0.25}, 1),
+    "growth_asymptotics": (
+        {"grid_points": 7, "slope_points": 3, "closed_form_points": 2}, 3),
+    "convergence_direction_study": (
+        {"n_datasets": 1, "n_inits": 2, "blob_std": 0.1, "max_time": None,
+         "max_steps": 100, "square_samples": 2, "square_dim": 16}, 4),
+}
+
+
+class _ReadRecorder(dict):
+    def __init__(self, body, reads):
+        super().__init__(body)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_RUNS))
+def test_every_default_is_read(monkeypatch, scenario):
+    # a scenario param that the runner never reads sets nothing
+    reads = set()
+    real = ExperimentConfig.resolved
+    monkeypatch.setattr(ExperimentConfig, "resolved",
+                        lambda self: _ReadRecorder(real(self), reads))
+    run_scenario(ExperimentConfig(scenario=scenario,
+                                  params=SMALL_RUNS[scenario][0]))
+    assert sorted(set(SCENARIO_DEFAULTS[scenario]) - reads) == []
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_RUNS))
+def test_repetitions_is_the_count_excluded_is_taken_from(scenario):
+    # repetitions, degrees, depths, and exponential plus two square flows
+    params, units = SMALL_RUNS[scenario]
+    report = run_scenario(ExperimentConfig(scenario=scenario, params=params))
+    assert report.repetitions == units
 
 
 class TestByteDeterminism:
