@@ -30,7 +30,7 @@ from .flow import (
     stacked_flow_step,
     stacked_perturb_and_reconverge,
 )
-from .linalg import extended_min_norm
+from .linalg import RANK_DEFICIENT, extended_min_norm_path
 from .losses import Dataset, classification_error
 from .network import DeepNet, random_net
 from .oracles import (
@@ -43,6 +43,11 @@ from .oracles import (
 MAX_EXCLUSION_RATE = 0.10
 # params that may also be null: no time budget, only the step budget
 NULLABLE_PARAMS = ("max_time",)
+# integer params are counts, at least 1; polynomial degrees may be 0
+DEGREE_PARAMS = ("degree", "min_degree")
+# (low, high) pairs of params with low <= high
+ORDERED_PARAMS = (("min_degree", "max_degree"),
+                  ("control_repetitions", "repetitions"))
 
 # The predicates' acceptance thresholds. They are fixed here, not scenario
 # params, so that no config can turn a failing run into a pass; the sine's
@@ -138,7 +143,8 @@ class ExperimentConfig:
 
     Unknown parameter keys are rejected by name so a typo in a config
     file fails loudly instead of silently running defaults, and so is a
-    value of another type than its default's.
+    value of another type than its default's, an integer count below 1 (a
+    degree below 0), and a pair of ORDERED_PARAMS out of order.
     """
 
     scenario: str
@@ -165,9 +171,20 @@ class ExperimentConfig:
             if not (value is None and key in NULLABLE_PARAMS):
                 _check_param(f"params.{key}", value, defaults[key])
         merged = {**defaults, **self.params}
-        reps = merged.get("repetitions", 1)
-        if reps < 1:  # an integer: _check_param saw to it
-            raise ValueError(f"params.repetitions: must be >= 1, got {reps!r}")
+        for key, value in merged.items():
+            default = defaults[key]
+            if isinstance(default, int) and not isinstance(default, bool):
+                floor = 0 if key in DEGREE_PARAMS else 1
+                if value < floor:  # an integer: _check_param saw to it
+                    raise ValueError(
+                        f"params.{key}: must be >= {floor}, got {value!r}"
+                    )
+        for low, high in ORDERED_PARAMS:
+            if {low, high} <= merged.keys() and merged[high] < merged[low]:
+                raise ValueError(
+                    f"params.{high}: must be >= params.{low} "
+                    f"({merged[low]!r}), got {merged[high]!r}"
+                )
 
     def resolved(self) -> dict:
         return {**SCENARIO_DEFAULTS[self.scenario], **self.params}
@@ -504,8 +521,9 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     Underfits at low degree, interpolates from degree n_train - 1 on, and
     overfits again at the top of the range. Monomial features make the
     solve catastrophically ill-conditioned past a few dozen degrees, so
-    each entry routes through the extended-precision solver and carries a
-    conditioning flag; residuals are accumulated in long double because
+    every degree is read off one extended-precision path solve and carries
+    a conditioning flag; a degree the path refuses as rank deficient is an
+    exclusion. Residuals are accumulated in long double because
     coefficients ~1e10 shred float64 evaluation.
     """
     p = config.resolved()
@@ -514,24 +532,24 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     y = _sine_target(x, p["frequency"])
     x_test = np.linspace(-1.0, 1.0, p["n_test"])
     y_test = _sine_target(x_test, p["frequency"])
-    x_ld = x.astype(np.longdouble)
-    xt_ld = x_test.astype(np.longdouble)
-    degrees = list(range(int(p["min_degree"]), int(p["max_degree"]) + 1))
+    min_deg, max_deg = int(p["min_degree"]), int(p["max_degree"])
+    degrees = range(min_deg, max_deg + 1)
+    # long-double features at every degree: column slices of these
+    v_ld = np.vander(x.astype(np.longdouble), max_deg + 1, increasing=True)
+    vt_ld = np.vander(x_test.astype(np.longdouble), max_deg + 1,
+                      increasing=True)
+    fits = extended_min_norm_path(_monomials(x, max_deg), y, min_deg + 1)
 
     rows = []
-    for deg in degrees:
-        design = _monomials(x, deg)
-        try:
-            w, cond = extended_min_norm(design, y, return_condition=True)
-        except ValueError as err:
-            notes.append(f"degree {deg}: {err}")
+    for deg, solved in zip(degrees, fits):
+        if solved is None:
+            notes.append(f"degree {deg}: {RANK_DEFICIENT}")
             rows.append([deg, None, None, None, None, "rank_deficient"])
             continue
-        v_ld = np.vander(x_ld, deg + 1, increasing=True)
-        vt_ld = np.vander(xt_ld, deg + 1, increasing=True)
+        w, cond = solved
         w_ld = w.astype(np.longdouble)
-        train_sse = float(((v_ld @ w_ld - y) ** 2).sum())
-        test_mse = float(((vt_ld @ w_ld - y_test) ** 2).mean())
+        train_sse = float(((v_ld[:, :deg + 1] @ w_ld - y) ** 2).sum())
+        test_mse = float(((vt_ld[:, :deg + 1] @ w_ld - y_test) ** 2).mean())
         flag = "ill_conditioned" if cond >= CONDITION_FLAG_THRESHOLD else ""
         rows.append(
             [deg, train_sse, test_mse, float(np.sqrt(w @ w)), cond, flag]
@@ -546,7 +564,6 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     # informative only; the load-bearing claim is that everything from
     # the structural threshold n_train - 1 upward sits at the tolerance
     first_crossing = min(interp_degrees) if interp_degrees else None
-    max_deg = int(p["max_degree"])
     high = [r for r in solved if r[0] >= p["n_train"]]
     at_threshold = [r for r in solved if r[0] >= p["n_train"] - 1]
     intermediate = [

@@ -5,7 +5,14 @@ a fixed contract: a symmetry check, descending eigenvalues with stable
 ties, and a sign convention on the eigenvectors, so that every caller
 sees deterministic output. ``gram_solve`` alone applies the rank cutoff;
 every minimum-norm solution and null basis in the package comes from it.
-The long-double Householder QR is written out here.
+
+The long-double least-squares path is written out here as well, for
+designs too ill-conditioned for the Gram route. ``extended_min_norm_path``
+solves every leading-column width of X from two factorizations: one
+Householder QR of the columns, whose prefixes serve every tall width, and
+one QR of the square X^T, which each wider width updates by appending a
+row with Givens rotations. Every width gets the same condition estimate
+and the same rank refusal. ``extended_min_norm`` is its one-width case.
 
 A cyclic-Jacobi eigensolver in ``tests/`` is the independent oracle for
 ``symmetric_eig``: it shares no code with LAPACK, and Jacobi keeps high
@@ -27,6 +34,8 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 # Gram eigenvalues at or below RANK_CUTOFF * largest are exact zeros
 RANK_CUTOFF = 1e-12
+# the long-double path's refusal of a rank-deficient width
+RANK_DEFICIENT = "X is rank deficient; use min_norm_least_squares"
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -128,8 +137,8 @@ def min_norm_least_squares(x_mat, y) -> np.ndarray:
 def _householder_qr(a):
     """In-place Householder QR. Returns (reflectors, R) with R stored in a.
 
-    Each reflector is (start_row, v, ||v||^2); Q is applied through them,
-    never formed. Works on whatever float dtype a carries.
+    Each reflector is (start_row, v, ||v||^2); Q is applied or formed
+    through them. Works on whatever float dtype a carries.
     """
     m, n = a.shape
     reflectors = []
@@ -147,57 +156,147 @@ def _householder_qr(a):
     return reflectors, a
 
 
-def extended_min_norm(x_mat, y, return_condition: bool = False):
-    """Least-squares solve of X w = y by Householder QR in long double.
+def _pivot_condition(diag):
+    """max|R_ii| / min|R_ii| of the pivot magnitudes in diag, a cheap
+    estimate of cond(X); None when the factorization itself lost a column.
+
+    A pivot at long-double rounding level of the largest marks that loss;
+    monomial designs bottom out ~1e3 above this floor.
+    """
+    floor = 8.0 * np.finfo(np.longdouble).eps * diag.max()
+    if not np.all(np.isfinite(diag)) or diag.min() <= floor:
+        return None
+    return float(diag.max() / diag.min())
+
+
+def _tall_path(x_mat, y, first):
+    """Least-squares solves for the widths first..p of an n x p x_mat, p < n.
+
+    One column QR serves every width: a width's reflectors, its leading
+    block of R and the leading entries of Q^T y are the first ones of the
+    full factorization, bit for bit.
+    """
+    reflectors, r = _householder_qr(x_mat.astype(np.longdouble))
+    b = y.astype(np.longdouble)
+    for start, v, vn2 in reflectors:
+        if vn2 > 0:
+            b[start:] -= v * ((2.0 / vn2) * (v @ b[start:]))
+    diag = np.abs(np.diagonal(r))
+    out = []
+    for p in range(first, r.shape[1] + 1):
+        cond = _pivot_condition(diag[:p])
+        if cond is None:
+            out.append(None)
+            continue
+        # back-substitute R w = (Q^T y)[:p]
+        w = np.zeros(p, dtype=np.longdouble)
+        for i in range(p - 1, -1, -1):
+            w[i] = (b[i] - r[i, i + 1:p] @ w[i + 1:]) / r[i, i]
+        out.append((np.asarray(w, dtype=float), cond))
+    return out
+
+
+def _wide_path(x_mat, y, first):
+    """Minimum-norm solves for the widths first..d >= n of an n x d x_mat.
+
+    One Householder QR of the square X[:, :n]^T, with its Q formed; each
+    further column of X is then appended to X^T as a row and rotated into
+    R by n Givens rotations, which are applied to Q's columns too (Golub &
+    Van Loan, Matrix Computations, 6.5). Then w = Q R^-T y.
+    """
+    n, d = x_mat.shape
+    reflectors, r = _householder_qr(x_mat[:, :n].T.astype(np.longdouble))
+    # rows 0..n-1: R, and Q^T (a row per column of Q, a column per row of
+    # X^T); row n: the row being appended, and its unit vector
+    ru = np.zeros((n + 1, n), dtype=np.longdouble)
+    ru[:n] = r
+    qt = np.zeros((n + 1, d), dtype=np.longdouble)
+    qt[:n, :n] = np.eye(n)
+    for start, v, vn2 in reflectors:
+        if vn2 > 0:
+            blk = qt[start:n, :n]
+            blk -= np.outer(v, (2.0 / vn2) * (v @ blk))
+    b = y.astype(np.longdouble)
+    rot = np.empty((2, 2), dtype=np.longdouble)
+    out = []
+    for p in range(n, d + 1):
+        if p > n:
+            ru[n] = x_mat[:, p - 1]
+            qt[n] = 0.0
+            qt[n, p - 1] = 1.0
+            for k in range(n):
+                pivot, entry = ru[k, k], ru[n, k]
+                if entry == 0.0:
+                    continue
+                h = np.hypot(pivot, entry)
+                rot[0, 0] = rot[1, 1] = pivot / h
+                rot[0, 1] = entry / h
+                rot[1, 0] = -rot[0, 1]
+                # rows k and n: a view, rotated in place
+                blk = ru[k::n - k, k:]
+                blk[...] = rot @ blk
+                blk = qt[k::n - k, :p]
+                blk[...] = rot @ blk
+        if p < first:
+            continue
+        cond = _pivot_condition(np.abs(np.diagonal(ru)))
+        if cond is None:
+            out.append(None)
+            continue
+        # solve R^T z = y, then w = Q z
+        z = np.zeros(n, dtype=np.longdouble)
+        for i in range(n):
+            z[i] = (b[i] - ru[:i, i] @ z[:i]) / ru[i, i]
+        out.append((np.asarray(z @ qt[:n, :p], dtype=float), cond))
+    return out
+
+
+def extended_min_norm_path(x_mat, y, first_width: int = 1) -> list:
+    """Least-squares solves of X[:, :p] w = y by QR in long double, for
+    every leading-column width p from first_width to X's column count.
 
     The Gram route above squares the condition number of X, which a
     monomial design matrix past a few dozen columns cannot survive in
     float64. Factoring X itself in 80-bit precision keeps interpolation
-    residuals near float rounding up to cond(X) ~ 1e16. Wide systems get
-    the minimum-norm interpolant, tall ones the unique least-squares
-    solution; no rank cutoff is applied, so a genuinely rank-deficient X
-    raises instead of silently truncating.
+    residuals near float rounding up to cond(X) ~ 1e16. Wide widths
+    (p >= n) get the minimum-norm interpolant, tall ones the unique
+    least-squares solution. The whole path costs two factorizations: one
+    column QR read by every tall width, and one QR of the square X^T
+    updated by a row per further wide width.
 
-    Optionally also returns max|R_ii|/min|R_ii|, a cheap estimate of
-    cond(X) used for per-instance conditioning flags.
+    Returns one entry per width: (w, condition), where condition is
+    max|R_ii|/min|R_ii|, a cheap estimate of cond(X[:, :p]) used for
+    conditioning flags; or None, the refusal of a width whose R has a
+    pivot at long-double rounding level. No rank cutoff is applied, so a
+    rank-deficient width is refused instead of silently truncated, and a
+    refusal leaves the other widths' solves as they are.
     """
     x_mat = check_matrix(x_mat, "X")
     y = check_vector(y, "y")
     n, d = x_mat.shape
     if y.shape[0] != n:
         raise ValueError(f"y has length {y.shape[0]}, expected {n}")
-    wide = d >= n
-    a = (x_mat.T if wide else x_mat).astype(np.longdouble)
-    b = y.astype(np.longdouble)
-    reflectors, r = _householder_qr(a)
-    p = min(a.shape)
-    diag = np.abs(np.array([r[i, i] for i in range(p)], dtype=np.longdouble))
-    # pivots at long-double rounding level mean the factorization itself
-    # lost the column; monomial designs bottom out ~1e3 above this
-    floor = 8.0 * np.finfo(np.longdouble).eps * diag.max()
-    if not np.all(np.isfinite(diag)) or diag.min() <= floor:
-        raise ValueError("X is rank deficient; use min_norm_least_squares")
-    cond_est = float(diag.max() / diag.min())
-    if wide:
-        # solve R^T z = y, then w = Q [z; 0]
-        z = np.zeros(p, dtype=np.longdouble)
-        for i in range(p):
-            z[i] = (b[i] - r[:i, i] @ z[:i]) / r[i, i]
-        w = np.zeros(d, dtype=np.longdouble)
-        w[:p] = z
-        for k in range(p - 1, -1, -1):
-            start, v, vn2 = reflectors[k]
-            if vn2 > 0:
-                w[start:] -= v * ((2.0 / vn2) * (v @ w[start:]))
-    else:
-        # apply Q^T to y, then back-substitute R w = (Q^T y)[:d]
-        for start, v, vn2 in reflectors:
-            if vn2 > 0:
-                b[start:] -= v * ((2.0 / vn2) * (v @ b[start:]))
-        w = np.zeros(d, dtype=np.longdouble)
-        for i in range(d - 1, -1, -1):
-            w[i] = (b[i] - r[i, i + 1:] @ w[i + 1:]) / r[i, i]
-    w64 = np.asarray(w, dtype=float)
+    if not 1 <= first_width <= d:
+        raise ValueError(f"first_width must be in 1..{d}, got {first_width}")
+    tall = min(d, n - 1)  # widths below n are tall
+    out = []
+    if first_width <= tall:
+        out = _tall_path(x_mat[:, :tall], y, first_width)
+    if d >= n:
+        out += _wide_path(x_mat, y, max(first_width, n))
+    return out
+
+
+def extended_min_norm(x_mat, y, return_condition: bool = False):
+    """Least-squares solve of X w = y by QR in long double: the one-width
+    case of extended_min_norm_path, with its condition estimate.
+
+    Raises ValueError when X is rank deficient.
+    """
+    x_mat = check_matrix(x_mat, "X")
+    (solved,) = extended_min_norm_path(x_mat, y, x_mat.shape[1])
+    if solved is None:
+        raise ValueError(RANK_DEFICIENT)
     if return_condition:
-        return w64, cond_est
-    return w64
+        return solved
+    return solved[0]

@@ -578,3 +578,45 @@ class TestScenarios:
             name: (out / name).read_bytes() for name in os.listdir(out)
         }
         assert first == second
+
+
+class TestScenarioCounts:
+    """Counts below their floor, and out-of-order pairs, exit 1 naming the
+    param before the scenario runs."""
+
+    @pytest.mark.parametrize("command, params, message", [
+        ("perturb", {"variant": "deepnet", "control_repetitions": 0},
+         "params.control_repetitions: must be >= 1, got 0"),
+        ("perturb", {"variant": "deepnet", "cycles": 0},
+         "params.cycles: must be >= 1, got 0"),
+        ("perturb", {"variant": "deepnet", "repetitions": 2},
+         "params.repetitions: must be >= params.control_repetitions (4), "
+         "got 2"),
+        ("perturb", {"variant": "sine", "interval": 0},
+         "params.interval: must be >= 1, got 0"),
+        ("direction", {"n_inits": 0}, "params.n_inits: must be >= 1, got 0"),
+        ("direction", {"n_datasets": 0},
+         "params.n_datasets: must be >= 1, got 0"),
+        ("growth", {"grid_points": 0},
+         "params.grid_points: must be >= 1, got 0"),
+        ("sweep", {"min_degree": -1},
+         "params.min_degree: must be >= 0, got -1"),
+        ("sweep", {"min_degree": 5, "max_degree": 4},
+         "params.max_degree: must be >= params.min_degree (5), got 4"),
+    ])
+    def test_refused_by_name(self, tmp_path, capsys, command, params,
+                             message):
+        cfg = _write(tmp_path / "cfg.json", params)
+        assert main([command, "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_degree_zero_sweep_runs_without_exclusions(self, tmp_path,
+                                                       capsys):
+        cfg = _write(tmp_path / "cfg.json",
+                     {"min_degree": 0, "max_degree": 3})
+        # four underfitting degrees: the interpolation predicates fail
+        assert main(["sweep", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "(2 files, 0/4 excluded)" in capsys.readouterr().out
