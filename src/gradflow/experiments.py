@@ -27,11 +27,10 @@ from .flow import (
     _write_table,
     growth_numeric_trace,
     run_flows,
-    stacked_flow_step,
     stacked_perturb_and_reconverge,
 )
 from .linalg import RANK_DEFICIENT, extended_min_norm_path
-from .losses import Dataset, classification_error
+from .losses import Dataset
 from .network import DeepNet, random_net
 from .oracles import (
     NonSeparableError,
@@ -45,6 +44,8 @@ MAX_EXCLUSION_RATE = 0.10
 NULLABLE_PARAMS = ("max_time",)
 # integer params are counts, at least 1; polynomial degrees may be 0
 DEGREE_PARAMS = ("degree", "min_degree")
+# integer params split evenly between two classes
+EVEN_PARAMS = ("n_points",)
 # (low, high) pairs of params with low <= high
 ORDERED_PARAMS = (("min_degree", "max_degree"),
                   ("control_repetitions", "repetitions"))
@@ -144,7 +145,9 @@ class ExperimentConfig:
     Unknown parameter keys are rejected by name so a typo in a config
     file fails loudly instead of silently running defaults, and so is a
     value of another type than its default's, an integer count below 1 (a
-    degree below 0), and a pair of ORDERED_PARAMS out of order.
+    degree below 0), an odd EVEN_PARAMS count, and a pair of
+    ORDERED_PARAMS out of order. params keeps each value as its default's
+    type (see _check_param).
     """
 
     scenario: str
@@ -163,14 +166,18 @@ class ExperimentConfig:
         ):
             raise ValueError(f"seed: must be an integer, got {self.seed!r}")
         defaults = SCENARIO_DEFAULTS[self.scenario]
+        typed = {}
         for key, value in self.params.items():
             if key not in defaults:
                 raise ValueError(
                     f"params.{key}: unknown parameter for {self.scenario}"
                 )
-            if not (value is None and key in NULLABLE_PARAMS):
-                _check_param(f"params.{key}", value, defaults[key])
-        merged = {**defaults, **self.params}
+            typed[key] = (value if value is None and key in NULLABLE_PARAMS
+                          else _check_param(f"params.{key}", value,
+                                            defaults[key]))
+        # the typed values, so that 1 and 1.0 for a float are one config
+        object.__setattr__(self, "params", typed)
+        merged = {**defaults, **typed}
         for key, value in merged.items():
             default = defaults[key]
             if isinstance(default, int) and not isinstance(default, bool):
@@ -178,6 +185,10 @@ class ExperimentConfig:
                 if value < floor:  # an integer: _check_param saw to it
                     raise ValueError(
                         f"params.{key}: must be >= {floor}, got {value!r}"
+                    )
+                if key in EVEN_PARAMS and value % 2:
+                    raise ValueError(
+                        f"params.{key}: must be even, got {value!r}"
                     )
         for low, high in ORDERED_PARAMS:
             if {low, high} <= merged.keys() and merged[high] < merged[low]:
@@ -366,8 +377,8 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     null_basis = gd.null_basis
     null_dim = null_basis.shape[1]
 
-    total = int(p["total_steps"])
-    interval = int(p["interval"])
+    total = p["total_steps"]
+    interval = p["interval"]
     if p["perturb"]:
         checkpoints = list(range(interval, total, interval)) + [total]
         stop_after = int(total * p["stop_fraction"])
@@ -376,9 +387,9 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
         span = max(1, total // 10)
         checkpoints = list(range(span, total, span)) + [total]
         stop_after = 0
-    sigma = float(p["noise_std"])
+    sigma = p["noise_std"]
     dim = design.shape[1]
-    reps = int(p["repetitions"])
+    reps = p["repetitions"]
 
     traces, included = [], []
     trace_paths = []
@@ -532,7 +543,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     y = _sine_target(x, p["frequency"])
     x_test = np.linspace(-1.0, 1.0, p["n_test"])
     y_test = _sine_target(x_test, p["frequency"])
-    min_deg, max_deg = int(p["min_degree"]), int(p["max_degree"])
+    min_deg, max_deg = p["min_degree"], p["max_degree"]
     degrees = range(min_deg, max_deg + 1)
     # long-double features at every degree: column slices of these
     v_ld = np.vander(x.astype(np.longdouble), max_deg + 1, increasing=True)
@@ -644,28 +655,31 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
     refs = TraceRefs(test_data=test)
     proto = PerturbationProtocol(
         noise_std=p["noise_rel_std"],
-        interval=int(p["interval"]),
-        repetitions=int(p["cycles"]),
+        interval=p["interval"],
+        repetitions=p["cycles"],
         mode="relative",
         per_coordinate=True,
     )
-    reps = int(p["repetitions"])
+    reps = p["repetitions"]
     kind = p["loss"]
 
     # one stacked call per phase: pretrain every repetition, then run the
     # protocol on those that pretrained to zero training error
-    states = stacked_flow_step([
+    pretrain_steps = p["pretrain_steps"]
+    pretrained = run_flows([
         FlowState(
             net=random_net(np.random.default_rng(config.seed + 1 + rep),
-                           tuple(p["dims"]), activation=p["activation"],
+                           p["dims"], activation=p["activation"],
                            scale=p["init_scale"]),
             step=p["step"], rng_seed=config.seed + 500_000 + rep,
         )
         for rep in range(reps)
-    ], kind, train, int(p["pretrain_steps"]))
+    ], kind, train, StopRule(max_steps=pretrain_steps),
+        sample_every=pretrain_steps)
+    states = [trace.final_state for trace in pretrained]
     ready = []
-    for rep, state in enumerate(states):
-        if classification_error(state.net, train) > 0.0:
+    for rep, trace in enumerate(pretrained):
+        if trace.train_errors[-1] > 0.0:
             notes.append(f"repetition {rep}: pretraining left errors")
         else:
             ready.append(rep)
@@ -716,16 +730,11 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         )
 
         # control twin: same pretrained states flowed without noise
-        ctrl_growth = []
-        horizon = int(p["interval"]) * (int(p["cycles"]) + 1)
-        controls = states[: int(p["control_repetitions"])]
-        for state, twin in zip(controls, stacked_flow_step(controls, kind,
-                                                           train, horizon)):
-            base = np.array([float(np.sqrt((w * w).sum()))
-                             for w in state.net.layers])
-            fin = np.array([float(np.sqrt((w * w).sum()))
-                            for w in twin.net.layers])
-            ctrl_growth.append(fin - base)
+        horizon = p["interval"] * (p["cycles"] + 1)
+        ctrl_growth = [np.subtract(twin.layer_norms[-1], twin.layer_norms[0])
+                       for twin in run_flows(
+                           states[: p["control_repetitions"]], kind, train,
+                           StopRule(max_steps=horizon), sample_every=horizon)]
         ctrl = np.array(ctrl_growth).mean(axis=0)
         pert_growth = mean_norms[-1] - mean_norms[0]
         aggregates["control_growth"] = ctrl
@@ -763,9 +772,9 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
     """
     p = config.resolved()
     notes = []
-    f_tilde = float(p["f_tilde"])
-    t_grid = np.geomspace(p["t_min"], p["t_max"], int(p["grid_points"]))
-    ks = tuple(int(k) for k in p["ks"])
+    f_tilde = p["f_tilde"]
+    t_grid = np.geomspace(p["t_min"], p["t_max"], p["grid_points"])
+    ks = p["ks"]
     if any(k >= 2 for k in ks) and p["rho0"] <= 0.0:
         raise ValueError(
             "params.rho0: must be > 0 for depth >= 2 (zero scales are a "
@@ -776,10 +785,10 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
     extra = {}
     if 1 in ks:
         sw = p["slope_window"]
-        extra[1] = np.geomspace(sw[0], sw[1], int(p["slope_points"]))
+        extra[1] = np.geomspace(sw[0], sw[1], p["slope_points"])
     if 2 in ks:
         extra[2] = np.geomspace(max(p["t_min"], 0.1), p["t_max"],
-                                int(p["closed_form_points"]))
+                                p["closed_form_points"])
 
     curves, at_extra, bad = {}, {}, []
     trace_paths = []
@@ -860,7 +869,7 @@ def _separable_dataset(config, p, index, notes):
     """Blob pair that the through-origin margin oracle accepts; regenerate
     with a shifted seed on failure and log the count."""
     regen = 0
-    for attempt in range(int(p["max_regenerations"])):
+    for attempt in range(p["max_regenerations"]):
         rng = np.random.default_rng(
             config.seed + 131 * index + 10_007 * attempt
         )
@@ -898,7 +907,7 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     """
     p = config.resolved()
     notes = []
-    n_datasets, n_inits = int(p["n_datasets"]), int(p["n_inits"])
+    n_datasets, n_inits = p["n_datasets"], p["n_inits"]
     drawn = [_separable_dataset(config, p, ds, notes)
              for ds in range(n_datasets)]
     total_regen = sum(regen for _, _, regen in drawn)
@@ -918,7 +927,7 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
             refs.append(ref)
     outs = run_flows(
         states, "exponential", datasets,
-        StopRule(max_time=p["max_time"], max_steps=int(p["max_steps"])),
+        StopRule(max_time=p["max_time"], max_steps=p["max_steps"]),
         sample_every=1000,
         stepping="loss_rescaled",
         refs=refs,
@@ -956,8 +965,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
 
     # square-loss contrast on an underdetermined linear problem
     sq_rng = np.random.default_rng(config.seed + 777)
-    x_sq = sq_rng.normal(size=(int(p["square_samples"]), int(p["square_dim"])))
-    y_sq = sq_rng.normal(size=int(p["square_samples"]))
+    x_sq = sq_rng.normal(size=(p["square_samples"], p["square_dim"]))
+    y_sq = sq_rng.normal(size=p["square_samples"])
     sq_data = Dataset(x_sq, y_sq, task="regression")
     gd = LinearSquareGD(x_sq, y_sq, p["square_step"])
     w_min = gd.w_min_norm
@@ -968,9 +977,9 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
         [FlowState(net=DeepNet((w0.reshape(1, -1),), activation="relu",
                                top_linear=True),
                    step=p["square_step"])
-         for w0 in (np.zeros(int(p["square_dim"])), c)],
+         for w0 in (np.zeros(p["square_dim"]), c)],
         "square", sq_data,
-        StopRule(max_steps=int(p["square_steps"]), grad_norm_below=1e-12),
+        StopRule(max_steps=p["square_steps"], grad_norm_below=1e-12),
         sample_every=10_000,
     )
     # a square-loss flow stopped short of its limit says nothing about it

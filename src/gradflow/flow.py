@@ -245,7 +245,7 @@ def _grad_norm(grads):
 
 class _Euler:
     """The flow's one explicit-Euler step, for R flows ("members") that
-    advance as one array computation.
+    advance as one array computation; run_flows drives it.
 
     Member r has its own weights, data (or data shared by all members),
     step size, halving count and give-up count. The current point and a
@@ -378,33 +378,6 @@ def _member(text, r, n) -> str:
     return text if n == 1 else f"flow {r}: {text}"
 
 
-def flow_step(state: FlowState, kind: str, data: Dataset,
-              n_steps: int = 1) -> FlowState:
-    """n_steps guarded explicit-Euler steps, W_k <- W_k - step*(grad_k +
-    2 lam W_k), the steps run_flow takes with fixed stepping; time adds up
-    step by step as in run_flow. The one state of stacked_flow_step."""
-    return stacked_flow_step([state], kind, data, n_steps)[0]
-
-
-def _euler_of(states, kind, datasets):
-    """One _Euler for the states, with their steps and times as arrays."""
-    euler = _Euler([s.net for s in states], kind, datasets,
-                   [s.lambda_array() for s in states])
-    return (euler, np.array([s.step for s in states]),
-            np.array([s.time for s in states], dtype=float))
-
-
-def stacked_flow_step(states, kind: str, datasets, n_steps: int = 1) -> list:
-    """flow_step for R states of one architecture, advanced as one stacked
-    computation; datasets is one Dataset for every state or one per state.
-    Each state ends bitwise where its own flow_step call would."""
-    euler, dt, t = _euler_of(states, kind, datasets)
-    for _ in range(n_steps):
-        t += euler.step(dt, backtrack=False)
-    return [replace(s, net=euler.net(r), time=float(t[r]))
-            for r, s in enumerate(states)]
-
-
 def run_flow(
     state: FlowState,
     kind: str,
@@ -415,7 +388,7 @@ def run_flow(
     refs: TraceRefs | None = None,
 ) -> TrajectoryTrace:
     """Iterate the Euler flow until the stop rule or budget hits: the one
-    flow of run_flows."""
+    flow of run_flows, the package's one Euler driver."""
     return run_flows([state], kind, data, stop, sample_every=sample_every,
                      stepping=stepping, refs=refs)[0]
 
@@ -430,7 +403,9 @@ def run_flows(
     refs=None,
 ) -> list:
     """Iterate R Euler flows as one stacked computation until each one's
-    stop rule or budget hits; one TrajectoryTrace per state.
+    stop rule or budget hits; one TrajectoryTrace per state. This is the
+    one loop that steps _Euler: the perturbation protocol and every
+    scenario flow are calls of it.
 
     datasets and refs are one Dataset / TraceRefs for every flow, or one
     per flow. Each flow keeps its own step, time, stop reason and trace
@@ -452,7 +427,10 @@ def run_flows(
         refs = [refs] * n
     if len(refs) != n:
         raise ValueError(f"{len(refs)} refs for {n} flows")
-    euler, steps, t = _euler_of(states, kind, datasets)
+    euler = _Euler([s.net for s in states], kind, datasets,
+                   [s.lambda_array() for s in states])
+    steps = np.array([s.step for s in states])
+    t = np.array([s.time for s in states], dtype=float)
     traces = [TrajectoryTrace(layer_count=s.net.depth) for s in states]
     if stop.max_steps is not None:
         max_steps = np.full(n, min(stop.max_steps, MAX_ITERATIONS_HARD_CAP))
@@ -461,6 +439,8 @@ def run_flows(
                                MAX_ITERATIONS_HARD_CAP)
     else:
         max_steps = np.full(n, MAX_ITERATIONS_HARD_CAP)
+    first_budget = float(max_steps.min())  # the earliest member's budget
+    has_target = stop.has_target
     backtrack = stepping == "loss_rescaled"
     snapshots = np.zeros_like(euler.flat)  # direction_angle_below state
     snapshot_times = np.full(n, np.nan)
@@ -487,38 +467,42 @@ def run_flows(
                 _record(traces[r], refs[r], net,
                         _error_metric(net, euler.datasets[i]),
                         float(t[i]), float(euler.value[i]), 0)
-        # (hits, converged, reason), first match wins; with only a budget,
-        # exhausting it is the (trivial) rule
-        checks = []
-        if stop.loss_below is not None:
-            checks.append((euler.value <= stop.loss_below, True,
-                           "loss_below"))
-        if stop.grad_norm_below is not None:
-            checks.append((_grad_norm(euler.total) <= stop.grad_norm_below,
-                           True, "grad_norm_below"))
-        if stop.direction_angle_below is not None:
-            checks.append((_direction_stalled(
-                euler.flat, t, snapshots, snapshot_times,
-                stop.direction_angle_below), True, "direction_stalled"))
-        if stop.max_time is not None:
-            checks.append((t >= stop.max_time, not stop.has_target,
-                           "max_time"))
-        checks.append((iteration >= max_steps,
-                       not stop.has_target and stop.max_steps is not None,
-                       "max_steps"))
-        halt = checks[0][0]
-        for hits, _, _ in checks[1:]:
-            halt = halt | hits
-        if halt.any():
-            for i in np.flatnonzero(halt):
-                finish(i, *next((ok, why) for hits, ok, why in checks
-                                if hits[i]))
-            keep = ~halt
-            if not keep.any():
-                break
-            euler.keep(keep)
-            t, steps, max_steps = t[keep], steps[keep], max_steps[keep]
-            snapshots, snapshot_times = snapshots[keep], snapshot_times[keep]
+        # without a target, no flow halts before a budget or max_time hits
+        if (has_target or iteration >= first_budget
+                or (stop.max_time is not None and t.max() >= stop.max_time)):
+            # (hits, converged, reason), first match wins; with only a
+            # budget, exhausting it is the (trivial) rule
+            checks = []
+            if stop.loss_below is not None:
+                checks.append((euler.value <= stop.loss_below, True,
+                               "loss_below"))
+            if stop.grad_norm_below is not None:
+                checks.append((_grad_norm(euler.total)
+                               <= stop.grad_norm_below, True,
+                               "grad_norm_below"))
+            if stop.direction_angle_below is not None:
+                checks.append((_direction_stalled(
+                    euler.flat, t, snapshots, snapshot_times,
+                    stop.direction_angle_below), True, "direction_stalled"))
+            if stop.max_time is not None:
+                checks.append((t >= stop.max_time, not has_target,
+                               "max_time"))
+            checks.append((iteration >= max_steps,
+                           not has_target and stop.max_steps is not None,
+                           "max_steps"))
+            halt = np.logical_or.reduce([hits for hits, _, _ in checks])
+            if halt.any():
+                for i in np.flatnonzero(halt):
+                    finish(i, *next((ok, why) for hits, ok, why in checks
+                                    if hits[i]))
+                keep = ~halt
+                if not keep.any():
+                    break
+                euler.keep(keep)
+                t, steps, max_steps = t[keep], steps[keep], max_steps[keep]
+                snapshots = snapshots[keep]
+                snapshot_times = snapshot_times[keep]
+                first_budget = float(max_steps.min())
 
         dt = steps / np.maximum(euler.value, 1e-300) if backtrack else steps
         t += euler.step(dt, backtrack)
@@ -656,7 +640,8 @@ def stacked_perturb_and_reconverge(
     run continues. kink_events counts the relu kinks met by the
     re-convergence steps and the perturbation redraws.
 
-    The R re-flows of a cycle run as one stacked Euler computation. Each
+    The R re-flows of a cycle are one run_flows call, sampled at its two
+    ends; each flow's last row and final state are the cycle boundary. Each
     state keeps its own perturbation stream (seeded by its rng_seed), time,
     kinks, row flags and final state, bitwise as if it ran alone.
     """
@@ -679,15 +664,15 @@ def stacked_perturb_and_reconverge(
         _record(traces[-1], refs, net, train_error, state.time, value, 0)
     rngs = [np.random.default_rng(s.rng_seed) for s in states]
     for cycle in range(protocol.repetitions + 1):
-        euler, dt, t = _euler_of(states, kind, data)
-        for _ in range(protocol.interval):
-            t += euler.step(dt, backtrack=False)
-        for r, trace in enumerate(traces):
-            net, value = euler.net(r), float(euler.value[r])
-            train_error = _error_metric(net, data)
-            trace.kink_events += int(euler.kink_events[r])
-            _record(trace, refs, net, train_error, float(t[r]), value, cycle,
-                    "" if reconverged(value, train_error)
+        ends = run_flows(states, kind, data,
+                         StopRule(max_steps=protocol.interval),
+                         sample_every=protocol.interval)
+        for r, (trace, end) in enumerate(zip(traces, ends)):
+            net, value = end.final_state.net, end.losses[-1]
+            train_error = end.train_errors[-1]
+            trace.kink_events += end.kink_events
+            _record(trace, refs, net, train_error, end.final_state.time,
+                    value, cycle, "" if reconverged(value, train_error)
                     else "not_reconverged")
             if cycle < protocol.repetitions:
                 for _ in range(5):
@@ -699,7 +684,7 @@ def stacked_perturb_and_reconverge(
                         break
                     trace.kink_events += 1
                 net = candidate
-            states[r] = replace(states[r], net=net, time=float(t[r]))
+            states[r] = replace(end.final_state, net=net)
     for state, trace in zip(states, traces):
         trace.converged = True
         trace.stop_reason = "schedule_complete"

@@ -75,6 +75,12 @@ class TestDispatch:
     def test_bad_flag_value_exits_1(self, tmp_path, two_points, capsys):
         assert main(["svm", "--config", two_points, "--seed", "abc"]) == 1
 
+    def test_top_level_not_an_object_names_path(self, capsys, tmp_path):
+        cfg = _write(tmp_path / "list.json", [1, 2])
+        assert main(["svm", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config: top level of {cfg} must be an object\n")
+
 
 class TestSvm:
     def test_antipodal_pair_solution(self, tmp_path, two_points):
@@ -87,6 +93,15 @@ class TestSvm:
         assert body["support_indices"] == [0, 1]
         assert body["header"].startswith("scenario=svm config=")
         assert body["header"].endswith("seed=0")
+
+    def test_verbose_prints_the_solution(self, tmp_path, two_points,
+                                         capsys):
+        out = tmp_path / "out"
+        assert main(["svm", "--config", two_points, "-v",
+                     "--output-dir", str(out)]) == 0
+        printed = capsys.readouterr().out.split("\n", 1)[1]
+        assert json.loads(printed) == json.loads(
+            (out / "svm_solution.json").read_text())
 
     def test_nonseparable_exits_1(self, tmp_path, capsys):
         cfg = _write(tmp_path / "bad.json", {
@@ -211,6 +226,31 @@ class TestFlow:
         # loss column is second; decreasing along the trace
         body = [float(l.split(",")[1]) for l in lines[2:]]
         assert body[-1] < body[0]
+
+    def test_verbose_prints_final_loss_and_time(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["flow", "--config", self._config(tmp_path), "-v",
+                     "--output-dir", str(out)]) == 0
+        last = (out / "flow_trace.csv").read_text().splitlines()[-1]
+        time, loss = last.split(",")[:2]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"final loss {loss} at time {time}")
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"net": None}, "net: required object with dims or layers"),
+        ({"stop": {}}, "stop: at least one bound required"),
+        ({"dataset": {"labels": [1, -1]}}, "dataset.inputs: required"),
+        ({"dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
+                      "labels": [1, 0]}},
+         "dataset: binary labels must be -1 or +1"),
+    ])
+    def test_missing_or_refused_object_names_field(self, tmp_path, capsys,
+                                                   extra, message):
+        cfg = self._config(tmp_path, **extra)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_step_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -385,6 +425,27 @@ class TestSpectrum:
         # 2*3 + 3*1 = 9 flattened weights
         assert len(lines) == 3 + 9
 
+    def test_flow_convention_negates_the_loss_spectrum(self, tmp_path,
+                                                       capsys):
+        # the flow's linearization is -H: its eigenvalues are the loss
+        # Hessian's negated, in reverse order, and each keeps its class
+        tables, counts = {}, {}
+        for convention in ("loss", "flow"):
+            out = tmp_path / convention
+            cfg = self._config(tmp_path, convention=convention)
+            assert main(["spectrum", "--config", cfg,
+                         "--output-dir", str(out)]) == 0
+            counts[convention] = capsys.readouterr().out.split(" (", 1)[1]
+            lines = (out / "spectrum.csv").read_text().splitlines()
+            tables[convention] = [row.split(",") for row in lines[3:]]
+        loss_rows, flow_rows = tables["loss"], tables["flow"][::-1]
+        assert counts["loss"] == counts["flow"]
+        assert len(flow_rows) == 9
+        assert [r[2] for r in flow_rows] == [r[2] for r in loss_rows]
+        np.testing.assert_allclose([-float(r[1]) for r in flow_rows],
+                                   [float(r[1]) for r in loss_rows],
+                                   rtol=1e-12, atol=1e-15)
+
     def test_ridge_shifts_spectrum_positive(self, tmp_path):
         # large ridge dominates; every eigenvalue classifies as stable
         out = tmp_path / "ridged"
@@ -465,6 +526,25 @@ class TestScenarios:
                      "--output-dir", str(out)]) == 0
         lines = (out / "growth_asymptotics_k2.csv").read_text().splitlines()
         assert lines[1] == "t,log_t,rho,product"
+
+    def test_verbose_lists_predicates_and_notes(self, tmp_path, capsys):
+        # six points at blob_std 1.0 overlap: seed 0 regenerates its draw
+        cfg = _write(tmp_path / "dir.json", {
+            "n_datasets": 1, "n_inits": 2, "n_points": 6, "blob_std": 1.0,
+            "max_time": None, "max_steps": 10, "square_samples": 2,
+            "square_dim": 16,
+        })
+        out = tmp_path / "out"
+        assert main(["direction", "--config", cfg, "-v",
+                     "--output-dir", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        report = json.loads(
+            (out / "convergence_direction_study_report.json").read_text())
+        assert lines[1:] == [
+            f"  {key}: {'pass' if ok else 'FAIL'}"
+            for key, ok in sorted(report["predicates"].items())
+        ] + [f"  note: {note}" for note in report["notes"]]
+        assert report["notes"]
 
     def test_predicate_failure_exit_2(self, tmp_path, capsys):
         # ten steps per cycle are too few to re-converge
@@ -597,6 +677,9 @@ class TestScenarioCounts:
         ("direction", {"n_inits": 0}, "params.n_inits: must be >= 1, got 0"),
         ("direction", {"n_datasets": 0},
          "params.n_datasets: must be >= 1, got 0"),
+        ("direction", {"n_points": 13}, "params.n_points: must be even, got 13"),
+        ("direction", {"n_points": 1}, "params.n_points: must be even, got 1"),
+        ("direction", {"n_points": 0}, "params.n_points: must be >= 1, got 0"),
         ("growth", {"grid_points": 0},
          "params.grid_points: must be >= 1, got 0"),
         ("sweep", {"min_degree": -1},

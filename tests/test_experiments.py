@@ -63,6 +63,22 @@ class TestExperimentConfig:
         assert a.config_hash() != c.config_hash()
         assert a.config_hash() != d.config_hash()
 
+    def test_params_are_typed_once(self):
+        # a float param given as an integer is the same config, and the
+        # scenarios read the default's type: float, int, tuple of entries
+        a = ExperimentConfig(scenario="convergence_direction_study",
+                             params={"step": 1, "blob_center": [1, 0.7]})
+        b = ExperimentConfig(scenario="convergence_direction_study",
+                             params={"step": 1.0, "blob_center": (1.0, 0.7)})
+        assert a.config_hash() == b.config_hash()
+        merged = a.resolved()
+        assert type(merged["step"]) is float
+        assert merged["blob_center"] == (1.0, 0.7)
+        assert type(merged["blob_center"][0]) is float
+        assert type(ExperimentConfig(
+            scenario="toy_deepnet_perturbation",
+            params={"dims": [2, 8, 1]}).resolved()["dims"]) is tuple
+
     def test_hash_ignores_output_dir(self):
         a = ExperimentConfig(scenario="growth_asymptotics", output_dir="/x")
         b = ExperimentConfig(scenario="growth_asymptotics", output_dir="/y")

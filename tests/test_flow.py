@@ -23,7 +23,6 @@ from gradflow.flow import (
     _draw_perturbation,
     _error_metric,
     _record,
-    flow_step,
     growth_numeric_trace,
     normalized_direction_flow,
     normalized_flow_step,
@@ -32,12 +31,11 @@ from gradflow.flow import (
     run_flow,
     run_flows,
     run_normalized_flow,
-    stacked_flow_step,
     stacked_perturb_and_reconverge,
     write_trace_csv,
 )
 from gradflow.linalg import min_norm_least_squares
-from gradflow.losses import (Dataset, classification_error, loss, loss_gradient,
+from gradflow.losses import (Dataset, classification_error, loss,
                              mean_squared_error, separability_margin)
 from gradflow.network import DeepNet, batch_forward, flatten_params, random_net
 from gradflow.oracles import growth_closed_form, hard_margin_svm
@@ -56,23 +54,24 @@ class TestFlowStep:
     def test_matches_1d_closed_form(self):
         # e^w dw = dt integrates to w(t) = log(t + e^{w0})
         data = Dataset(np.array([[1.0]]), np.array([1.0]))
-        state = FlowState(net=_linear_net([0.0]), step=1e-3)
-        for _ in range(100_000):
-            state = flow_step(state, "exponential", data)
+        state = run_flow(FlowState(net=_linear_net([0.0]), step=1e-3),
+                         "exponential", data, StopRule(max_steps=100_000),
+                         sample_every=10**9).final_state
         expect = np.log(state.time + 1.0)
         got = state.net.layers[0][0, 0]
         assert abs(got - expect) / expect <= 1e-3
 
     def test_tracks_rk4_reference(self):
-        # same vector field integrated by 4th-order RK at a 50x finer step
+        # same vector field integrated by 4th-order RK at a 50x finer step;
+        # the field is the closed-form descent direction of the linear
+        # exponential loss, sum_n y_n x_n exp(-y_n w.x_n), in plain numpy
         rng = np.random.default_rng(7)
         w0 = rng.normal(size=2) * 0.3
         data = SEP
         h, t_end = 1e-3, 2.0
 
         def rhs(w):
-            g = loss_gradient("exponential", _linear_net(w), data)[0][0]
-            return -g
+            return (SEP_Y * np.exp(-SEP_Y * (SEP_X @ w))) @ SEP_X
 
         w = w0.copy()
         fine = h / 50.0
@@ -96,7 +95,7 @@ class TestFlowStep:
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(rng.normal(size=3)), step=50.0)
         with pytest.raises(ValueError, match="step"):
-            flow_step(state, "square", data)
+            run_flow(state, "square", data, StopRule(max_steps=1))
 
     def test_state_validation(self):
         with pytest.raises(ValueError, match="step"):
@@ -217,8 +216,9 @@ class TestRunFlow:
 
 
 class TestSharedStep:
-    """flow_step and run_flow take the same Euler step; a non-finite step
-    raises and a backtracking give-up is counted, never absorbed."""
+    """run_flow's Euler step: a run cut into chunks is bitwise one run, a
+    non-finite step raises and a backtracking give-up is counted, never
+    absorbed."""
 
     ONE = Dataset(np.array([[1.0]]), np.array([0.0]), task="regression")
 
@@ -244,8 +244,8 @@ class TestSharedStep:
         ("logistic", None, SEP, (0.01, 0.02)),
         ("softmax_cross_entropy", None, None, ()),
     ])
-    def test_iterated_flow_step_is_bitwise_run_flow(self, kind, net, data,
-                                                    lambdas, n_steps):
+    def test_chunked_run_flow_is_bitwise_one_run_flow(self, kind, net, data,
+                                                      lambdas, n_steps):
         rng = np.random.default_rng(8)
         if kind == "logistic":
             net = DeepNet((rng.normal(size=(5, 2)), rng.normal(size=(1, 5))),
@@ -257,7 +257,8 @@ class TestSharedStep:
         start = FlowState(net=net, step=0.01, lambdas=lambdas)
         state = start
         for _ in range(25 // n_steps):
-            state = flow_step(state, kind, data, n_steps)
+            state = run_flow(state, kind, data,
+                             StopRule(max_steps=n_steps)).final_state
         trace = run_flow(start, kind, data, StopRule(max_steps=25))
         final = trace.final_state
         assert final.time == state.time
@@ -288,16 +289,18 @@ class TestSharedStep:
                      else classification_error(final, data))
             assert trace.train_errors[-1] == fresh
 
-    def test_stacked_flow_step_is_bitwise_flow_step(self):
+    def test_run_flows_final_states_are_bitwise_run_flow(self):
         rng = np.random.default_rng(10)
         states = [FlowState(net=random_net(rng, (2, 5, 1), scale=0.7,
                                            activation="smoothed_relu"),
                             step=st, time=t0, lambdas=lams)
                   for st, t0, lams in ((0.05, 0.0, ()), (0.02, 1.5, ()),
                                        (0.05, 0.0, (0.01, 0.03)))]
-        stacked = stacked_flow_step(states, "logistic", SEP, 40)
-        for state, got in zip(states, stacked, strict=True):
-            want = flow_step(state, "logistic", SEP, 40)
+        stop = StopRule(max_steps=40)
+        stacked = run_flows(states, "logistic", SEP, stop)
+        for state, trace in zip(states, stacked, strict=True):
+            got = trace.final_state
+            want = run_flow(state, "logistic", SEP, stop).final_state
             assert repr(got.time) == repr(want.time)
             assert got.lambdas == state.lambdas
             for a, b in zip(got.net.layers, want.net.layers, strict=True):
@@ -728,7 +731,9 @@ class TestStackedProtocol:
                                            activation="smoothed_relu"),
                             step=st, rng_seed=seed)
                   for st, seed in ((0.05, 31), (0.04, 32), (0.05, 33))]
-        states = stacked_flow_step(starts, "logistic", SEP, 1500)
+        states = [tr.final_state for tr in run_flows(
+            starts, "logistic", SEP, StopRule(max_steps=1500),
+            sample_every=1500)]
         assert all(classification_error(s.net, SEP) == 0.0 for s in states)
         proto = PerturbationProtocol(noise_std=0.25, interval=150,
                                      repetitions=3, mode="relative")
