@@ -658,13 +658,14 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         interval=p["interval"],
         repetitions=p["cycles"],
         mode="relative",
-        per_coordinate=True,
     )
     reps = p["repetitions"]
     kind = p["loss"]
 
     # one stacked call per phase: pretrain every repetition, then run the
-    # protocol on those that pretrained to zero training error
+    # protocol on those that pretrained to zero training error, with the
+    # control twins (the first pretrained states, whatever their error)
+    # flowing unperturbed in the same stack
     pretrain_steps = p["pretrain_steps"]
     pretrained = run_flows([
         FlowState(
@@ -683,12 +684,14 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
             notes.append(f"repetition {rep}: pretraining left errors")
         else:
             ready.append(rep)
-    traces = [None] * reps
+    traces, controls = [None] * reps, []
     if ready:
-        for rep, trace in zip(ready, stacked_perturb_and_reconverge(
-                [states[rep] for rep in ready], proto, kind, train,
-                refs=refs)):
+        protocol_traces = stacked_perturb_and_reconverge(
+            [states[rep] for rep in ready], proto, kind, train, refs=refs,
+            controls=states[: p["control_repetitions"]])
+        for rep, trace in zip(ready, protocol_traces):
             traces[rep] = trace
+        controls = protocol_traces[len(ready):]
     included, trace_paths = [], []
     for rep, trace in enumerate(traces):
         included.append(trace is not None and not any(trace.row_flags))
@@ -729,13 +732,10 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
             }
         )
 
-        # control twin: same pretrained states flowed without noise
-        horizon = p["interval"] * (p["cycles"] + 1)
-        ctrl_growth = [np.subtract(twin.layer_norms[-1], twin.layer_norms[0])
-                       for twin in run_flows(
-                           states[: p["control_repetitions"]], kind, train,
-                           StopRule(max_steps=horizon), sample_every=horizon)]
-        ctrl = np.array(ctrl_growth).mean(axis=0)
+        # control twins: the same pretrained states flowed without noise
+        ctrl = np.array([np.subtract(twin.layer_norms[-1],
+                                     twin.layer_norms[0])
+                         for twin in controls]).mean(axis=0)
         pert_growth = mean_norms[-1] - mean_norms[0]
         aggregates["control_growth"] = ctrl
         aggregates["perturbed_growth"] = pert_growth

@@ -629,9 +629,11 @@ def stacked_perturb_and_reconverge(
     data: Dataset,
     reconverge_tol: float = RECONVERGE_TOL,
     refs: TraceRefs | None = None,
+    controls=(),
 ) -> list:
     """Alternate Gaussian weight perturbations with interval-long re-flows,
-    for R states of one architecture on shared data; one trace per state.
+    for R states of one architecture on shared data; one trace per state,
+    then one per control.
 
     Every trace records the start plus one row per cycle, at its end (just
     before its perturbation); a row's perturbation_count is its cycle's
@@ -640,21 +642,29 @@ def stacked_perturb_and_reconverge(
     run continues. kink_events counts the relu kinks met by the
     re-convergence steps and the perturbation redraws.
 
-    The R re-flows of a cycle are one run_flows call, sampled at its two
-    ends; each flow's last row and final state are the cycle boundary. Each
-    state keeps its own perturbation stream (seeded by its rng_seed), time,
-    kinks, row flags and final state, bitwise as if it ran alone.
+    controls are states of the same architecture that flow alongside and
+    are never perturbed: their rows have perturbation_count 0 and no flag,
+    and they need not start at zero training error. A control's last row
+    and final state are those of one unbroken run_flow of
+    interval * (repetitions + 1) steps.
+
+    The re-flows of a cycle, controls included, are one run_flows call,
+    sampled at its two ends; each flow's last row and final state are the
+    cycle boundary. Each state keeps its own perturbation stream (seeded by
+    its rng_seed), time, kinks, row flags and final state, bitwise as if it
+    ran alone.
     """
     regression = data.task == "regression"
 
     def reconverged(value, train_error):
         return value <= reconverge_tol if regression else train_error == 0.0
 
-    states, traces = list(states), []
+    perturbed = len(states)
+    states, traces = list(states) + list(controls), []
     for r, state in enumerate(states):
         net = state.net
         value, train_error = loss(kind, net, data), _error_metric(net, data)
-        if not reconverged(value, train_error):
+        if r < perturbed and not reconverged(value, train_error):
             raise ValueError(_member(
                 f"start the protocol at an interpolating state (loss "
                 f"{value:.3e} > {reconverge_tol:.1e})" if regression
@@ -662,7 +672,7 @@ def stacked_perturb_and_reconverge(
                 r, len(states)))
         traces.append(TrajectoryTrace(layer_count=net.depth))
         _record(traces[-1], refs, net, train_error, state.time, value, 0)
-    rngs = [np.random.default_rng(s.rng_seed) for s in states]
+    rngs = [np.random.default_rng(s.rng_seed) for s in states[:perturbed]]
     for cycle in range(protocol.repetitions + 1):
         ends = run_flows(states, kind, data,
                          StopRule(max_steps=protocol.interval),
@@ -671,10 +681,12 @@ def stacked_perturb_and_reconverge(
             net, value = end.final_state.net, end.losses[-1]
             train_error = end.train_errors[-1]
             trace.kink_events += end.kink_events
+            control = r >= perturbed
             _record(trace, refs, net, train_error, end.final_state.time,
-                    value, cycle, "" if reconverged(value, train_error)
+                    value, 0 if control else cycle,
+                    "" if control or reconverged(value, train_error)
                     else "not_reconverged")
-            if cycle < protocol.repetitions:
+            if cycle < protocol.repetitions and not control:
                 for _ in range(5):
                     deltas = _draw_perturbation(rngs[r], net.layers, protocol)
                     candidate = net.with_layers(

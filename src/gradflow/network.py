@@ -181,7 +181,11 @@ def batch_forward(net: DeepNet, inputs, layers=None):
 def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None) -> list:
     """Per-layer gradients of sum_n <out_delta[:, n], f(W; x_n)>, given
     batch_forward's acts and derivs and out_delta as C x N columns; with
-    stacked layers, out_delta and the gradients carry the member axis."""
+    stacked layers, out_delta and the gradients carry the member axis.
+
+    A one-row out_delta (every scalar-output net) is carried below the top
+    layer by a broadcast multiply instead of matmul; the gradients are the
+    same bit for bit."""
     layers = net.layers if layers is None else layers
     delta = out_delta
     grads = [None] * net.depth
@@ -192,7 +196,12 @@ def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None) -> list:
                      else np.multiply(delta, derivs[k], out=delta))
         grads[k] = delta @ acts[k].mT
         if k > 0:
-            delta = layers[k].mT @ delta
+            # from one output row this is an outer product, which a
+            # broadcast multiply makes faster than matmul, from the same
+            # products; only a zero's sign may differ, and the matmul
+            # sums that form every gradient start at +0 and drop it
+            w = layers[k].mT
+            delta = w * delta if delta.shape[-2] == 1 else w @ delta
     return grads
 
 

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from gradflow import experiments
+from gradflow import experiments, flow
 from gradflow.experiments import (
     ExperimentConfig,
     ScenarioReport,
@@ -23,7 +23,7 @@ from gradflow.experiments import (
     run_scenario,
     write_report_json,
 )
-from gradflow.flow import _fmt_cell, _write_table
+from gradflow.flow import StopRule, _fmt_cell, _write_table
 
 
 class TestExperimentConfig:
@@ -281,6 +281,39 @@ class TestToyDeepnet:
         assert np.all(pert >= 2.0 * np.maximum(ctrl, 0.0))
         names = [os.path.basename(p) for p in report.trace_paths]
         assert "toy_deepnet_perturbation_plot.csv" in names
+
+    def test_controls_ride_in_the_protocol_stack(self, monkeypatch):
+        # the control twins flow inside the protocol's run_flows calls, and
+        # their growth is bitwise that of one separate unbroken stack of
+        # the pretrained control states
+        calls = []
+        real = flow.run_flows
+
+        def counted(*args, **kwargs):
+            traces = real(*args, **kwargs)
+            calls.append((args, traces))
+            return traces
+
+        monkeypatch.setattr(flow, "run_flows", counted)
+        monkeypatch.setattr(experiments, "run_flows", counted)
+        params = {"repetitions": 3, "control_repetitions": 2, "cycles": 2,
+                  "interval": 300, "pretrain_steps": 1000, "blob_std": 0.25}
+        report = run_scenario(ExperimentConfig(
+            scenario="toy_deepnet_perturbation", seed=0, params=params))
+        assert len(calls) == params["cycles"] + 2
+        (_, kind, train, _), pretrained = calls[0]
+        controls = [trace.final_state for trace in
+                    pretrained[: params["control_repetitions"]]]
+        horizon = params["interval"] * (params["cycles"] + 1)
+        want = np.array([np.subtract(twin.layer_norms[-1],
+                                     twin.layer_norms[0])
+                         for twin in real(controls, kind, train,
+                                          StopRule(max_steps=horizon),
+                                          sample_every=horizon)]
+                        ).mean(axis=0)
+        got = np.asarray(report.aggregates["control_growth"])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestGrowthAsymptotics:

@@ -725,7 +725,11 @@ class TestStackedProtocol:
                 state, proto, kind, data, **kwargs))
         return stacked
 
-    def test_smoothed_relu_logistic_members(self):
+    @pytest.fixture(scope="class")
+    def smoothed_relu_run(self):
+        """Three smoothed-relu nets pretrained to zero error on SEP, a
+        protocol, test refs, and two controls: the first pretrained state
+        and a fresh net that misclassifies part of SEP."""
         rng = np.random.default_rng(12)
         starts = [FlowState(net=random_net(rng, (2, 8, 1), scale=0.7,
                                            activation="smoothed_relu"),
@@ -737,12 +741,57 @@ class TestStackedProtocol:
         assert all(classification_error(s.net, SEP) == 0.0 for s in states)
         proto = PerturbationProtocol(noise_std=0.25, interval=150,
                                      repetitions=3, mode="relative")
+        refs = TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y))
+        fresh = FlowState(net=DeepNet(([[0.0, 1.0]] * 8, [[0.2] * 8]),
+                                      activation="smoothed_relu"),
+                          step=0.03, rng_seed=34)
+        assert classification_error(fresh.net, SEP) > 0.0
+        return states, proto, refs, [states[0], fresh]
+
+    def test_smoothed_relu_logistic_members(self, smoothed_relu_run):
+        states, proto, refs, _ = smoothed_relu_run
         traces = self._assert_stack_is_separate_runs(
-            states, proto, "logistic", SEP,
-            refs=TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y)))
+            states, proto, "logistic", SEP, refs=refs)
         assert all(tr.perturbation_counts[-1] == 3 for tr in traces)
         # each member draws its own noise
         assert len({tr.layer_norms[-1] for tr in traces}) == 3
+
+    def test_controls_leave_perturbed_members_bitwise(self,
+                                                      smoothed_relu_run):
+        states, proto, refs, controls = smoothed_relu_run
+        traces = stacked_perturb_and_reconverge(
+            states, proto, "logistic", SEP, refs=refs, controls=controls)
+        assert len(traces) == len(states) + len(controls)
+        for state, got in zip(states, traces):
+            _assert_same_trace(got, perturb_and_reconverge(
+                state, proto, "logistic", SEP, refs=refs))
+
+    def test_control_is_one_unbroken_flow(self, smoothed_relu_run):
+        # a control flows interval * (repetitions + 1) steps in chunks of
+        # interval, which is bitwise one run_flow of that many steps; it
+        # has the start row plus one row per cycle end, never a flag
+        states, proto, refs, controls = smoothed_relu_run
+        traces = stacked_perturb_and_reconverge(
+            states, proto, "logistic", SEP, refs=refs, controls=controls)
+        horizon = proto.interval * (proto.repetitions + 1)
+        for control, got in zip(controls, traces[len(states):],
+                                strict=True):
+            want = run_flow(control, "logistic", SEP,
+                            StopRule(max_steps=horizon),
+                            sample_every=horizon, refs=refs)
+            assert len(got.times) == proto.repetitions + 2
+            assert got.row_flags == [""] * len(got.times)
+            assert got.perturbation_counts == [0] * len(got.times)
+            assert got.layer_norms[0] == want.layer_norms[0]
+            assert [repr(v) for v in list(got.rows())[-1]] == [
+                repr(v) for v in list(want.rows())[-1]]
+            assert got.kink_events == want.kink_events
+            assert repr(got.final_state.time) == repr(want.final_state.time)
+            for a, b in zip(got.final_state.net.layers,
+                            want.final_state.net.layers, strict=True):
+                assert np.array_equal(_bits(a), _bits(b))
+        # the fresh control starts at nonzero training error
+        assert traces[-1].train_errors[0] > 0.0
 
     def test_relu_members_whose_redraws_hit_the_kink(self):
         # the origin is an input, so every pre-activation column there is
@@ -807,6 +856,21 @@ class TestStackedProtocol:
                                              "at zero training error"):
             stacked_perturb_and_reconverge([good, bad, good], proto,
                                            "exponential", SEP)
+
+    def test_perturbed_member_refused_beside_controls(self):
+        # a control may start misclassifying; a perturbed member may not
+        good = FlowState(net=_linear_net([1.0, 0.0]), step=0.01)
+        bad = FlowState(net=_linear_net([-1.0, 0.0]), step=0.01)
+        proto = PerturbationProtocol(noise_std=0.1, interval=10,
+                                     repetitions=1)
+        traces = stacked_perturb_and_reconverge([good], proto, "exponential",
+                                                SEP, controls=[bad])
+        assert traces[1].train_errors[0] > 0.0
+        assert traces[1].row_flags == ["", "", ""]
+        with pytest.raises(ValueError, match="flow 1: start the protocol "
+                                             "at zero training error"):
+            stacked_perturb_and_reconverge([good, bad], proto, "exponential",
+                                           SEP, controls=[good])
 
 
 def _pretrained_two_layer(seed, steps=3000):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradflow.losses import Dataset, loss_gradient
+from gradflow.losses import Dataset, loss, loss_gradient
 from gradflow.network import (
     DeepNet,
     _activate,
@@ -28,6 +28,7 @@ from gradflow.network import (
     random_net,
     unflatten_params,
 )
+from fd_oracles import fd_gradient_check
 
 
 def _fd_layer_gradients(net, x, step=1e-6):
@@ -381,3 +382,63 @@ def test_per_sample_backprop_matches_batched_column():
                 scale = max(1.0, float(np.abs(b).max()))
                 assert np.abs(a - b).max() <= 1e-12 * scale
             assert not single.kink_hit or kink
+
+
+def _matmul_backprop(net, acts, derivs, out_delta, layers):
+    """batch_backprop with every product by np.matmul; reference for the
+    broadcast multiply that carries a one-row out_delta."""
+    delta = out_delta
+    grads = [None] * net.depth
+    for k in range(net.depth - 1, -1, -1):
+        if derivs[k] is not None:
+            delta = delta * derivs[k]
+        grads[k] = np.matmul(delta, acts[k].mT)
+        if k > 0:
+            delta = np.matmul(layers[k].mT, delta)
+    return grads
+
+
+@pytest.mark.parametrize("members", [None, 5])
+def test_one_row_backprop_is_bitwise_matmul_form(members):
+    # the broadcast and the matmul outer product differ only in a zero's
+    # sign (-0.0 where a negative weight meets a zero delta); the gradients
+    # must not, so bits are compared without normalising zeros. The top
+    # layers hold zeros and negative entries, and one delta is all zero.
+    rng = np.random.default_rng(44)
+    for i in range(40):
+        depth = int(rng.integers(2, 4))
+        dims = [2] + [int(rng.integers(1, 70)) for _ in range(depth - 1)]
+        kind = ("smoothed_relu", "relu", "linear", "polynomial")[i % 4]
+        kwargs = {"coefficients": (0.1, 0.5, 0.25)} if kind == "polynomial" else {}
+        net = random_net(rng, dims + [1], activation=kind,
+                         top_linear=bool(i % 3), **kwargs)
+        shapes = [w.shape for w in net.layers]
+        if members is None:
+            layers = list(net.layers)
+        else:
+            layers = [rng.normal(size=(members,) + sh) for sh in shapes]
+        layers[-1][..., ::3] = 0.0
+        x = rng.normal(size=(int(rng.integers(1, 25)), 2))
+        out, _, acts, derivs, _ = batch_forward(net, x, layers)
+        for delta in (rng.normal(size=out.shape), np.zeros(out.shape)):
+            got = batch_backprop(net, acts, derivs, delta, layers)
+            want = _matmul_backprop(net, acts, derivs, delta, layers)
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_two_row_softmax_backprop_matches_finite_differences():
+    # a two-row output keeps matmul for the layer below it
+    rng = np.random.default_rng(45)
+    net = random_net(rng, (3, 16, 2), activation="smoothed_relu", scale=0.7)
+    data = Dataset(rng.normal(size=(10, 3)), rng.integers(0, 2, size=10),
+                   task="multiclass")
+    shapes = [w.shape for w in net.layers]
+
+    def f(p):
+        return loss("softmax_cross_entropy",
+                    net.with_layers(unflatten_params(p, shapes)), data)
+
+    g = flatten_params(loss_gradient("softmax_cross_entropy", net, data))
+    assert fd_gradient_check(f, g, flatten_params(net.layers)) <= 1e-5
