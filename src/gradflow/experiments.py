@@ -775,6 +775,15 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
     f_tilde = p["f_tilde"]
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["grid_points"])
     ks = p["ks"]
+    if not ks:
+        raise ValueError("params.ks: must name at least one depth, got []")
+    for i, k in enumerate(ks):
+        if k < 1:  # an integer: _check_param saw to it
+            raise ValueError(f"params.ks[{i}]: must be >= 1, got {k!r}")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"params.ks: depths must be distinct, got {list(ks)}")
+    if not f_tilde > 0.0:
+        raise ValueError(f"params.f_tilde: must be > 0, got {f_tilde!r}")
     if any(k >= 2 for k in ks) and p["rho0"] <= 0.0:
         raise ValueError(
             "params.rho0: must be > 0 for depth >= 2 (zero scales are a "

@@ -14,6 +14,7 @@ residual_norm has none and is always empty, kept so the format stays put.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -895,44 +896,60 @@ def growth_numeric_trace(k: int, f_tilde: float, rho0: float, t_grid):
     rhodot = f k rho^(k-1) exp(-rho^k f) through the given time grid.
 
     Steps are uniform in log time past t=1 (the dynamics is logarithmic),
-    uniform in plain time before that.
+    uniform in plain time before that. The loop runs on Python floats; each
+    log-time step's end factor exp(s + h) is the next step's start factor.
+    Where math.exp or a power overflows and raises (numpy's saturate to
+    inf), that grid interval is stepped again on numpy scalars, so the
+    curve turns non-finite from there on instead of raising.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if f_tilde <= 0.0:
         raise ValueError("f_tilde must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] < 0.0:
         raise ValueError("t_grid must be strictly increasing and nonnegative")
+    k, f_tilde = int(k), float(f_tilde)
+    fk, km1 = f_tilde * k, k - 1
 
-    def rhs(rho):
-        return f_tilde * k * rho ** (k - 1) * np.exp(-(rho**k) * f_tilde)
-
-    def rk4(rho, s, s_end, max_h, dt_ds):
-        """RK4 in s from s to s_end, d rho/ds = dt_ds(s) * rhs(rho)."""
-        n = max(1, int(np.ceil((s_end - s) / max_h)))
+    def rk4(rho, s, s_end, max_h, log_time, exp):
+        """RK4 in s from s to s_end, d rho/ds = dt/ds * rhs(rho), where
+        dt/ds is exp(s) in log time and 1 in plain time."""
+        n = max(1, math.ceil((s_end - s) / max_h))
         h = (s_end - s) / n
+        half, sixth = 0.5 * h, h / 6.0
+        b = c = exp(s) if log_time else 1.0
         for _ in range(n):
-            a, b, c = dt_ds(s), dt_ds(s + 0.5 * h), dt_ds(s + h)
-            k1 = a * rhs(rho)
-            k2 = b * rhs(rho + 0.5 * h * k1)
-            k3 = b * rhs(rho + 0.5 * h * k2)
-            k4 = c * rhs(rho + h * k3)
-            rho += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            a = c
+            if log_time:
+                b, c = exp(s + half), exp(s + h)
+            k1 = a * (fk * rho**km1 * exp(-(rho**k) * f_tilde))
+            r = rho + half * k1
+            k2 = b * (fk * r**km1 * exp(-(r**k) * f_tilde))
+            r = rho + half * k2
+            k3 = b * (fk * r**km1 * exp(-(r**k) * f_tilde))
+            r = rho + h * k3
+            k4 = c * (fk * r**km1 * exp(-(r**k) * f_tilde))
+            rho += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             s += h
         return rho
 
-    def advance(rho, t_a, t_b):
+    def advance(rho, t_a, t_b, lib):
         if t_a < min(t_b, 1.0):  # plain time, s = t
-            rho = rk4(rho, t_a, min(t_b, 1.0), 5e-4, lambda s: 1.0)
+            rho = rk4(rho, t_a, min(t_b, 1.0), 5e-4, False, lib.exp)
             t_a = 1.0
         if t_a < t_b:  # log time, s = log t
-            rho = rk4(rho, np.log(t_a), np.log(t_b), 1e-3, np.exp)
+            rho = rk4(rho, lib.log(t_a), lib.log(t_b), 1e-3, True, lib.exp)
         return rho
 
     rhos = []
     rho = float(rho0)
     t_prev = 0.0
-    for t in t_grid:
-        rho = advance(rho, t_prev, float(t))
+    for t in t_grid.tolist():
+        try:
+            rho = advance(rho, t_prev, t, math)
+        except OverflowError:
+            rho = advance(np.float64(rho), t_prev, t, np)
         rhos.append(rho)
-        t_prev = float(t)
+        t_prev = t
     return np.array(rhos)

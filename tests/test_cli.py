@@ -546,6 +546,19 @@ class TestScenarios:
         ] + [f"  note: {note}" for note in report["notes"]]
         assert report["notes"]
 
+    def test_growth_overflow_is_an_exclusion_exit_2(self, tmp_path, capsys):
+        # exp(800) overflows: a non-finite curve, counted, not a crash
+        cfg = _write(tmp_path / "k1.json", {"ks": [1], "rho0_k1": -800.0})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["growth", "--config", cfg, "-v",
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "(2 files, 1/1 excluded)" in captured.out
+        assert ("  note: k=1: non-finite or decreasing growth curve"
+                in captured.out.splitlines())
+        assert "Traceback" not in captured.err
+
     def test_predicate_failure_exit_2(self, tmp_path, capsys):
         # ten steps per cycle are too few to re-converge
         cfg = _write(tmp_path / "hard.json", {
@@ -682,6 +695,13 @@ class TestScenarioCounts:
         ("direction", {"n_points": 0}, "params.n_points: must be >= 1, got 0"),
         ("growth", {"grid_points": 0},
          "params.grid_points: must be >= 1, got 0"),
+        ("growth", {"ks": []},
+         "params.ks: must name at least one depth, got []"),
+        ("growth", {"ks": [0]}, "params.ks[0]: must be >= 1, got 0"),
+        ("growth", {"ks": [-1]}, "params.ks[0]: must be >= 1, got -1"),
+        ("growth", {"ks": [2, 2]},
+         "params.ks: depths must be distinct, got [2, 2]"),
+        ("growth", {"f_tilde": 0}, "params.f_tilde: must be > 0, got 0.0"),
         ("sweep", {"min_degree": -1},
          "params.min_degree: must be >= 0, got -1"),
         ("sweep", {"min_degree": 5, "max_degree": 4},

@@ -343,6 +343,37 @@ class TestGrowthAsymptotics:
         with pytest.raises(ValueError, match="params.rho0"):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"ks": []}, "params.ks: must name at least one depth, got []"),
+        ({"ks": [0]}, "params.ks[0]: must be >= 1, got 0"),
+        ({"ks": [1, -1]}, "params.ks[1]: must be >= 1, got -1"),
+        ({"ks": [2, 2]}, "params.ks: depths must be distinct, got [2, 2]"),
+        ({"f_tilde": 0.0}, "params.f_tilde: must be > 0, got 0.0"),
+        ({"f_tilde": -1.0}, "params.f_tilde: must be > 0, got -1.0"),
+    ])
+    def test_bad_depths_and_margin_refused_by_name(self, tmp_path, params,
+                                                   message):
+        cfg = ExperimentConfig(scenario="growth_asymptotics",
+                               output_dir=str(tmp_path / "out"),
+                               params=params)
+        with pytest.raises(ValueError) as err:
+            run_scenario(cfg)
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_curve_is_an_exclusion(self):
+        # exp(800) overflows in the first step: the curve is inf from there
+        cfg = ExperimentConfig(
+            scenario="growth_asymptotics",
+            params={"ks": [1], "rho0_k1": -800.0, "grid_points": 7,
+                    "slope_points": 3},
+        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = run_scenario(cfg)
+        assert not report.predicates["exclusions_ok"]
+        assert report.excluded == 1
+        assert report.notes == ["k=1: non-finite or decreasing growth curve"]
+
     def test_one_integration_per_depth(self, monkeypatch):
         # each depth is integrated once, over t_grid and its checks' points
         grids = []

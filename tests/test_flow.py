@@ -1001,6 +1001,37 @@ class TestGrowthTrace:
                                    self.GRIDS[grid])
         assert tuple(repr(float(v)) for v in got) == self.FROZEN[k, grid]
 
+    # the growth scenario's horizon, about 11.5k log-time steps
+    FROZEN_LONG = {
+        1: ("6.908754779315025", "9.210440366976446", "11.512935464920167"),
+        2: ("3.245452503157824", "3.6165382896102027", "3.946226125642739"),
+        4: ("1.9149029491858687", "2.0012031949837974", "2.076115575261344"),
+    }
+
+    @pytest.mark.parametrize("k", sorted(FROZEN_LONG))
+    def test_bitwise_frozen_long_grid(self, k):
+        got = growth_numeric_trace(k, 1.0, 0.0 if k == 1 else 0.5,
+                                   [1e3, 1e4, 1e5])
+        assert tuple(repr(float(v)) for v in got) == self.FROZEN_LONG[k]
+
+    # frozen from the numpy-scalar loop, whose exp and power saturate to
+    # inf where Python's raise OverflowError
+    @pytest.mark.parametrize("k, rho0, expect", [
+        (1, -800.0, ("inf",) * 3),  # exp overflows
+        (3, -10.0, ("nan",) * 3),  # exp overflows, then inf * 0
+        (3, -7.0, ("3.374928964515384e+147",) * 3),  # a power overflows
+    ])
+    def test_overflow_saturates_bitwise(self, k, rho0, expect):
+        with pytest.warns(RuntimeWarning) as caught:
+            got = growth_numeric_trace(k, 1.0, rho0, [0.5, 1.0, 10.0])
+        assert any("overflow" in str(w.message) for w in caught)
+        assert tuple(repr(float(v)) for v in got) == expect
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True, "2"])
+    def test_depth_must_be_integer_at_least_one(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            growth_numeric_trace(k, 1.0, 0.5, [1.0])
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             growth_numeric_trace(1, 1.0, 0.0, [1.0, 0.5])
