@@ -122,13 +122,15 @@ SCENARIO_DEFAULTS = {
         "blob_center": (1.0, 0.7),
         "blob_std": 0.5,
         "init_scale": 1.0,
-        "step": 0.1,
-        # direction gap decays ~ 1/log t, so the horizon is generous;
-        # near-degenerate margins advance slowly in log time and need
-        # the full step budget (at seed 2 a margin-0.017 dataset is still
-        # at cosine 0.9969 after 40k steps)
+        # loss-rescaled steps (dt = step / L): where a flow ends is set by
+        # the horizon step * max_steps = 12,000, not by the step count.
+        # The direction gap decays ~ 1/log t, so the horizon is generous;
+        # near-degenerate margins advance slowly in log time and need all
+        # of it (at seed 2 a margin-0.017 dataset is still at cosine
+        # 0.9969 at horizon 4,000)
+        "step": 1.6,
         "max_time": 1e150,
-        "max_steps": 120_000,
+        "max_steps": 7_500,
         "square_samples": 4,
         "square_dim": 8,
         "square_step": 0.02,

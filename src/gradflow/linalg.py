@@ -5,6 +5,8 @@ a fixed contract: a symmetry check, descending eigenvalues with stable
 ties, and a sign convention on the eigenvectors, so that every caller
 sees deterministic output. ``gram_solve`` alone applies the rank cutoff;
 every minimum-norm solution and null basis in the package comes from it.
+Both take one matrix or a stack (..., n, n) of them, and a stack's slices
+come out as the same bits as each slice alone.
 
 The long-double least-squares path is written out here as well, for
 designs too ill-conditioned for the Gram route. ``extended_min_norm_path``
@@ -76,42 +78,62 @@ def frobenius_norm(a) -> float:
 
 
 def symmetric_eig(a) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
+    """Full eigendecomposition of a symmetric matrix, or of each matrix in
+    a stack (..., n, n), by LAPACK ``eigh``.
 
-    Output is deterministic: eigenvalues sorted descending with ties kept
-    in pre-sort order, and each eigenvector flipped so its first nonzero
-    component is positive.
+    Output is deterministic and the same per slice as for that slice
+    alone: eigenvalues sorted descending with ties kept in pre-sort order,
+    and each eigenvector flipped so its first nonzero component is
+    positive.
     """
-    a = check_matrix(a, "A")
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"A must be square, got {n}x{m}")
-    scale = float(np.abs(a).max())
-    asym = float(np.abs(a - a.T).max())
-    if scale > 0.0 and asym > SYMMETRY_RTOL * scale:
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"A must be square or a stack of square matrices, "
+                         f"got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("A is empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("A has non-finite entries")
+    at = np.swapaxes(a, -1, -2)
+    scale = np.abs(a).max(axis=(-2, -1))
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    bad = (scale > 0.0) & (asym > SYMMETRY_RTOL * scale)
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f"A[{', '.join(map(str, idx))}]" if idx else "A"
         raise ValueError(
-            f"A is not symmetric: max |A - A^T| = {asym:.3e} "
-            f"(relative {asym / scale:.3e})"
+            f"{where} is not symmetric: max |A - A^T| = {asym[idx]:.3e} "
+            f"(relative {asym[idx] / scale[idx]:.3e})"
         )
 
-    evals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    order = np.argsort(-evals, kind="stable")  # descending, ties by index
-    evals = evals[order]
-    vecs = vecs[:, order]
+    evals, vecs = np.linalg.eigh(0.5 * (a + at))
+    # descending, ties by index
+    order = np.argsort(-evals, axis=-1, kind="stable")
+    evals = np.take_along_axis(evals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     mag = np.abs(vecs)
-    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    vecs *= np.where(vecs[first, np.arange(n)] < 0.0, -1.0, 1.0)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(vecs, first[..., None, :], axis=-2)
+    vecs *= np.where(lead < 0.0, -1.0, 1.0)
     return EigenDecomposition(evals, vecs)
 
 
 def gram_solve(dec: EigenDecomposition, rhs):
     """Minimum-norm solution of G x = rhs from G's eigendecomposition, and
     the mask of the eigenvalues kept: those above RANK_CUTOFF times the
-    largest. A zero G keeps none, and x = 0."""
-    lam_max = float(dec.eigenvalues.max(initial=0.0))
-    keep = dec.eigenvalues > RANK_CUTOFF * lam_max
-    vecs = dec.eigenvectors[:, keep]
-    return vecs @ ((vecs.T @ rhs) / dec.eigenvalues[keep]), keep
+    largest. A zero G keeps none, and x = 0.
+
+    Takes a stacked decomposition from symmetric_eig and solves each slice
+    with its own cutoff; rhs is (..., n) or one (n,) shared by every
+    slice. Products and sums are elementwise, not matmul, so a slice's
+    bits do not depend on the stack around it.
+    """
+    lam = dec.eigenvalues
+    keep = lam > RANK_CUTOFF * lam.max(axis=-1, initial=0.0, keepdims=True)
+    vecs = dec.eigenvectors
+    proj = (vecs * np.asarray(rhs, dtype=float)[..., :, None]).sum(axis=-2)
+    coef = np.where(keep, proj / np.where(keep, lam, 1.0), 0.0)
+    return (vecs * coef[..., None, :]).sum(axis=-1), keep
 
 
 def min_norm_least_squares(x_mat, y) -> np.ndarray:

@@ -20,6 +20,10 @@ from .linalg import gram_solve, symmetric_eig
 from .losses import Dataset
 
 MAX_SVM_SAMPLES = 20
+# Gram entries per stacked eigendecomposition in hard_margin_svm (2 MB).
+# Every size up to 4 at MAX_SVM_SAMPLES fits one stack; the cap bounds
+# memory at large d, where one size can have C(20, 10) = 184,756 subsets.
+SVM_STACK_ENTRIES = 1 << 18
 EULER_GAMMA = 0.5772156649015329
 FEASIBILITY_SLACK = 1e-9
 
@@ -51,6 +55,12 @@ def hard_margin_svm(data: Dataset) -> MarginSolution:
     smallest-norm one. The optimum is determined by a linearly independent
     active set, which has at most d members, so subsets up to size d+1
     cover it; ties go to the first subset in lexicographic order.
+
+    All subsets of one size are solved as one stack: one Gram
+    eigendecomposition and one solve per size, in chunks of at most
+    SVM_STACK_ENTRIES Gram entries. Sums of products go through einsum,
+    not matmul, so a stack rounds the same whatever BLAS kernel its shape
+    would select.
     """
     if data.task != "binary":
         raise ValueError("hard_margin_svm needs binary -1/+1 labels")
@@ -62,18 +72,22 @@ def hard_margin_svm(data: Dataset) -> MarginSolution:
     signed = data.labels[:, None] * data.inputs
     best_w = None
     best_norm = None
-    max_size = min(n, d + 1)
-    for size in range(1, max_size + 1):
-        for subset in combinations(range(n), size):
-            z = signed[list(subset)]
+    for size in range(1, min(n, d + 1) + 1):
+        subsets = np.array(list(combinations(range(n), size)))
+        chunk = SVM_STACK_ENTRIES // (size * size)
+        for start in range(0, len(subsets), chunk):
+            z = signed[subsets[start:start + chunk]]  # (k, size, d)
+            gram = np.einsum("kid,kjd->kij", z, z)
             # a zero Gram keeps no eigenvalue: w = 0 is infeasible below
-            w = z.T @ gram_solve(symmetric_eig(z @ z.T), np.ones(size))[0]
-            if (signed @ w).min() < 1.0 - FEASIBILITY_SLACK:
-                continue
-            norm = float(w @ w)
-            if best_norm is None or norm < best_norm * (1.0 - 1e-12):
-                best_norm = norm
-                best_w = w
+            coef = gram_solve(symmetric_eig(gram), np.ones(size))[0]
+            w = np.einsum("ki,kid->kd", coef, z)
+            feasible = (np.einsum("kd,nd->kn", w, signed).min(axis=1)
+                        >= 1.0 - FEASIBILITY_SLACK)
+            norms = np.einsum("kd,kd->k", w, w)
+            for i in np.flatnonzero(feasible):
+                if best_norm is None or norms[i] < best_norm * (1.0 - 1e-12):
+                    best_norm = norms[i]
+                    best_w = w[i]
     if best_w is None:
         # report the least-violating direction to make the failure concrete
         scores = signed @ signed.sum(axis=0)
@@ -83,8 +97,8 @@ def hard_margin_svm(data: Dataset) -> MarginSolution:
             f"{bad.tolist()} oppose the aggregate direction",
             bad.tolist(),
         )
-    norm = float(np.sqrt(best_w @ best_w))
-    activations = signed @ best_w
+    norm = float(np.sqrt(best_norm))
+    activations = np.einsum("nd,d->n", signed, best_w)
     support = tuple(
         int(i) for i in np.nonzero(np.abs(activations - 1.0) <= 1e-9)[0]
     )

@@ -438,6 +438,39 @@ class TestDirectionStudy:
         assert report.aggregates["square_null_init_gap"] <= 1e-6
         assert report.excluded == 0
 
+    def test_halved_step_at_the_same_horizon_keeps_end_directions(
+            self, monkeypatch):
+        # loss-rescaled steps: the horizon step * max_steps sets where a
+        # flow ends. Halving the default step at the same horizon moves no
+        # end direction by more than 1e-3 rad, a fortieth of the 0.045 rad
+        # that COSINE_TARGET allows, so the default step is inside the
+        # flow's regime and not only inside the predicate's.
+        p = SCENARIO_DEFAULTS["convergence_direction_study"]
+        finals = []
+        real = experiments.run_flows
+
+        def capture(*args, **kwargs):
+            outs = real(*args, **kwargs)
+            finals.append(outs)
+            return outs
+
+        monkeypatch.setattr(experiments, "run_flows", capture)
+        for scale in (1, 2):
+            run_scenario(ExperimentConfig(
+                scenario="convergence_direction_study", seed=0,
+                params={"n_datasets": 2, "n_inits": 2,
+                        "step": p["step"] / scale,
+                        "max_steps": p["max_steps"] * scale},
+            ))
+        # run_flows runs the exponential flows first, then the square ones
+        default, halved = finals[0], finals[2]
+        assert len(default) == len(halved) == 4
+        for a, b in zip(default, halved):
+            wa = a.final_state.net.layers[0].ravel()
+            wb = b.final_state.net.layers[0].ravel()
+            cos = wa @ wb / np.sqrt((wa @ wa) * (wb @ wb))
+            assert np.arccos(min(cos, 1.0)) <= 1e-3
+
     def test_square_flows_short_of_their_limit_are_excluded(self):
         # 5 steps end both square-loss flows at max_steps, far from the
         # gradient-norm target; the exponential flows, also ending at

@@ -16,6 +16,7 @@ from gradflow.linalg import (
     EigenDecomposition,
     extended_min_norm,
     frobenius_norm,
+    gram_solve,
     min_norm_least_squares,
     symmetric_eig,
 )
@@ -224,6 +225,74 @@ def test_eigendecomposition_type_invariants():
     assert isinstance(dec, EigenDecomposition)
     assert dec.eigenvalues.shape == (5,)
     assert dec.eigenvectors.shape == (5, 5)
+
+
+class TestStacked:
+    """A stack (..., n, n) goes through symmetric_eig and gram_solve slice
+    by slice, with the same bits and masks as the 2-d call on each slice."""
+
+    @staticmethod
+    def _stack(rng, shape, n):
+        a = rng.normal(size=shape + (n, n))
+        return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+    @pytest.mark.parametrize("shape,n", [((1,), 1), ((7,), 3), ((3, 4), 5),
+                                         ((50,), 2)])
+    def test_each_slice_bitwise_equal_to_2d_call(self, shape, n):
+        rng = np.random.default_rng(n + 10 * len(shape))
+        a = self._stack(rng, shape, n)
+        # degenerate slices: ties in the stable sort and the sign rule
+        a[(0,) * len(shape)] = np.eye(n)
+        a[(-1,) * len(shape)] = 0.0
+        dec = symmetric_eig(a)
+        assert dec.eigenvalues.shape == shape + (n,)
+        assert dec.eigenvectors.shape == shape + (n, n)
+        for idx in np.ndindex(*shape):
+            one = symmetric_eig(a[idx])
+            assert np.array_equal(dec.eigenvalues[idx], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[idx], one.eigenvectors)
+
+    def test_asymmetric_slice_named_by_index(self):
+        a = self._stack(np.random.default_rng(1), (4,), 3)
+        a[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"A\[2\] is not symmetric"):
+            symmetric_eig(a)
+        b = self._stack(np.random.default_rng(2), (2, 3), 3)
+        b[1, 0, 2, 1] -= 1.0
+        with pytest.raises(ValueError, match=r"A\[1, 0\] is not symmetric"):
+            symmetric_eig(b)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetric_eig(np.ones((3, 2, 4)))
+
+    def test_gram_solve_mixed_ranks_and_zero_slice(self):
+        rng = np.random.default_rng(5)
+        n = 4
+        grams, rhs = [], rng.normal(size=(4, n))
+        for rank in (4, 2, 1, 0):
+            x = rng.normal(size=(rank, n))
+            grams.append(x.T @ x)
+        grams = np.array(grams)
+        dec = symmetric_eig(grams)
+        x_all, keep_all = gram_solve(dec, rhs)
+        assert keep_all.sum(axis=-1).tolist() == [4, 2, 1, 0]
+        for i, g in enumerate(grams):
+            x_one, keep_one = gram_solve(symmetric_eig(g), rhs[i])
+            assert np.array_equal(keep_all[i], keep_one)
+            assert np.array_equal(x_all[i], x_one)
+        assert not keep_all[3].any()
+        assert np.array_equal(x_all[3], np.zeros(n))
+
+    def test_gram_solve_shares_one_rhs(self):
+        g = self._stack(np.random.default_rng(8), (6,), 3)
+        g = g @ np.swapaxes(g, -1, -2)
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        x_all, _ = gram_solve(symmetric_eig(g), np.ones(3))
+        for i in range(6):
+            x_one, _ = gram_solve(symmetric_eig(g[i]), np.ones(3))
+            assert np.array_equal(x_all[i], x_one)
+        assert np.abs(np.einsum("kij,kj->ki", g, x_all) - 1.0).max() <= 1e-8
 
 
 class TestExtendedMinNorm:

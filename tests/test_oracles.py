@@ -2,15 +2,18 @@
 
 The logarithmic integral is cross-checked against mpmath, the growth
 closed forms against a locally written RK4 integrator, and the SVM
-enumeration against hand-solved instances plus KKT conditions.
+enumeration against hand-solved instances, KKT conditions and the
+per-subset loop in svm_oracle.py.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
+from gradflow import oracles
 from gradflow.losses import Dataset
 from gradflow.oracles import (
+    MAX_SVM_SAMPLES,
     Equilibrium1D,
     MarginSolution,
     NonSeparableError,
@@ -21,6 +24,7 @@ from gradflow.oracles import (
     nonseparable_equilibrium_1d,
 )
 from fd_oracles import fd_gradient_check
+from svm_oracle import hard_margin_svm_by_subset
 
 
 def _rk4_growth(k, f_tilde, rho0, t_end, n_steps=40000):
@@ -94,6 +98,81 @@ def test_svm_feasibility_and_kkt_on_random_separable_sets():
                 continue
             v_feas = v / margins.min()
             assert v_feas @ v_feas >= sol.w_raw @ sol.w_raw - 1e-9
+
+
+def _random_separable(rng, n, d):
+    direction = rng.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    x = rng.normal(size=(n, d))
+    y = np.where(x @ direction >= 0.0, 1.0, -1.0)
+    x += 0.3 * direction * y[:, None]  # guarantee a positive margin
+    return Dataset(x, y, task="binary")
+
+
+def test_svm_matches_per_subset_loop_on_random_separable_sets():
+    rng = np.random.default_rng(1618)
+    sizes = []
+    for trial in range(200):
+        d = 2 + trial % 2
+        # the reference makes one eigendecomposition per subset: mostly
+        # small sets, and one of each d at the budget
+        n = MAX_SVM_SAMPLES if trial in (98, 199) else 1 + trial // 2 % 8
+        sizes.append(n)
+        data = _random_separable(rng, n, d)
+        sol = hard_margin_svm(data)
+        ref = hard_margin_svm_by_subset(data)
+        assert sol.support_indices == ref.support_indices
+        scale = np.abs(ref.w_raw).max()
+        assert np.abs(sol.w_raw - ref.w_raw).max() <= 1e-12 * scale
+        assert sol.margin == pytest.approx(ref.margin, rel=1e-12, abs=0.0)
+    assert max(sizes) == MAX_SVM_SAMPLES
+
+
+def test_svm_chunked_stack_gives_the_same_answer(monkeypatch):
+    # d = 4 at N = 9: sizes up to 5, C(9, 5) = 126 subsets; 50 Gram
+    # entries per stack split every size but 1 into chunks
+    data = _random_separable(np.random.default_rng(31), 9, 4)
+    whole = hard_margin_svm(data)
+    monkeypatch.setattr(oracles, "SVM_STACK_ENTRIES", 50)
+    chunked = hard_margin_svm(data)
+    assert chunked.support_indices == whole.support_indices
+    assert np.array_equal(chunked.w_raw, whole.w_raw)
+    ref = hard_margin_svm_by_subset(data)
+    assert ref.support_indices == whole.support_indices
+    assert np.abs(ref.w_raw - whole.w_raw).max() <= 1e-12 * np.abs(
+        ref.w_raw).max()
+
+
+@pytest.mark.parametrize("delta,winner", [
+    # {0, 2}'s norm is smaller by 4e-13 relative: a tie, {0, 1} is first
+    (4e-13, (1.0, 0.0)),
+    # smaller by 1e-10 relative: {0, 2} wins
+    (1e-10, (1.0 - 0.5e-10, 0.5e-10)),
+])
+def test_svm_tie_goes_to_first_subset(delta, winner):
+    # {0, 1} solves to w = (1, 0); {0, 2} to about (1 - delta/2, delta/2),
+    # which misses point 1 by delta, within FEASIBILITY_SLACK
+    x = [[1.0, 1.0], [1.0, -1.0], [1.0 + delta, -1.0 - delta]]
+    data = Dataset(x, [1.0, 1.0, 1.0], task="binary")
+    sol = hard_margin_svm(data)
+    assert np.abs(sol.w_raw - winner).max() <= 1e-15
+    ref = hard_margin_svm_by_subset(data)
+    assert np.abs(ref.w_raw - winner).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,d", [(12, 2), (MAX_SVM_SAMPLES, 3), (2, 3),
+                                 (5, 1)])
+def test_svm_one_eigendecomposition_per_subset_size(n, d, monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    hard_margin_svm(_random_separable(np.random.default_rng(n + d), n, d))
+    assert len(calls) == min(n, d + 1)
 
 
 def test_svm_rejects_nonseparable():
