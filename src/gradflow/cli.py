@@ -231,6 +231,8 @@ def _cmd_flow(args, body, seed) -> int:
           f"stop: {trace.stop_reason})")
     if trace.backtrack_giveups:
         print(f"backtrack give-ups: {trace.backtrack_giveups}")
+    if trace.floored_steps:
+        print(f"loss-floored steps: {trace.floored_steps}")
     if trace.kink_events:
         print(f"relu kinks: {trace.kink_events}")
     if args.verbose:

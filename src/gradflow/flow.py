@@ -4,7 +4,10 @@ Plain explicit-Euler gradient flow (optionally ridge-regularized), a
 loss-rescaled stepping mode for the logarithmically slow separable runs,
 an exact mode-by-mode propagator for linear square-loss descent (the
 workhorse behind million-step perturbation schedules), the normalized
-scale/direction systems, and the perturb-and-reconverge protocol.
+scale/direction system, and the perturb-and-reconverge protocol. There is
+one Euler driver, run_flows; a loss-rescaled step taken at its loss floor
+is counted in the trace. The normalized system weights its samples by the
+exponential loss's one table in losses, clamp and warning included.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
 norm_l1..norm_lK, margin_cosine, nullspace_norm, residual_norm,
@@ -24,6 +27,7 @@ from .losses import (
     Dataset,
     _check_kind,
     _loss_and_gradient,
+    _loss_terms,
     classification_error,
     loss,
     mean_squared_error,
@@ -38,6 +42,8 @@ V_DRIFT_LOG_THRESHOLD = 1e-4
 V_DRIFT_INVARIANT = 1e-6
 # a regression fit has re-converged once its loss is at most this
 RECONVERGE_TOL = 1e-6
+# loss-rescaled steps divide by the loss, never by less than this
+LOSS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,9 @@ class TrajectoryTrace:
     # loss_rescaled steps taken although the loss still rose after
     # MAX_HALVINGS halvings; a count only, not a CSV column
     backtrack_giveups: int = 0
+    # loss_rescaled steps taken at a loss below LOSS_FLOOR, where dt is
+    # step / LOSS_FLOOR instead of step / loss; a count only, as above
+    floored_steps: int = 0
 
     def header(self) -> list:
         cols = ["time", "loss", "train_error", "test_error"]
@@ -418,7 +427,10 @@ def run_flows(
     the same trajectory under a monotone time change; useful for
     exponential-family losses whose interesting behavior lives at
     exponentially large times. The rescaled mode backtracks (halves the
-    substep) when a step would increase the loss.
+    substep) when a step would increase the loss. It divides by the loss
+    floored at LOSS_FLOOR; each step taken from a loss below the floor,
+    whose dt is then step / LOSS_FLOOR, is counted in the trace's
+    floored_steps.
     """
     if stepping not in ("fixed", "loss_rescaled"):
         raise ValueError(f"unknown stepping {stepping!r}")
@@ -445,6 +457,7 @@ def run_flows(
     backtrack = stepping == "loss_rescaled"
     snapshots = np.zeros_like(euler.flat)  # direction_angle_below state
     snapshot_times = np.full(n, np.nan)
+    floored = np.zeros(n, dtype=int)
 
     def finish(i, converged, reason):
         """Close the trace of euler's member i, which stops here."""
@@ -457,6 +470,7 @@ def run_flows(
         trace.converged, trace.stop_reason = converged, reason
         trace.kink_events = int(euler.kink_events[i])
         trace.backtrack_giveups = int(euler.backtrack_giveups[i])
+        trace.floored_steps = int(floored[i])
         # member i leaves the stack next, so no step writes under net again
         trace.final_state = replace(state, net=net, time=time)
 
@@ -503,9 +517,13 @@ def run_flows(
                 t, steps, max_steps = t[keep], steps[keep], max_steps[keep]
                 snapshots = snapshots[keep]
                 snapshot_times = snapshot_times[keep]
+                floored = floored[keep]
                 first_budget = float(max_steps.min())
 
-        dt = steps / np.maximum(euler.value, 1e-300) if backtrack else steps
+        dt = steps
+        if backtrack:
+            floored += euler.value < LOSS_FLOOR
+            dt = steps / np.maximum(euler.value, LOSS_FLOOR)
         t += euler.step(dt, backtrack)
         iteration += 1
     return traces
@@ -751,7 +769,10 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
     rho_k moves by the per-scale gradient (prod_{i!=k} rho_i times the
     loss-weighted margin sum, always positive on separated data); V_k by
     B_k - 2 lambda_k V_k and is renormalized, with drifts beyond 1e-4
-    counted as events.
+    counted as events. The loss, its sample weights exp(-prod f~) and the
+    output delta come from the exponential loss's one table, clamp and
+    warning included; a loss-rescaled step refuses a loss that has
+    underflowed.
     """
     if state.unit_net.activation not in ("relu", "linear"):
         raise ValueError("normalized dynamics needs a homogeneous activation")
@@ -761,17 +782,22 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
     rhos = np.asarray(state.rhos)
     prod = float(np.prod(rhos))
     out, _, acts, derivs, _ = batch_forward(unit, data.inputs)
-    f_tilde = data.labels * out[0]
-    weights = np.exp(-np.minimum(prod * f_tilde, 709.0))
-    margin_mass = float((weights * f_tilde).sum())
+    value, ddelta = _loss_terms("exponential", prod * out, data.labels)
+    # ddelta is -y exp(-prod f~); with y = +-1 every sign flip is exact
+    margin_mass = float((-ddelta[0] * out[0]).sum())
     rho_dots = (prod / rhos) * margin_mass
-    b_delta = (data.labels * weights)[None, :] * prod
-    b_list = batch_backprop(unit, acts, derivs, b_delta)
+    b_list = batch_backprop(unit, acts, derivs, ddelta * -prod)
     dt = state.step
     if state.stepping == "loss_rescaled":
         # extra 1/(1+prod) keeps the tangent step bounded: the direction
         # gradient B_k carries a factor prod that the loss does not cancel
-        dt = state.step / max(float(weights.sum()) * (1.0 + prod), 1e-300)
+        scale = float(value) * (1.0 + prod)
+        if scale < LOSS_FLOOR:
+            raise ValueError(
+                f"the loss underflowed ({float(value):.3e}); a loss-rescaled "
+                "step would divide by it"
+            )
+        dt = state.step / scale
     new_layers = []
     new_rhos = rhos + dt * rho_dots
     if np.any(new_rhos <= 0.0):
@@ -827,68 +853,6 @@ def run_normalized_flow(
     rho_hist.append(state.rhos)
     losses.append(loss("exponential", state.assembled_net(), data))
     return state, {"times": times, "rhos": rho_hist, "losses": losses}
-
-
-@dataclass
-class DirectionTrace:
-    times: list
-    norms: list
-    directions: list
-    unit_drift_max: float
-
-
-def normalized_direction_flow(
-    w0,
-    data: Dataset,
-    n_steps: int,
-    step: float,
-    sample_every: int = 100,
-) -> DirectionTrace:
-    """Single-layer split dynamics: the norm r grows by the loss-weighted
-    margin sum while the unit direction moves in the tangent plane scaled
-    by 1/r, with loss-rescaled steps (dt = step / loss). Requires the
-    starting direction to separate the data.
-    """
-    if data.task != "binary":
-        raise ValueError("direction dynamics needs binary data")
-    w0 = np.asarray(w0, dtype=float)
-    r = float(np.sqrt(w0 @ w0))
-    if r == 0.0:
-        raise ValueError("starting weights must be nonzero")
-    w_dir = w0 / r
-    x = data.inputs
-    y = data.labels
-    margins = y * (x @ w_dir)
-    if margins.min() <= 0.0:
-        raise ValueError(
-            "starting direction must separate the data "
-            f"(worst margin {margins.min():.3e})"
-        )
-    t = 0.0
-    times, norms, dirs = [], [], []
-    drift = 0.0
-    for i in range(n_steps):
-        f_tilde = y * (x @ w_dir)
-        weights = np.exp(-np.minimum(r * f_tilde, 709.0))
-        loss_val = float(weights.sum())
-        r_dot = float((weights * f_tilde).sum())
-        b = (y * weights) @ x
-        tangent = (b - float(w_dir @ b) * w_dir) / r
-        if i % sample_every == 0:
-            times.append(t)
-            norms.append(r)
-            dirs.append(w_dir.copy())
-        dt = step / max(loss_val, 1e-300)
-        r += dt * r_dot
-        w_dir = w_dir + dt * tangent
-        norm = float(np.sqrt(w_dir @ w_dir))
-        drift = max(drift, abs(norm - 1.0))
-        w_dir /= norm
-        t += dt
-    times.append(t)
-    norms.append(r)
-    dirs.append(w_dir.copy())
-    return DirectionTrace(times, norms, dirs, drift)
 
 
 def growth_numeric_trace(k: int, f_tilde: float, rho0: float, t_grid):

@@ -14,7 +14,7 @@ solves every leading-column width of X from two factorizations: one
 Householder QR of the columns, whose prefixes serve every tall width, and
 one QR of the square X^T, which each wider width updates by appending a
 row with Givens rotations. Every width gets the same condition estimate
-and the same rank refusal. ``extended_min_norm`` is its one-width case.
+and the same rank refusal.
 
 A cyclic-Jacobi eigensolver in ``tests/`` is the independent oracle for
 ``symmetric_eig``: it shares no code with LAPACK, and Jacobi keeps high
@@ -308,17 +308,3 @@ def extended_min_norm_path(x_mat, y, first_width: int = 1) -> list:
         out += _wide_path(x_mat, y, max(first_width, n))
     return out
 
-
-def extended_min_norm(x_mat, y, return_condition: bool = False):
-    """Least-squares solve of X w = y by QR in long double: the one-width
-    case of extended_min_norm_path, with its condition estimate.
-
-    Raises ValueError when X is rank deficient.
-    """
-    x_mat = check_matrix(x_mat, "X")
-    (solved,) = extended_min_norm_path(x_mat, y, x_mat.shape[1])
-    if solved is None:
-        raise ValueError(RANK_DEFICIENT)
-    if return_condition:
-        return solved
-    return solved[0]

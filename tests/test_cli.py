@@ -401,6 +401,26 @@ class TestFlow:
                      "--output-dir", str(tmp_path)]) == 0
         assert "give-ups" not in capsys.readouterr().out
 
+    def test_loss_floored_steps_are_printed(self, tmp_path, capsys):
+        # margin 800 puts the exponential loss below the 1e-300 floor
+        body = {
+            "dataset": {"inputs": [[1.0]], "labels": [1]},
+            "net": {"layers": [[[800.0]]], "activation": "linear"},
+            "loss": "exponential",
+            "step": 0.05,
+            "stepping": "loss_rescaled",
+            "stop": {"max_steps": 3},
+        }
+        cfg = _write(tmp_path / "floor.json", body)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 0
+        assert "loss-floored steps: 3\n" in capsys.readouterr().out
+        body["net"]["layers"] = [[[1.0]]]
+        cfg = _write(tmp_path / "calm.json", body)
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 0
+        assert "loss-floored steps" not in capsys.readouterr().out
+
 
 class TestSpectrum:
     def _config(self, tmp_path, **extra):

@@ -3,7 +3,8 @@
 Oracles: the 1D closed form w(t) = log(t + e^{w(0)}) for the single-sample
 exponential flow, an in-test RK4 integrator run at a fraction of the Euler
 step, a direct numpy gradient-descent loop for the exact propagator, the
-subset-enumeration SVM solver, and bisection for 1D regularized equilibria.
+subset-enumeration SVM solver, bisection for 1D regularized equilibria, and
+a plain-numpy normalized step of a one-layer linear net.
 """
 
 from dataclasses import replace
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from gradflow.flow import (
-    DirectionTrace,
     FlowState,
     LinearSquareGD,
     NormalizedFlowState,
@@ -24,7 +24,6 @@ from gradflow.flow import (
     _error_metric,
     _record,
     growth_numeric_trace,
-    normalized_direction_flow,
     normalized_flow_step,
     normalized_state_from_net,
     perturb_and_reconverge,
@@ -886,6 +885,39 @@ def _pretrained_two_layer(seed, steps=3000):
     return trace.final_state.net
 
 
+def _unit_linear_state(w, rho, stepping):
+    w = np.asarray(w, float)
+    return NormalizedFlowState(unit_net=_linear_net(w / np.sqrt(w @ w)),
+                               rhos=(rho,), step=0.05, stepping=stepping)
+
+
+def _reference_normalized_step(state, data, clamp):
+    """normalized_flow_step of a one-layer linear net in plain numpy, as
+    (V, rho, time). clamp=True weights samples by exp(-min(rho f~, 709)),
+    which the loss table's weights must equal bit for bit wherever no
+    rho f~ exceeds 709; clamp=False takes the true weights."""
+    x, y = data.inputs, data.labels
+    v, rho = state.unit_net.layers[0], state.rhos[0]
+    f_tilde = y * (v @ x.T)[0]
+    u = np.minimum(rho * f_tilde, 709.0) if clamp else rho * f_tilde
+    weights = np.exp(-u)
+    dt = state.step
+    if state.stepping == "loss_rescaled":
+        dt = state.step / (float(weights.sum()) * (1.0 + rho))
+    b = ((y * weights)[None, :] * rho) @ x
+    lam = 0.5 * float((v * b).sum())
+    v_new = v + dt * (b - 2.0 * lam * v)
+    rho_new = rho + dt * float((weights * f_tilde).sum())
+    return v_new / np.sqrt((v_new * v_new).sum()), rho_new, state.time + dt
+
+
+def _assert_step_is(got, want):
+    v, rho, time = want
+    assert np.array_equal(_bits(got.unit_net.layers[0]), _bits(v))
+    assert repr(got.rhos[0]) == repr(float(rho))
+    assert repr(got.time) == repr(float(time))
+
+
 class TestNormalizedFlow:
     def test_unit_norm_invariant_and_growing_scales(self):
         net = _pretrained_two_layer(3)
@@ -924,6 +956,43 @@ class TestNormalizedFlow:
             for _ in range(50_000):
                 state = normalized_flow_step(state, SEP)
 
+    @pytest.mark.parametrize("stepping", ["fixed", "loss_rescaled"])
+    def test_step_on_sep_is_the_old_formula_bit_for_bit(self, stepping):
+        state = _unit_linear_state([1.0, 0.1], 3.0, stepping)
+        _assert_step_is(normalized_flow_step(state, SEP),
+                        _reference_normalized_step(state, SEP, clamp=True))
+
+    def test_sample_past_the_clamp_gets_its_true_weight(self):
+        # rho f~ is 680 and 720.8: only the second sample is past 709, and
+        # it alone turns V off (1, 0), by dt rho w_2 / 2 with rescaled dt
+        data = Dataset(np.array([[1.0, 0.0], [1.06, 0.5]]),
+                       np.array([1.0, 1.0]))
+        state = _unit_linear_state([1.0, 0.0], 680.0, "loss_rescaled")
+        got = normalized_flow_step(state, data)
+        _assert_step_is(got, _reference_normalized_step(state, data,
+                                                        clamp=False))
+        turn = got.unit_net.layers[0][0, 1]
+        clamped = _reference_normalized_step(state, data, clamp=True)
+        assert 0.0 < 1e3 * turn < clamped[0][0, 1]
+
+    def test_misclassified_sample_past_the_clamp_warns(self):
+        data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                       np.array([1.0, -1.0]))
+        state = _unit_linear_state([1.0, 0.0], 800.0, "fixed")
+        # the clamped weight exp(709) still overflows the products after it
+        with (pytest.warns(RuntimeWarning, match="exponent clamped"),
+              np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(ValueError, match="scale crossed zero")):
+            normalized_flow_step(state, data)
+
+    def test_rescaled_step_refuses_an_underflowed_loss(self):
+        # every rho f~ is above 745, where exp(-rho f~) rounds to 0
+        state = _unit_linear_state([1.0, 0.1], 1000.0, "loss_rescaled")
+        v = state.unit_net.layers[0][0]
+        assert (1000.0 * SEP.labels * (SEP.inputs @ v)).min() > 745.0
+        with pytest.raises(ValueError, match="loss underflowed"):
+            normalized_flow_step(state, SEP)
+
     def test_state_validation(self):
         net = _pretrained_two_layer(3)
         with pytest.raises(ValueError, match="unit"):
@@ -934,27 +1003,44 @@ class TestNormalizedFlow:
 
 
 class TestDirectionFlow:
-    def test_rejects_non_separating_direction(self):
-        with pytest.raises(ValueError, match="separate"):
-            normalized_direction_flow(np.array([-1.0, 0.0]), SEP, 10, 0.05)
+    """The W-flow of a one-layer linear net under loss-rescaled steps, to
+    t = 1e290: short of the loss floor, so every step is step / loss."""
 
-    def test_converges_to_max_margin_direction(self):
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return run_flow(FlowState(net=_linear_net([1.0, 0.1]), step=0.05),
+                        "exponential", SEP,
+                        StopRule(max_time=1e290, max_steps=200_000),
+                        stepping="loss_rescaled", sample_every=10**9)
+
+    def test_converges_to_max_margin_direction(self, trace):
+        assert trace.floored_steps == 0
         svm = hard_margin_svm(SEP)
-        trace = normalized_direction_flow(np.array([1.0, 0.1]), SEP, 200_000, 0.05)
-        d = trace.directions[-1]
-        assert abs(np.sqrt(d @ d) - 1.0) <= 1e-12
+        w = trace.final_state.net.layers[0].ravel()
+        d = w / np.sqrt(w @ w)
         cos = float(d @ svm.w_tilde) / np.sqrt(svm.w_tilde @ svm.w_tilde)
         assert cos >= 0.999
 
-    def test_norm_grows_like_log_time(self):
-        trace = normalized_direction_flow(np.array([1.0, 0.1]), SEP, 200_000, 0.05)
-        d = trace.directions[-1]
-        margins = SEP.labels * (SEP.inputs @ d)
+    def test_norm_grows_like_log_time(self, trace):
+        assert trace.floored_steps == 0
+        w = trace.final_state.net.layers[0].ravel()
+        r = np.sqrt(w @ w)
+        margins = SEP.labels * (SEP.inputs @ (w / r))
         gamma = margins.min()
-        r, t = trace.norms[-1], trace.times[-1]
+        t = trace.final_state.time
         assert t > 1e100
         assert abs(r * gamma / np.log(t) - 1.0) <= 0.05
 
+    def test_steps_below_the_loss_floor_are_counted(self):
+        # every margin above 745 puts the loss below 1e-300 from the start
+        w0 = 1000.0 * np.array([1.0, 0.1])
+        assert (SEP.labels * (SEP.inputs @ w0)).min() > 745.0
+        trace = run_flow(FlowState(net=_linear_net(w0), step=0.05),
+                         "exponential", SEP, StopRule(max_steps=50),
+                         stepping="loss_rescaled", sample_every=1)
+        assert trace.stop_reason == "max_steps"
+        assert all(value < 1e-300 for value in trace.losses)
+        assert trace.floored_steps == len(trace.times) - 1 == 50
 
 class TestGrowthTrace:
     def test_k1_matches_closed_form(self):

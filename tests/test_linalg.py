@@ -14,7 +14,7 @@ import gradflow.spectra as spectra
 from gradflow.linalg import (
     RANK_CUTOFF,
     EigenDecomposition,
-    extended_min_norm,
+    extended_min_norm_path,
     frobenius_norm,
     gram_solve,
     min_norm_least_squares,
@@ -297,14 +297,14 @@ class TestStacked:
 
 class TestExtendedMinNorm:
     """Long-double QR route for design matrices whose Gram conditioning
-    exceeds float64. Oracles: numpy lstsq/pinv on benign instances, and
+    exceeds float64, one width at a time. Oracles: numpy lstsq/pinv on benign instances, and
     the residual itself on the pathological ones."""
 
     def test_matches_float64_path_when_well_conditioned(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 10))
         y = rng.normal(size=6)
-        w_ext = extended_min_norm(x, y)
+        [(w_ext, _)] = extended_min_norm_path(x, y, x.shape[1])
         w_ref = min_norm_least_squares(x, y)
         assert np.abs(w_ext - w_ref).max() <= 1e-10
 
@@ -312,7 +312,7 @@ class TestExtendedMinNorm:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(15, 5))
         y = rng.normal(size=15)
-        w_ext = extended_min_norm(x, y)
+        [(w_ext, _)] = extended_min_norm_path(x, y, x.shape[1])
         ref, *_ = np.linalg.lstsq(x, y, rcond=None)
         assert np.abs(w_ext - ref).max() <= 1e-10
 
@@ -320,7 +320,7 @@ class TestExtendedMinNorm:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 9))
         y = rng.normal(size=4)
-        w = extended_min_norm(x, y)
+        [(w, _)] = extended_min_norm_path(x, y, x.shape[1])
         ref = np.linalg.pinv(x) @ y
         assert np.abs(w - ref).max() <= 1e-10
 
@@ -336,7 +336,7 @@ class TestExtendedMinNorm:
         x = np.vander(nodes, 101, increasing=True)
         w_gram = min_norm_least_squares(x, y)
         assert ((x @ w_gram - y) ** 2).sum() > 1e-3
-        w_ext, cond = extended_min_norm(x, y, return_condition=True)
+        [(w_ext, cond)] = extended_min_norm_path(x, y, x.shape[1])
         x_ld = np.vander(nodes.astype(np.longdouble), 101, increasing=True)
         resid = float(((x_ld @ w_ext.astype(np.longdouble) - y) ** 2).sum())
         assert resid <= 1e-9
@@ -344,24 +344,23 @@ class TestExtendedMinNorm:
 
     def test_condition_estimate_sane_on_orthogonal_rows(self):
         x = np.eye(3, 7)
-        _, cond = extended_min_norm(x, np.ones(3), return_condition=True)
+        [(_, cond)] = extended_min_norm_path(x, np.ones(3), x.shape[1])
         assert abs(cond - 1.0) <= 1e-12
 
     def test_square_system_exact(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 5))
         y = rng.normal(size=5)
-        w = extended_min_norm(x, y)
+        [(w, _)] = extended_min_norm_path(x, y, x.shape[1])
         assert np.abs(x @ w - y).max() <= 1e-12
 
-    def test_rank_deficient_raises(self):
+    def test_rank_deficient_refused(self):
         x = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]])  # rank 1
-        with pytest.raises(ValueError, match="rank deficient"):
-            extended_min_norm(x, np.ones(2))
+        assert extended_min_norm_path(x, np.ones(2), x.shape[1]) == [None]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            extended_min_norm(np.eye(3), np.ones(4))
+            extended_min_norm_path(np.eye(3), np.ones(4), 3)
 
 
 class TestAgainstJacobiOracle:

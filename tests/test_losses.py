@@ -1,10 +1,13 @@
 """Loss values, gradients (vs finite differences), margins, descent checks."""
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradflow
 from gradflow.losses import (
     Dataset,
     classification_error,
@@ -197,6 +200,15 @@ def test_exponential_overflow_clamps_with_warning():
         val = loss("exponential", net, data)
     assert np.isfinite(val)
     assert any("clamp" in str(w.message) for w in rec)
+
+
+def test_exp_clamp_is_written_once():
+    # a private clamp beside EXP_CLAMP would weight samples without warning
+    hits = [(path.name, line.strip())
+            for path in sorted(Path(gradflow.__file__).parent.glob("*.py"))
+            for line in path.read_text().splitlines()
+            if re.search(r"\b709\b", line)]
+    assert hits == [("losses.py", "EXP_CLAMP = 709.0")]
 
 
 def test_loss_label_mismatches_rejected():

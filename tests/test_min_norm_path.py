@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gradflow.linalg import extended_min_norm, extended_min_norm_path
+from gradflow.linalg import extended_min_norm_path
 
 
 def _chebyshev_vandermonde(n, columns):
@@ -90,7 +90,7 @@ def test_tall_widths_equal_fresh_factorizations_bitwise():
             continue
         w, cond = solved
         assert np.array_equal(w, fresh[0]) and cond == fresh[1]
-        one = extended_min_norm(design[:, :width], y, return_condition=True)
+        [one] = extended_min_norm_path(design[:, :width], y, width)
         assert np.array_equal(one[0], w) and one[1] == cond
     assert refused == [73, 74, 75]
 
@@ -108,10 +108,9 @@ def test_singular_square_prefix_still_solves_wider_widths():
         assert solved is not None
         ref = np.linalg.pinv(x[:, :width]) @ y
         assert np.abs(solved[0] - ref).max() <= 1e-10
-        w = extended_min_norm(x[:, :width], y)
+        [(w, _)] = extended_min_norm_path(x[:, :width], y, width)
         assert np.abs(w - ref).max() <= 1e-10
-    with pytest.raises(ValueError, match="rank deficient"):
-        extended_min_norm(x[:, :3], y)
+    assert extended_min_norm_path(x[:, :3], y, 3) == [None]
 
 
 def test_wide_widths_match_mpmath_minimum_norm():
