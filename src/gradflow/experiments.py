@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import (
+    LOSS_FLOOR,
     RECONVERGE_TOL,
     FlowState,
     LinearSquareGD,
@@ -914,7 +915,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     Excluded: exponential flows whose backtracking gave up at some step,
     and square-loss flows that stopped before their gradient-norm target.
     A flow that ends at max_steps is not excluded; the exponential flows
-    are meant to run into the step budget.
+    are meant to run into the step budget. Steps taken on the loss floor
+    are counted in floored_steps and noted, never excluded.
     """
     p = config.resolved()
     notes = []
@@ -945,6 +947,10 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     )
     # a flow whose backtracking gave up took a step that raised the loss
     excluded = sum(out.backtrack_giveups > 0 for out in outs)
+    floored = sum(out.floored_steps for out in outs)
+    if floored:
+        notes.append(f"{floored} exponential flow step(s) taken at a loss "
+                     f"below LOSS_FLOOR = {LOSS_FLOOR:.0e}")
 
     per_dataset = []
     trace_paths = []
@@ -1013,6 +1019,7 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
         "square_zero_init_gap": gap_zero,
         "square_null_init_gap": gap_null,
         "regenerated_datasets": total_regen,
+        "floored_steps": floored,
     }
     _write_csv(
         config,

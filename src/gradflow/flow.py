@@ -786,7 +786,6 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
     # ddelta is -y exp(-prod f~); with y = +-1 every sign flip is exact
     margin_mass = float((-ddelta[0] * out[0]).sum())
     rho_dots = (prod / rhos) * margin_mass
-    b_list = batch_backprop(unit, acts, derivs, ddelta * -prod)
     dt = state.step
     if state.stepping == "loss_rescaled":
         # extra 1/(1+prod) keeps the tangent step bounded: the direction
@@ -806,6 +805,7 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
             "run the plain flow to a separating state before switching to "
             "normalized coordinates"
         )
+    b_list = batch_backprop(unit, acts, derivs, ddelta * -prod)
     events = state.renorm_events
     max_drift = state.max_v_drift
     for v, b in zip(unit.layers, b_list):

@@ -1,6 +1,8 @@
 """Linearization around flow points: Hessian assembly, eigenvalue
 classification, regularization sweeps, virtual-data construction, and
-conjugacy verdicts for pairs of linear systems.
+conjugacy verdicts for pairs of linear systems. The Hessian's bumped
+points and the virtual system's samples each go through the network as
+one stacked evaluation.
 
 Orientation convention, stated once and carried in every report: classify()
 treats its input as the matrix A of a linearized flow dx/dt = A x, so
@@ -12,7 +14,7 @@ reports the eigenvalues of H itself (positive = stable for the flow).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,13 +22,19 @@ import numpy as np
 from .flow import (FlowState, StopRule, _grad_norm, _total_gradient,
                    _two_lambdas, _write_table, run_flow)
 from .linalg import check_matrix, symmetric_eig
-from .losses import Dataset, batch_outputs, loss_and_gradient, loss_gradient
-from .network import DeepNet, flatten_params, layer_gradients, unflatten_params
+from .losses import Dataset, _check_kind, _loss_and_gradient, loss_gradient
+from .network import (DeepNet, batch_backprop, batch_forward, flatten_params,
+                      unflatten_params)
 
 MAX_HESSIAN_DIM = 500
 ASYMMETRY_RTOL = 1e-4
 DEFAULT_ZERO_TOL = 1e-8
 FD_STEP_BASE = 1e-5
+# activation entries (members x widest layer x N) per stacked Hessian call;
+# 2P = 1000 members at a large N would otherwise need gigabytes at once
+HESSIAN_STACK_ENTRIES = 1 << 16
+# regularized gradient norm above which a sweep entry is not an equilibrium
+EQUILIBRIUM_GRAD_TOL = 1e-6
 
 FLOW_CONVENTION = (
     "input is the linearized flow matrix A of dx/dt = A x; "
@@ -90,7 +98,9 @@ class ConjugacyVerdict:
 def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
     """Loss Hessian over all flattened weights by central finite differences
     of the analytic gradient; ridge terms contribute exact 2*lambda_k
-    identity blocks, added analytically.
+    identity blocks, added analytically. The 2P bumped points flat +- h e_j
+    are the members of stacked layers, evaluated in chunks of at most
+    HESSIAN_STACK_ENTRIES activation entries.
 
     Pre-symmetrization asymmetry above 1e-4 relative is rejected, that
     pattern means the gradient itself is wrong.
@@ -102,21 +112,24 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
     lams = tuple(float(l) for l in lambdas)
     if lams and len(lams) != net.depth:
         raise ValueError(f"{len(lams)} lambdas for {net.depth} layers")
+    _check_kind(kind, data, net)
     shapes = [w.shape for w in net.layers]
-    scale = max(1.0, float(np.abs(flat).max()))
-    h = FD_STEP_BASE * scale
-    cols = np.empty((dim, dim))
-    kink_seen = False
-    for j in range(dim):
-        bump = np.zeros(dim)
-        bump[j] = h
-        net_plus = net.with_layers(unflatten_params(flat + bump, shapes))
-        net_minus = net.with_layers(unflatten_params(flat - bump, shapes))
-        _, g_plus, k1 = loss_and_gradient(kind, net_plus, data)
-        _, g_minus, k2 = loss_and_gradient(kind, net_minus, data)
-        kink_seen = kink_seen or k1 or k2
-        cols[:, j] = (flatten_params(g_plus) - flatten_params(g_minus)) / (2.0 * h)
-    if kink_seen and net.activation == "relu":
+    h = FD_STEP_BASE * max(1.0, float(np.abs(flat).max()))
+    bumps = h * np.eye(dim)
+    points = np.concatenate([flat + bumps, flat - bumps])
+    widest = max(shape[0] for shape in shapes)
+    chunk = max(1, HESSIAN_STACK_ENTRIES // (widest * len(data.labels)))
+    grads = np.empty_like(points)
+    kink = False
+    for start in range(0, 2 * dim, chunk):
+        layers = unflatten_params(points[start:start + chunk], shapes)
+        _, g, hit = _loss_and_gradient(kind, net, data.inputs, data.labels,
+                                       layers)
+        kink = kink or bool(np.any(hit))
+        grads[start:start + chunk] = np.concatenate(
+            [gk.reshape(len(gk), -1) for gk in g], axis=1)
+    cols = ((grads[:dim] - grads[dim:]) / (2.0 * h)).T
+    if kink and net.activation == "relu":
         warnings.warn(
             "finite differences crossed a relu kink; Hessian entries near "
             "that coordinate are unreliable (use smoothed_relu)"
@@ -150,13 +163,9 @@ def classify(h_mat, tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
     n_unstable = int((evals > thr).sum())
     n_zero = evals.size - n_stable - n_unstable
     return SpectrumReport(
-        eigenvalues=tuple(float(v) for v in evals),
-        n_stable=n_stable,
-        n_unstable=n_unstable,
-        n_zero=n_zero,
-        tol=tol,
-        convention=FLOW_CONVENTION,
-    )
+        eigenvalues=tuple(float(v) for v in evals), n_stable=n_stable,
+        n_unstable=n_unstable, n_zero=n_zero, tol=tol,
+        convention=FLOW_CONVENTION)
 
 
 def classify_loss_hessian(h_mat, tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
@@ -165,14 +174,7 @@ def classify_loss_hessian(h_mat, tol: float = DEFAULT_ZERO_TOL) -> SpectrumRepor
     directions of the flow dx/dt = -H x are the ones that decay)."""
     flow_report = classify(-np.asarray(h_mat, dtype=float), tol=tol)
     evals = tuple(sorted(-v for v in flow_report.eigenvalues))
-    return SpectrumReport(
-        eigenvalues=evals,
-        n_stable=flow_report.n_stable,
-        n_unstable=flow_report.n_unstable,
-        n_zero=flow_report.n_zero,
-        tol=tol,
-        convention=LOSS_CONVENTION,
-    )
+    return replace(flow_report, eigenvalues=evals, convention=LOSS_CONVENTION)
 
 
 class SweepEntry(NamedTuple):
@@ -188,16 +190,15 @@ def hyperbolicity_sweep(
     data: Dataset,
     lambda_list,
     equilibrate: bool = True,
-    grad_tol: float = 1e-6,
     step: float = 1e-2,
     max_steps: int = 400_000,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> list:
     """Per-lambda equilibrium spectra of the ridge-regularized loss.
 
     With equilibrate=True each lambda gets its own equilibrium, warm-started
     from the previous one. A state whose regularized gradient norm exceeds
-    grad_tol is still classified but carries a per-lambda warning.
+    EQUILIBRIUM_GRAD_TOL is still classified but carries a per-lambda
+    warning.
     """
     entries = []
     current = net
@@ -206,27 +207,20 @@ def hyperbolicity_sweep(
         lams = (lam,) * current.depth
         if equilibrate:
             state = FlowState(net=current, step=step, lambdas=lams)
-            trace = run_flow(
-                state,
-                kind,
-                data,
-                StopRule(max_steps=max_steps, grad_norm_below=grad_tol * 0.1),
-                sample_every=10**9,
-            )
-            current = trace.final_state.net
+            stop = StopRule(max_steps=max_steps,
+                            grad_norm_below=EQUILIBRIUM_GRAD_TOL * 0.1)
+            current = run_flow(state, kind, data, stop,
+                               sample_every=10**9).final_state.net
         grads = loss_gradient(kind, current, data)
         gnorm = float(_grad_norm(_total_gradient(grads, current.layers,
                                                  _two_lambdas(lams))))
         warning = ""
-        if gnorm > grad_tol:
-            warning = (
-                f"not at equilibrium: regularized gradient norm {gnorm:.3e} "
-                f"exceeds {grad_tol:.1e}"
-            )
+        if gnorm > EQUILIBRIUM_GRAD_TOL:
+            warning = (f"not at equilibrium: regularized gradient norm "
+                       f"{gnorm:.3e} exceeds {EQUILIBRIUM_GRAD_TOL:.1e}")
         h_mat = hessian(kind, current, data, lambdas=lams)
-        entries.append(
-            SweepEntry(lam, classify_loss_hessian(h_mat, tol=zero_tol), gnorm, warning)
-        )
+        entries.append(SweepEntry(lam, classify_loss_hessian(h_mat), gnorm,
+                                  warning))
     return entries
 
 
@@ -237,25 +231,23 @@ def virtual_linear_system(net: DeepNet, data: Dataset) -> Dataset:
 
     Labels are <x'_n, w_flat> so the current flattened point interpolates
     the virtual problem too. Residuals above 1e-6 are rejected, the identity
-    only holds where every residual vanishes.
+    only holds where every residual vanishes. Each sample is a batch of
+    one in a single broadcast forward and backward pass.
     """
-    outputs = batch_outputs(net, data.inputs)
-    if outputs.ndim != 1:
+    n = len(data.labels)
+    out, _, acts, derivs, _ = batch_forward(net, data.inputs[:, None, :])
+    if out.shape[1] != 1:
         raise ValueError("virtual construction needs a scalar-output net")
-    residuals = outputs - data.labels
+    residuals = out[:, 0, 0] - data.labels
     worst = float(np.abs(residuals).max())
     if worst > 1e-6:
         raise ValueError(
             f"residual {worst:.3e} exceeds 1e-6; the virtual identity "
             "holds only at an interpolating minimum"
         )
-    flat = flatten_params(net.layers)
-    rows = []
-    for x in data.inputs:
-        lg = layer_gradients(net, x)
-        rows.append(flatten_params(lg.grads))
-    virtual_inputs = np.vstack(rows)
-    labels = virtual_inputs @ flat
+    grads = batch_backprop(net, acts, derivs, np.ones((n, 1, 1)))
+    virtual_inputs = np.concatenate([g.reshape(n, -1) for g in grads], axis=1)
+    labels = virtual_inputs @ flatten_params(net.layers)
     return Dataset(virtual_inputs, labels, task="regression")
 
 

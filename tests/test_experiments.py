@@ -471,6 +471,25 @@ class TestDirectionStudy:
             cos = wa @ wb / np.sqrt((wa @ wa) * (wb @ wb))
             assert np.arccos(min(cos, 1.0)) <= 1e-3
 
+    def test_loss_floor_is_reported_not_excluded(self):
+        # with max_time off (the bench's shape) the flows run onto the
+        # loss floor; at max_time they stop short of it
+        base = {"n_datasets": 2, "n_inits": 2}
+        floored = run_scenario(ExperimentConfig(
+            scenario="convergence_direction_study", seed=0,
+            params={**base, "max_time": None, "max_steps": 3000},
+        ))
+        count = floored.aggregates["floored_steps"]
+        assert count > 0
+        assert any(f"{count} exponential" in n and "LOSS_FLOOR" in n
+                   for n in floored.notes)
+        assert floored.excluded == 0
+        stopped = run_scenario(ExperimentConfig(
+            scenario="convergence_direction_study", seed=0, params=base,
+        ))
+        assert stopped.aggregates["floored_steps"] == 0
+        assert not any("LOSS_FLOOR" in n for n in stopped.notes)
+
     def test_square_flows_short_of_their_limit_are_excluded(self):
         # 5 steps end both square-loss flows at max_steps, far from the
         # gradient-norm target; the exponential flows, also ending at

@@ -979,9 +979,18 @@ class TestNormalizedFlow:
         data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]),
                        np.array([1.0, -1.0]))
         state = _unit_linear_state([1.0, 0.0], 800.0, "fixed")
-        # the clamped weight exp(709) still overflows the products after it
         with (pytest.warns(RuntimeWarning, match="exponent clamped"),
-              np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(ValueError, match="scale crossed zero")):
+            normalized_flow_step(state, data)
+
+    def test_scales_are_checked_before_the_backward_pass(self):
+        # the clamped weight exp(709) would overflow the direction
+        # gradient's products; the crossed scale is refused before them
+        data = Dataset(np.array([[0.5, 0.0], [1.0, 0.0]]),
+                       np.array([1.0, -1.0]))
+        state = _unit_linear_state([1.0, 0.0], 800.0, "fixed")
+        with (pytest.warns(RuntimeWarning, match="exponent clamped"),
+              np.errstate(all="raise"),
               pytest.raises(ValueError, match="scale crossed zero")):
             normalized_flow_step(state, data)
 

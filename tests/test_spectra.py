@@ -7,14 +7,19 @@ Hessian there is a sum of n rank-one terms, so at least D - n exact zero
 modes).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import gradflow.spectra as spectra_mod
 from gradflow.flow import FlowState, StopRule, run_flow
 from gradflow.linalg import frobenius_norm, symmetric_eig
-from gradflow.losses import Dataset, batch_outputs, separability_margin
-from gradflow.network import DeepNet, _forward_pass, random_net
+import gradflow.network as network_mod
+from gradflow.losses import (Dataset, batch_outputs, loss_and_gradient,
+                             separability_margin)
+from gradflow.network import (DeepNet, _forward_pass, flatten_params,
+                              layer_gradients, random_net, unflatten_params)
 from gradflow.spectra import (
     ConjugacyVerdict,
     SpectrumReport,
@@ -54,6 +59,38 @@ def make_interpolating_net(seed, dims=(2, 4, 1), n=3):
         y = batch_outputs(net, x)
         return net, Dataset(x, y, task="regression")
     raise RuntimeError("no clean instance found")
+
+
+def column_by_column_hessian(kind, net, data, lambdas=()):
+    """The Hessian as two public loss_and_gradient calls per column, the
+    loop that the stacked evaluation replaces."""
+    flat = flatten_params(net.layers)
+    dim = flat.size
+    shapes = [w.shape for w in net.layers]
+    h = spectra_mod.FD_STEP_BASE * max(1.0, float(np.abs(flat).max()))
+    cols = np.empty((dim, dim))
+    for j in range(dim):
+        bump = np.zeros(dim)
+        bump[j] = h
+        g_plus = loss_and_gradient(
+            kind, net.with_layers(unflatten_params(flat + bump, shapes)),
+            data)[1]
+        g_minus = loss_and_gradient(
+            kind, net.with_layers(unflatten_params(flat - bump, shapes)),
+            data)[1]
+        cols[:, j] = (flatten_params(g_plus) - flatten_params(g_minus)) / (2.0 * h)
+    h_mat = 0.5 * (cols + cols.T)
+    offset = 0
+    for lam, shape in zip(lambdas, shapes):
+        size = shape[0] * shape[1]
+        idx = np.arange(offset, offset + size)
+        h_mat[idx, idx] += 2.0 * float(lam)
+        offset += size
+    return h_mat
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 class TestHessian:
@@ -112,15 +149,77 @@ class TestHessian:
         # a non-symmetric Jacobian of the "gradient" signals a gradient bug
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
 
-        def fake_loss_and_gradient(kind, net, data):
-            w = net.layers[0].ravel()
-            return 0.0, [(a @ w)[None, :]], False
+        def fake_loss_and_gradient(kind, net, inputs, labels, layers):
+            w = layers[0][:, 0, :]
+            return None, [(w @ a.T)[:, None, :]], False
 
-        monkeypatch.setattr(spectra_mod, "loss_and_gradient", fake_loss_and_gradient)
+        monkeypatch.setattr(spectra_mod, "_loss_and_gradient",
+                            fake_loss_and_gradient)
         net = DeepNet((np.array([[0.3, 0.4]]),), activation="linear")
         data = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
         with pytest.raises(ValueError, match="asymmetry"):
             hessian("square", net, data)
+
+    @pytest.mark.parametrize("activation", [
+        "relu", "smoothed_relu", "polynomial", "linear",
+    ])
+    @pytest.mark.parametrize("kind,task", [
+        ("square", "regression"),
+        ("exponential", "binary"),
+        ("logistic", "binary"),
+    ])
+    def test_stack_is_the_column_loop_bit_for_bit(self, monkeypatch,
+                                                  activation, kind, task):
+        # seed 21 puts no relu pre-activation on its kink
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(5, 2))
+        labels = (np.sign(rng.normal(size=5)) if task == "binary"
+                  else rng.normal(size=5))
+        data = Dataset(x, labels, task=task)
+        extra = ({"coefficients": (0.1, 1.0, 0.2)}
+                 if activation == "polynomial" else {})
+        net = random_net(rng, (2, 3, 2, 1), activation, scale=0.6, **extra)
+        lams = (0.01, 0.02, 0.03)
+        want = [column_by_column_hessian(kind, net, data),
+                column_by_column_hessian(kind, net, data, lams)]
+        # one stacked call, then chunks of 3 members: 28 points in 10 calls
+        for entries in (spectra_mod.HESSIAN_STACK_ENTRIES, 3 * 3 * 5):
+            monkeypatch.setattr(spectra_mod, "HESSIAN_STACK_ENTRIES", entries)
+            got = [hessian(kind, net, data), hessian(kind, net, data, lams)]
+            for g, w in zip(got, want):
+                assert np.array_equal(_bits(g), _bits(w))
+
+    def test_bump_across_a_relu_kink_warns(self):
+        # h = 1e-5 (the weights are within 1), so the minus bump of the
+        # first weight puts the first hidden unit exactly on its kink
+        net = DeepNet((np.array([[1e-5, 0.3], [0.5, -0.2]]),
+                       np.array([[1.0, -0.7]])), activation="relu")
+        data = Dataset(np.array([[1.0, 0.0], [0.3, 0.8]]),
+                       np.array([0.5, -0.1]), task="regression")
+        with pytest.warns(UserWarning, match="relu kink"):
+            hessian("square", net, data)
+
+    @pytest.mark.parametrize("entries", [None, 7 * 5 * 4])
+    def test_one_stacked_call_per_chunk(self, monkeypatch, entries):
+        # guards the stack: ceil(2P / members per chunk) network calls
+        if entries is not None:
+            monkeypatch.setattr(spectra_mod, "HESSIAN_STACK_ENTRIES", entries)
+        rng = np.random.default_rng(4)
+        net = random_net(rng, (3, 5, 1), "smoothed_relu")
+        data = Dataset(rng.normal(size=(4, 3)), np.sign(rng.normal(size=4)))
+        calls = []
+        real = spectra_mod._loss_and_gradient
+
+        def counting(*args):
+            calls.append(len(args[-1][0]))
+            return real(*args)
+
+        monkeypatch.setattr(spectra_mod, "_loss_and_gradient", counting)
+        hessian("logistic", net, data)
+        members = spectra_mod.HESSIAN_STACK_ENTRIES // (5 * 4)
+        assert len(calls) == math.ceil(2 * 20 / members)
+        assert sum(calls) == 40
+        assert len(calls) == (1 if entries is None else 6)
 
     def test_dimension_cap(self):
         net = DeepNet((np.ones((1, 600)),), activation="linear")
@@ -236,6 +335,33 @@ class TestHyperbolicitySweep:
 
 
 class TestVirtualSystem:
+    @pytest.mark.parametrize("activation", ["relu", "smoothed_relu", "linear"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_rows_are_the_per_sample_gradients_bit_for_bit(self, activation,
+                                                           depth):
+        rng = np.random.default_rng(10 * depth)
+        net = random_net(rng, (3,) + (4,) * (depth - 1) + (1,), activation)
+        x = rng.normal(size=(5, 3))
+        data = Dataset(x, batch_outputs(net, x), task="regression")
+        want = np.vstack([flatten_params(layer_gradients(net, xi).grads)
+                          for xi in x])
+        assert np.array_equal(_bits(virtual_linear_system(net, data).inputs),
+                              _bits(want))
+
+    def test_one_broadcast_pass(self, monkeypatch):
+        # the per-sample wrappers stay out of spectra altogether
+        for name in ("loss_and_gradient", "layer_gradients"):
+            assert not hasattr(spectra_mod, name)
+
+        def refuse(*args):
+            raise AssertionError("per-sample network call")
+
+        monkeypatch.setattr(network_mod, "layer_gradients", refuse)
+        monkeypatch.setattr(network_mod, "backprop", refuse)
+        monkeypatch.setattr(spectra_mod, "_loss_and_gradient", refuse)
+        net, data = make_interpolating_net(2)
+        assert virtual_linear_system(net, data).inputs.shape == (3, 12)
+
     def test_linear_net_gives_back_inputs(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 5))
