@@ -13,7 +13,6 @@ subcommand.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -22,7 +21,7 @@ import sys
 import numpy as np
 
 from .experiments import (ExperimentConfig, _check_param, _write_json,
-                          run_scenario)
+                          run_header, run_scenario)
 from .flow import FlowState, StopRule, run_flow, write_trace_csv
 from .losses import LOSS_KINDS, Dataset
 from .network import DeepNet, random_net
@@ -115,11 +114,9 @@ def _check_keys(obj, allowed, prefix=""):
 
 
 def _run_header(command, body, seed) -> str:
-    digest = hashlib.sha256(
-        json.dumps({"command": command, "config": body, "seed": seed},
-                   sort_keys=True).encode()
-    ).hexdigest()[:12]
-    return f"scenario={command} config={digest} seed={seed}"
+    return run_header(command,
+                      {"command": command, "config": body, "seed": seed},
+                      seed)
 
 
 def _dataset_from(body) -> Dataset:

@@ -203,22 +203,28 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         return {**SCENARIO_DEFAULTS[self.scenario], **self.params}
 
+    def _identity(self) -> dict:
+        return {"scenario": self.scenario, "seed": int(self.seed),
+                "params": _jsonable(self.resolved())}
+
     def config_hash(self) -> str:
-        body = json.dumps(
-            {
-                "scenario": self.scenario,
-                "seed": int(self.seed),
-                "params": _jsonable(self.resolved()),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(body.encode()).hexdigest()[:12]
+        return _config_digest(self._identity())
 
     def header(self) -> str:
-        return (
-            f"scenario={self.scenario} config={self.config_hash()} "
-            f"seed={self.seed}"
-        )
+        return run_header(self.scenario, self._identity(), self.seed)
+
+
+def _config_digest(body) -> str:
+    """The first 12 hex digits of the sha256 of body as sorted-key JSON."""
+    return hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def run_header(name, body, seed) -> str:
+    """The header line of every output file, scenario or one-shot command:
+    its name, the digest of the config body that identifies the run, and
+    its seed."""
+    return f"scenario={name} config={_config_digest(body)} seed={seed}"
 
 
 def _check_param(name, value, default):
@@ -364,6 +370,13 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     with periodic Gaussian weight perturbations through the first half of
     the schedule. The perturbed run grows its weight norm through a
     null-space random walk; the unperturbed control stays flat.
+
+    The repetitions advance as the rows of one (R, d) stack: each
+    checkpoint is one LinearSquareGD.propagate call for all of them, and
+    every per-checkpoint quantity is one einsum or reduction over the
+    stack, so a repetition's rows do not depend on how many run beside it.
+    Repetition r draws its init and then one perturbation per event from
+    its own generator, seeded seed + r.
     """
     p = config.resolved()
     notes = []
@@ -394,75 +407,69 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     dim = design.shape[1]
     reps = p["repetitions"]
 
-    traces, included = [], []
+    rngs = [np.random.default_rng(config.seed + rep) for rep in range(reps)]
+    if p["init_scale"] > 0.0:
+        w = p["init_scale"] * np.stack([rng.normal(size=dim) for rng in rngs])
+    else:
+        w = np.zeros((reps, dim))
+    # (R, checkpoints) arrays, one column per checkpoint
+    sse, test_mse, norms, null_norms = (np.empty((reps, len(checkpoints)))
+                                        for _ in range(4))
+    counts = np.zeros(len(checkpoints), dtype=int)
+    done = 0
+    for i, cp in enumerate(checkpoints):
+        w = gd.propagate(w, cp - done)
+        done = cp
+        resid = np.einsum("nj,rj->rn", design, w) - y
+        sse[:, i] = np.einsum("rn,rn->r", resid, resid)
+        test_resid = np.einsum("nj,rj->rn", test_design, w) - y_test
+        test_mse[:, i] = (test_resid**2).mean(axis=1)
+        norms[:, i] = np.sqrt(np.einsum("rj,rj->r", w, w))
+        null_norms[:, i] = np.sqrt(
+            (np.einsum("jk,rj->rk", null_basis, w) ** 2).sum(axis=1))
+        if p["perturb"] and cp < stop_after and cp < total:
+            w = w + np.stack([rng.normal(0.0, sigma, size=dim)
+                              for rng in rngs])
+            counts[i + 1:] += 1
+    train = sse / p["n_train"]
+    # a perturbed repetition re-converges at every checkpoint, a control
+    # one by the last
+    unconverged = train > RECONVERGE_TOL
+    included = ~(unconverged.any(axis=1) if p["perturb"]
+                 else unconverged[:, -1])
+
+    times = [cp * step for cp in checkpoints]
     trace_paths = []
     for rep in range(reps):
-        rng = np.random.default_rng(config.seed + rep)
-        if p["init_scale"] > 0.0:
-            w = p["init_scale"] * rng.normal(size=dim)
-        else:
-            w = np.zeros(dim)
-        trace = TrajectoryTrace(layer_count=1)
-        pert_count = 0
-        done = 0
-        bad = False
-        for cp in checkpoints:
-            w = gd.propagate(w, cp - done)
-            done = cp
-            resid = design @ w - y
-            sse = float(resid @ resid)
-            mse = sse / p["n_train"]
-            test_mse = float(((test_design @ w - y_test) ** 2).mean())
-            null_norm = float(np.sqrt(((null_basis.T @ w) ** 2).sum()))
-            flag = ""
-            if p["perturb"] and mse > RECONVERGE_TOL:
-                flag = "not_reconverged"
-                bad = True
-            trace.times.append(done * step)
-            trace.losses.append(sse)
-            trace.train_errors.append(mse)
-            trace.test_errors.append(test_mse)
-            trace.layer_norms.append((float(np.sqrt(w @ w)),))
-            trace.margin_cosines.append(None)
-            trace.nullspace_norms.append(null_norm)
-            trace.perturbation_counts.append(pert_count)
-            trace.row_flags.append(flag)
-            if p["perturb"] and cp < stop_after and cp < total:
-                w = w + rng.normal(0.0, sigma, size=dim)
-                pert_count += 1
-        if not p["perturb"]:
-            bad = trace.train_errors[-1] > RECONVERGE_TOL
-            if bad:
-                trace.row_flags[-1] = "not_converged"
-        trace.converged = not bad
-        trace.stop_reason = "schedule_complete"
-        traces.append(trace)
-        included.append(not bad)
+        trace = TrajectoryTrace(
+            layer_count=1, times=times, losses=sse[rep].tolist(),
+            train_errors=train[rep].tolist(),
+            test_errors=test_mse[rep].tolist(),
+            layer_norms=[(v,) for v in norms[rep].tolist()],
+            margin_cosines=[None] * len(times),
+            nullspace_norms=null_norms[rep].tolist(),
+            perturbation_counts=counts.tolist())
         _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
                    trace_paths, trace.header(), trace.rows())
 
-    excluded = included.count(False)
-    keep = [t for t, ok in zip(traces, included) if ok]
+    excluded = reps - int(included.sum())
     predicates = {"exclusions_ok": excluded <= MAX_EXCLUSION_RATE * reps}
     aggregates = {"null_dimension": null_dim, "gd_stable": gd.stable}
-    if keep:
-        train = np.array([t.train_errors for t in keep])
-        test = np.array([t.test_errors for t in keep])
-        norms = np.array([[row[0] for row in t.layer_norms] for t in keep])
-        nulls2 = np.array([t.nullspace_norms for t in keep]) ** 2
-        counts = np.array(keep[0].perturbation_counts)
+    if included.any():
+        train, test_mse = train[included], test_mse[included]
+        norms, nulls2 = norms[included], null_norms[included] ** 2
+        mean_train, mean_test = train.mean(axis=0), test_mse.mean(axis=0)
+        mean_norm, mean_null_sq = norms.mean(axis=0), nulls2.mean(axis=0)
         aggregates.update(
-            {
-                "checkpoint_times": [t * step for t in checkpoints],
-                "mean_train_error": train.mean(axis=0),
-                "std_train_error": train.std(axis=0),
-                "mean_test_error": test.mean(axis=0),
-                "std_test_error": test.std(axis=0),
-                "mean_norm": norms.mean(axis=0),
-                "std_norm": norms.std(axis=0),
-                "mean_null_sq": nulls2.mean(axis=0),
-                "perturbation_counts": counts,
-            }
+            checkpoint_times=times,
+            mean_train_error=mean_train,
+            std_train_error=train.std(axis=0),
+            mean_test_error=mean_test,
+            std_test_error=test_mse.std(axis=0),
+            mean_norm=mean_norm,
+            std_norm=norms.std(axis=0),
+            mean_null_sq=mean_null_sq,
+            perturbation_counts=counts,
         )
         if p["perturb"]:
             # each event adds an independent Gaussian whose null component
@@ -471,7 +478,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             prediction = counts * (sigma**2 * null_dim)
             aggregates["null_sq_prediction"] = prediction
             final_m = int(counts[-1])
-            obs = float(nulls2.mean(axis=0)[-1])
+            obs = float(mean_null_sq[-1])
             pred = float(prediction[-1])
             aggregates["final_null_sq_observed"] = obs
             aggregates["final_null_sq_predicted"] = pred
@@ -481,7 +488,6 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             # through the first checkpoint after the last event; later rows
             # shed residual row-space noise and may dip by rounding-scale
             last_active = int(np.searchsorted(counts, final_m)) + 1
-            mean_norm = norms.mean(axis=0)
             predicates["mean_norm_nondecreasing_while_perturbing"] = bool(
                 (np.diff(mean_norm[:last_active]) >= -1e-9).all()
             )
@@ -489,7 +495,6 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
                 pred > 0 and abs(obs / pred - 1.0) <= 0.2
             )
         else:
-            mean_norm = norms.mean(axis=0)
             half = len(checkpoints) // 2
             rel = abs(mean_norm[-1] - mean_norm[half]) / (1.0 + mean_norm[-1])
             aggregates["norm_drift_after_halfway"] = float(rel)
@@ -497,27 +502,11 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
                 (train[:, -1] <= RECONVERGE_TOL).all()
             )
             predicates["norms_flat_after_convergence"] = bool(rel <= FLAT_TOL)
-        cols = [
-            "checkpoint",
-            "time",
-            "mean_train_error",
-            "mean_test_error",
-            "mean_norm",
-            "mean_null_sq",
-            "perturbation_count",
-        ]
-        rows = [
-            [
-                i,
-                checkpoints[i] * step,
-                float(train.mean(axis=0)[i]),
-                float(test.mean(axis=0)[i]),
-                float(norms.mean(axis=0)[i]),
-                float(nulls2.mean(axis=0)[i]),
-                int(counts[i]),
-            ]
-            for i in range(len(checkpoints))
-        ]
+        cols = ["checkpoint", "time", "mean_train_error", "mean_test_error",
+                "mean_norm", "mean_null_sq", "perturbation_count"]
+        rows = zip(range(len(times)), times, mean_train.tolist(),
+                   mean_test.tolist(), mean_norm.tolist(),
+                   mean_null_sq.tolist(), counts.tolist())
         _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
                    rows)
 

@@ -232,12 +232,19 @@ def virtual_linear_system(net: DeepNet, data: Dataset) -> Dataset:
     Labels are <x'_n, w_flat> so the current flattened point interpolates
     the virtual problem too. Residuals above 1e-6 are rejected, the identity
     only holds where every residual vanishes. Each sample is a batch of
-    one in a single broadcast forward and backward pass.
+    one in a single broadcast forward and backward pass, whose relu kink
+    flags, one per sample, are counted in a warning.
     """
     n = len(data.labels)
-    out, _, acts, derivs, _ = batch_forward(net, data.inputs[:, None, :])
+    out, _, acts, derivs, kink = batch_forward(net, data.inputs[:, None, :])
     if out.shape[1] != 1:
         raise ValueError("virtual construction needs a scalar-output net")
+    kinked = int(np.count_nonzero(kink))
+    if kinked:
+        warnings.warn(
+            f"{kinked} sample(s) sit on a relu kink; their virtual rows use "
+            "subgradient 0"
+        )
     residuals = out[:, 0, 0] - data.labels
     worst = float(np.abs(residuals).max())
     if worst > 1e-6:

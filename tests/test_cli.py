@@ -267,6 +267,14 @@ class TestFlow:
                      "--output-dir", str(tmp_path)]) == 1
         assert "stop.foo" in capsys.readouterr().err
 
+    def test_unknown_stepping_exits_1(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, stepping="adaptive")
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown stepping 'adaptive'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_loss_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path, loss="hinge")
         assert main(["flow", "--config", cfg,

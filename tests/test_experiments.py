@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from gradflow import experiments, flow
+from gradflow import cli, experiments, flow
 from gradflow.experiments import (
     ExperimentConfig,
     ScenarioReport,
@@ -90,6 +90,19 @@ class TestExperimentConfig:
         assert head.startswith("scenario=growth_asymptotics config=")
         assert head.endswith("seed=11")
         assert cfg.config_hash() in head
+
+    def test_header_and_hash_bytes_are_pinned(self):
+        # scenario configs and one-shot commands share one header helper;
+        # these are the bytes it wrote before it was shared
+        cfg = ExperimentConfig(scenario="growth_asymptotics", seed=11,
+                               params={"ks": [1, 2]})
+        assert cfg.config_hash() == "3045026abb1c"
+        assert cfg.header() == (
+            "scenario=growth_asymptotics config=3045026abb1c seed=11")
+        body = {"dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
+                            "labels": [1.0, -1.0]}}
+        assert cli._run_header("svm", body, 3) == (
+            "scenario=svm config=63f80858429d seed=3")
 
 
 class TestReportPlumbing:
@@ -189,6 +202,48 @@ class TestSinePerturbation:
         assert report.excluded == 3
         assert not report.predicates["exclusions_ok"]
         assert not report.passed
+
+    def test_control_with_too_few_steps_excludes_everything(self):
+        # ten steps from a random start leave every control unconverged
+        cfg = ExperimentConfig(
+            scenario="sine_polynomial_perturbation", seed=0,
+            params={"perturb": False, "total_steps": 10, "repetitions": 3,
+                    "init_scale": 0.3},
+        )
+        report = run_scenario(cfg)
+        assert report.excluded == 3
+        assert report.predicates == {"exclusions_ok": False}
+        assert "mean_norm" not in report.aggregates
+
+    def test_one_propagate_call_per_checkpoint(self, monkeypatch):
+        calls = []
+        propagate = flow.LinearSquareGD.propagate
+
+        def counted(gd, w0, n_steps):
+            calls.append(np.shape(w0))
+            return propagate(gd, w0, n_steps)
+
+        monkeypatch.setattr(flow.LinearSquareGD, "propagate", counted)
+        run_scenario(ExperimentConfig(
+            scenario="sine_polynomial_perturbation", seed=0,
+            params={"repetitions": 6, "total_steps": 1_200_000},
+        ))
+        # checkpoints every 120k steps through 1.2M: one stacked call each
+        assert calls == [(6, 40)] * 10
+
+    def test_repetition_rows_do_not_depend_on_the_stack(self, tmp_path):
+        def rep_rows(seed, reps, rep):
+            out = tmp_path / f"s{seed}_r{reps}"
+            run_scenario(ExperimentConfig(
+                scenario="sine_polynomial_perturbation", seed=seed,
+                output_dir=str(out), params={"repetitions": reps},
+            ))
+            name = f"sine_polynomial_perturbation_rep{rep:02d}.csv"
+            # all but the header comment, which names seed and config
+            return (out / name).read_bytes().split(b"\n", 1)[1]
+
+        for r in range(5):
+            assert rep_rows(0, 5, r) == rep_rows(r, 1, 0)
 
     def test_control_norms_flat(self):
         cfg = ExperimentConfig(

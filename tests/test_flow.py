@@ -7,6 +7,7 @@ subset-enumeration SVM solver, bisection for 1D regularized equilibria, and
 a plain-numpy normalized step of a one-layer linear net.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -499,6 +500,18 @@ class TestLinearSquareGD:
             w_naive = w_naive - step * 2.0 * (x.T @ (x @ w_naive - y))
         w_fast = gd.propagate(w, 1234)
         assert np.abs(w_fast - w_naive).max() <= 1e-9
+
+    @pytest.mark.parametrize("reps", [1, 2, 5, 29])
+    def test_stack_rows_are_single_propagations_bit_for_bit(self, reps):
+        # the sine scenario's design, starts at its noise scale
+        x = np.cos((2.0 * np.arange(1, 10) - 1.0) * np.pi / 18.0)
+        gd = LinearSquareGD(np.vander(x, 40, increasing=True),
+                            np.sin(8.0 * np.pi * x), 0.2 / 9)
+        w0 = np.random.default_rng(reps).normal(0.0, 0.45, size=(reps, 40))
+        stacked = gd.propagate(w0, 120_000)
+        assert stacked.shape == (reps, 40)
+        each = np.array([gd.propagate(w, 120_000) for w in w0])
+        assert np.array_equal(stacked.view(np.uint64), each.view(np.uint64))
 
     def test_null_modes_pass_through(self):
         rng = np.random.default_rng(32)
@@ -1183,3 +1196,30 @@ class TestTraceCsv:
     def test_k_layer_norm_columns(self):
         trace = TrajectoryTrace(layer_count=3)
         assert trace.header()[4:7] == ["norm_l1", "norm_l2", "norm_l3"]
+
+
+def _run_two(nets=None, datasets=SEP, stepping="fixed", refs=None):
+    nets = nets or [_linear_net([0.1, 0.2]), _linear_net([0.3, 0.4])]
+    states = [FlowState(net=net, step=0.1) for net in nets]
+    return run_flows(states, "logistic", datasets, StopRule(max_steps=2),
+                     stepping=stepping, refs=refs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FlowState(net=_linear_net([0.1, 0.2]), step=0.1, time=-1.0),
+     "time must be nonnegative"),
+    (lambda: StopRule(loss_below=1e-3),
+     "need a budget: max_time or max_steps"),
+    (lambda: _run_two(nets=[_linear_net([0.1, 0.2]),
+                            DeepNet((np.ones((3, 2)), np.ones((1, 3))))]),
+     "stacked flows need nets of one architecture"),
+    (lambda: _run_two(nets=[_linear_net([0.1, 0.2]),
+                            DeepNet((np.ones((1, 2)),), activation="relu")]),
+     "stacked flows need nets of one architecture"),
+    (lambda: _run_two(datasets=[SEP, SEP, SEP]), "3 datasets for 2 flows"),
+    (lambda: _run_two(stepping="adaptive"), "unknown stepping 'adaptive'"),
+    (lambda: _run_two(refs=[TraceRefs()]), "1 refs for 2 flows"),
+])
+def test_flow_setup_refuses(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

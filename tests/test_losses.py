@@ -256,3 +256,45 @@ def test_loss_and_gradient_consistent_with_loss():
         v, g, _ = loss_and_gradient(kind, net, data)
         assert v == pytest.approx(loss(kind, net, data), rel=1e-12)
         assert len(g) == net.depth
+
+
+class TestRefusals:
+    X2 = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("inputs, labels, task, message", [
+        (np.zeros((0, 2)), [], "binary", "inputs must be a nonempty N x d array"),
+        (np.ones(2), [1.0, -1.0], "binary", "inputs must be a nonempty N x d array"),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, -1.0], "binary",
+         "inputs contain non-finite values"),
+        (X2, [1.0, -1.0], "ranking", "unknown task 'ranking'"),
+        (X2, [0, -1], "multiclass",
+         "multiclass labels are 0-based class indices"),
+        (X2, [np.inf, 0.0], "regression", "labels contain non-finite values"),
+        (X2, [1.0, 0.5], "binary", "binary labels must be -1 or +1"),
+        (X2, [1.0, -1.0, 1.0], "binary", "labels must be one per input row"),
+    ])
+    def test_dataset_refuses(self, inputs, labels, task, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(inputs, labels, task=task)
+
+    @pytest.mark.parametrize("kind, task, labels, out_dim, in_dim, message", [
+        ("hinge", "binary", [1.0, -1.0], 1, 2, "unknown loss 'hinge'"),
+        ("softmax_cross_entropy", "binary", [1.0, -1.0], 2, 2,
+         "softmax_cross_entropy needs multiclass labels"),
+        ("softmax_cross_entropy", "multiclass", [0, 2], 2, 2,
+         "label 2 out of range for 2 output rows"),
+        ("exponential", "regression", [0.3, 0.1], 1, 2,
+         "exponential loss needs binary -1/+1 labels"),
+        ("square", "multiclass", [0, 1], 1, 2,
+         "square loss needs binary or regression labels"),
+        ("logistic", "binary", [1.0, -1.0], 2, 2,
+         "logistic loss needs a single output row, got 2"),
+        ("square", "regression", [0.3, 0.1], 1, 3,
+         "dataset dimension 2 does not match net input 3"),
+    ])
+    def test_loss_kind_refuses(self, kind, task, labels, out_dim, in_dim,
+                               message):
+        data = Dataset(self.X2, labels, task=task)
+        net = DeepNet((np.ones((out_dim, in_dim)),), activation="linear")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loss(kind, net, data)

@@ -4,6 +4,8 @@ The gradient oracle is a central finite difference of the forward pass on
 the flattened parameter vector, step 1e-6.
 """
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -442,3 +444,19 @@ def test_two_row_softmax_backprop_matches_finite_differences():
 
     g = flatten_params(loss_gradient("softmax_cross_entropy", net, data))
     assert fd_gradient_check(f, g, flatten_params(net.layers)) <= 1e-5
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"activation": "tanh"}, "unknown activation 'tanh'"),
+    ({"activation": "smoothed_relu", "epsilon": 0.0},
+     "smoothed_relu needs epsilon > 0"),
+    ({"activation": "polynomial"}, "polynomial activation needs coefficients"),
+    ({"layers": ()}, "need at least one layer"),
+    ({"layers": (np.ones(3),)}, "layer 1 is not a matrix"),
+    ({"layers": (np.ones((2, 2)), np.array([[1.0, np.inf]]))},
+     "layer 2 has non-finite entries"),
+])
+def test_deepnet_refuses(kwargs, message):
+    kwargs = {"layers": (np.ones((1, 2)),), **kwargs}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DeepNet(**kwargs)

@@ -8,6 +8,7 @@ modes).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,28 @@ class TestVirtualSystem:
         net = DeepNet((rng.normal(size=5)[None, :],), activation="linear")
         data = Dataset(x, rng.normal(size=4), task="regression")
         with pytest.raises(ValueError, match="residual"):
+            virtual_linear_system(net, data)
+
+    def test_sample_on_a_relu_kink_warns_with_the_count(self):
+        # W1 x = (0, 0.7) at x = (1, 1): the first hidden unit sits on 0
+        net = DeepNet((np.array([[1.0, -1.0], [0.5, 0.2]]),
+                       np.array([[1.0, 1.0]])))
+        x = np.array([[1.0, 1.0], [1.0, 2.0]])
+        data = Dataset(x, batch_outputs(net, x), task="regression")
+        with pytest.warns(UserWarning) as caught:
+            virt = virtual_linear_system(net, data)
+        assert [str(w.message) for w in caught] == [
+            "1 sample(s) sit on a relu kink; their virtual rows use "
+            "subgradient 0"]
+        assert virt.inputs[0].tolist() == [0.0, 0.0, 1.0, 1.0, 0.0, 0.7]
+
+    def test_smoothed_relu_net_does_not_warn(self):
+        net = DeepNet((np.array([[1.0, -1.0], [0.5, 0.2]]),
+                       np.array([[1.0, 1.0]])), activation="smoothed_relu")
+        x = np.array([[1.0, 1.0], [1.0, 2.0]])
+        data = Dataset(x, batch_outputs(net, x), task="regression")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             virtual_linear_system(net, data)
 
     def test_sign_counts_match_deep_hessian(self):
