@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .experiments import (ExperimentConfig, _check_param, _write_json,
-                          run_header, run_scenario)
+from .experiments import (ExperimentConfig, _check_param, _json_text,
+                          _write_json, run_header, run_scenario)
 from .flow import FlowState, StopRule, run_flow, write_trace_csv
 from .losses import LOSS_KINDS, Dataset
 from .network import DeepNet, random_net
@@ -216,12 +216,9 @@ def _cmd_flow(args, body, seed) -> int:
     sample_every = _check_param("sample_every", body.get("sample_every", 100),
                                 0)
     kind, stop = _loss_kind(body), _stop_rule(body)
-    try:
-        state = FlowState(net=net, step=step, lambdas=lambdas, rng_seed=seed)
-        trace = run_flow(state, kind, data, stop, sample_every=sample_every,
-                         stepping=body.get("stepping", "fixed"))
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    state = FlowState(net=net, step=step, lambdas=lambdas, rng_seed=seed)
+    trace = run_flow(state, kind, data, stop, sample_every=sample_every,
+                     stepping=body.get("stepping", "fixed"))
     path = _out(args, "flow_trace.csv")
     write_trace_csv(trace, path, header_comment=header)
     print(f"wrote {path} ({len(trace.times)} rows, "
@@ -247,14 +244,11 @@ def _cmd_spectrum(args, body, seed) -> int:
     if convention not in ("loss", "flow"):
         raise CliError(f"convention: must be loss or flow, got {convention!r}")
     tol = _check_param("tol", body.get("tol", 1e-8), 0.0)
-    try:
-        h_mat = hessian(_loss_kind(body), net, data, lambdas=lambdas)
-        if convention == "loss":
-            report = classify_loss_hessian(h_mat, tol=tol)
-        else:
-            report = classify(-h_mat, tol=tol)
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    h_mat = hessian(_loss_kind(body), net, data, lambdas=lambdas)
+    if convention == "loss":
+        report = classify_loss_hessian(h_mat, tol=tol)
+    else:
+        report = classify(-h_mat, tol=tol)
     path = _out(args, "spectrum.csv")
     write_spectrum_csv(report, path, header_comment=header)
     stable, unstable, zero = report.counts()
@@ -274,16 +268,16 @@ def _cmd_svm(args, body, seed) -> int:
     path = _out(args, "svm_solution.json")
     payload = {
         "header": header,
-        "w_raw": [float(v) for v in sol.w_raw],
-        "w_tilde": [float(v) for v in sol.w_tilde],
-        "margin": float(sol.margin),
-        "support_indices": [int(i) for i in sol.support_indices],
+        "w_raw": sol.w_raw,
+        "w_tilde": sol.w_tilde,
+        "margin": sol.margin,
+        "support_indices": sol.support_indices,
     }
     _write_json(path, payload)
     print(f"wrote {path} (margin {sol.margin!r}, "
           f"{len(sol.support_indices)} support points)")
     if args.verbose:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     return 0
 
 

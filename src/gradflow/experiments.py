@@ -204,8 +204,8 @@ class ExperimentConfig:
         return {**SCENARIO_DEFAULTS[self.scenario], **self.params}
 
     def _identity(self) -> dict:
-        return {"scenario": self.scenario, "seed": int(self.seed),
-                "params": _jsonable(self.resolved())}
+        return {"scenario": self.scenario, "seed": self.seed,
+                "params": self.resolved()}
 
     def config_hash(self) -> str:
         return _config_digest(self._identity())
@@ -216,8 +216,8 @@ class ExperimentConfig:
 
 def _config_digest(body) -> str:
     """The first 12 hex digits of the sha256 of body as sorted-key JSON."""
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode()).hexdigest()[:12]
+    return hashlib.sha256(json.dumps(
+        body, sort_keys=True, default=_json_default).encode()).hexdigest()[:12]
 
 
 def run_header(name, body, seed) -> str:
@@ -269,27 +269,26 @@ class ScenarioReport:
         return bool(self.predicates) and all(self.predicates.values())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
+    """json's hook for what it cannot write itself: numpy arrays as lists,
+    numpy scalars as the Python values they hold."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
+def _json_text(body) -> str:
+    """The one JSON layout: sorted keys, two-space indent."""
+    return json.dumps(body, indent=2, sort_keys=True, default=_json_default)
 
 
 def _write_json(path, body):
-    """The one JSON writer: sorted keys, two-space indent, LF endings."""
+    """Write _json_text(body) and a final newline, with LF endings."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(body) + "\n")
 
 
 def write_report_json(report: ScenarioReport, path, header: str = ""):
@@ -301,8 +300,8 @@ def write_report_json(report: ScenarioReport, path, header: str = ""):
         "repetitions": report.repetitions,
         "excluded": report.excluded,
         "passed": report.passed,
-        "predicates": _jsonable(report.predicates),
-        "aggregates": _jsonable(report.aggregates),
+        "predicates": report.predicates,
+        "aggregates": report.aggregates,
         "trace_paths": [os.path.basename(p) for p in report.trace_paths],
         "notes": list(report.notes),
     }
@@ -433,8 +432,8 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
             counts[i + 1:] += 1
     train = sse / p["n_train"]
     # a perturbed repetition re-converges at every checkpoint, a control
-    # one by the last
-    unconverged = train > RECONVERGE_TOL
+    # one by the last; ~(<=), not >, since a NaN loss has not re-converged
+    unconverged = ~(train <= RECONVERGE_TOL)
     included = ~(unconverged.any(axis=1) if p["perturb"]
                  else unconverged[:, -1])
 
@@ -885,9 +884,9 @@ def _separable_dataset(config, p, index, notes):
             return data, margin, regen
         except NonSeparableError:
             regen += 1
-    raise RuntimeError(
-        f"dataset {index}: no separable draw in "
-        f"{p['max_regenerations']} attempts"
+    raise ValueError(
+        f"params.max_regenerations: dataset {index} found no separable draw "
+        f"in {p['max_regenerations']} attempts"
     )
 
 

@@ -32,8 +32,8 @@ from .losses import (
     loss,
     mean_squared_error,
 )
-from .network import (DeepNet, batch_backprop, batch_forward, flatten_params,
-                      normalize_layers, unflatten_params)
+from .network import (HOMOGENEOUS, DeepNet, batch_backprop, batch_forward,
+                      flatten_params, normalize_layers, unflatten_params)
 
 LOSS_EXPLOSION_FACTOR = 10.0
 MAX_HALVINGS = 40
@@ -43,6 +43,8 @@ V_DRIFT_INVARIANT = 1e-6
 RECONVERGE_TOL = 1e-6
 # loss-rescaled steps divide by the loss, never by less than this
 LOSS_FLOOR = 1e-300
+# how a flow's time advances per step: by `step`, or by step / loss
+STEPPINGS = ("fixed", "loss_rescaled")
 
 
 @dataclass(frozen=True)
@@ -431,7 +433,7 @@ def run_flows(
     whose dt is then step / LOSS_FLOOR, is counted in the trace's
     floored_steps.
     """
-    if stepping not in ("fixed", "loss_rescaled"):
+    if stepping not in STEPPINGS:
         raise ValueError(f"unknown stepping {stepping!r}")
     _check_count("sample_every", sample_every)
     n = len(states)
@@ -742,7 +744,7 @@ class NormalizedFlowState:
     stepping: str = "fixed"
 
     def __post_init__(self):
-        if self.stepping not in ("fixed", "loss_rescaled"):
+        if self.stepping not in STEPPINGS:
             raise ValueError(f"unknown stepping {self.stepping!r}")
         rhos = tuple(float(r) for r in self.rhos)
         if len(rhos) != self.unit_net.depth:
@@ -775,7 +777,7 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
     one table, clamp and warning included; a loss-rescaled step refuses a
     loss that has underflowed.
     """
-    if state.unit_net.activation not in ("relu", "linear"):
+    if state.unit_net.activation not in HOMOGENEOUS:
         raise ValueError("normalized dynamics needs a homogeneous activation")
     if data.task != "binary":
         raise ValueError("normalized dynamics is stated for binary data")

@@ -669,6 +669,46 @@ class TestScenarios:
                      "--output-dir", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err
 
+    def test_unstable_sine_step_excludes_every_repetition(self, tmp_path,
+                                                          capsys):
+        # past the GD stability limit the weights overflow to NaN: no
+        # repetition has re-converged
+        cfg = _write(tmp_path / "sine.json", {
+            "step": 50.0, "repetitions": 3, "total_steps": 1_200_000,
+        })
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["perturb", "--config", cfg, "--output-dir", str(out)])
+        assert code == 2
+        assert "3/3 excluded" in capsys.readouterr().out
+        report = json.loads(
+            (out / "sine_polynomial_perturbation_report.json").read_text())
+        assert report["predicates"] == {"exclusions_ok": False}
+
+    def test_pretraining_left_errors_excludes_exit_2(self, tmp_path, capsys):
+        # one pretraining step on overlapping blobs leaves errors in both
+        cfg = _write(tmp_path / "toy.json", {
+            "variant": "deepnet", "repetitions": 2, "control_repetitions": 1,
+            "cycles": 1, "interval": 10, "pretrain_steps": 1, "blob_std": 3.0,
+        })
+        code = main(["perturb", "--config", cfg, "-v",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "2/2 excluded" in out
+        assert "  note: repetition 0: pretraining left errors" in (
+            out.splitlines())
+
+    def test_exhausted_regenerations_exit_1(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "dir.json", {
+            "max_regenerations": 1, "blob_std": 5.0, "n_datasets": 3,
+        })
+        assert main(["direction", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: params.max_regenerations: dataset 0 found no separable "
+            "draw in 1 attempts\n")
+
     def test_unknown_perturb_variant_exit_1(self, tmp_path, capsys):
         cfg = _write(tmp_path / "v.json", {"variant": "cifar"})
         assert main(["perturb", "--config", cfg,
@@ -702,8 +742,9 @@ class TestScenarios:
 
 
 class TestScenarioCounts:
-    """Counts below their floor, and out-of-order pairs, exit 1 naming the
-    param before the scenario runs."""
+    """Counts below their floor, out-of-order pairs and values of another
+    type than the default's exit 1 naming the param before the scenario
+    runs."""
 
     @pytest.mark.parametrize("command, params, message", [
         ("perturb", {"variant": "deepnet", "control_repetitions": 0},
@@ -734,6 +775,8 @@ class TestScenarioCounts:
          "params.min_degree: must be >= 0, got -1"),
         ("sweep", {"min_degree": 5, "max_degree": 4},
          "params.max_degree: must be >= params.min_degree (5), got 4"),
+        ("perturb", {"variant": "deepnet", "loss": 3},
+         "params.loss: must be a string, got 3"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

@@ -139,6 +139,21 @@ class TestReportPlumbing:
         assert body["passed"] is True
         assert body["aggregates"]["x"] == 1.5
 
+    def test_numpy_integer_seed_writes_its_report(self, tmp_path):
+        # ExperimentConfig takes a numpy integer seed; json is handed it
+        cfg = ExperimentConfig(
+            scenario="growth_asymptotics", seed=np.int64(3),
+            output_dir=str(tmp_path),
+            params=SMALL_RUNS["growth_asymptotics"][0])
+        run_scenario(cfg)
+        body = json.loads(
+            (tmp_path / "growth_asymptotics_report.json").read_text())
+        assert body["seed"] == 3
+        assert body["header"].endswith(" seed=3")
+        assert cfg.config_hash() == ExperimentConfig(
+            scenario="growth_asymptotics", seed=3,
+            params=SMALL_RUNS["growth_asymptotics"][0]).config_hash()
+
     def test_passed_requires_nonempty_predicates(self):
         base = dict(scenario="growth_asymptotics", seed=0, config_hash="a",
                     repetitions=1, excluded=0, aggregates={},
@@ -622,6 +637,15 @@ def test_repetitions_is_the_count_excluded_is_taken_from(scenario):
     params, units = SMALL_RUNS[scenario]
     report = run_scenario(ExperimentConfig(scenario=scenario, params=params))
     assert report.repetitions == units
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_RUNS))
+def test_report_predicates_are_json_booleans(tmp_path, scenario):
+    run_scenario(ExperimentConfig(scenario=scenario, output_dir=str(tmp_path),
+                                  params=SMALL_RUNS[scenario][0]))
+    body = json.loads((tmp_path / f"{scenario}_report.json").read_text())
+    assert body["predicates"]
+    assert all(isinstance(v, bool) for v in body["predicates"].values())
 
 
 class TestByteDeterminism:
