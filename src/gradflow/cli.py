@@ -22,7 +22,7 @@ import numpy as np
 
 from .experiments import (ExperimentConfig, _check_param, _json_text,
                           _write_json, run_header, run_scenario)
-from .flow import FlowState, StopRule, run_flow, write_trace_csv
+from .flow import FlowState, StopRule, run_flows, write_trace_csv
 from .losses import LOSS_KINDS, Dataset
 from .network import DeepNet, random_net
 from .oracles import hard_margin_svm
@@ -217,8 +217,8 @@ def _cmd_flow(args, body, seed) -> int:
                                 0)
     kind, stop = _loss_kind(body), _stop_rule(body)
     state = FlowState(net=net, step=step, lambdas=lambdas, rng_seed=seed)
-    trace = run_flow(state, kind, data, stop, sample_every=sample_every,
-                     stepping=body.get("stepping", "fixed"))
+    trace = run_flows([state], kind, data, stop, sample_every=sample_every,
+                      stepping=body.get("stepping", "fixed"))[0]
     path = _out(args, "flow_trace.csv")
     write_trace_csv(trace, path, header_comment=header)
     print(f"wrote {path} ({len(trace.times)} rows, "

@@ -5,8 +5,10 @@ loss-rescaled stepping mode for the logarithmically slow separable runs,
 an exact mode-by-mode propagator for linear square-loss descent (the
 workhorse behind million-step perturbation schedules), the normalized
 scale/direction system, and the perturb-and-reconverge protocol. There is
-one Euler driver, run_flows; a loss-rescaled step taken at its loss floor
-is counted in the trace. The normalized system weights its samples by the
+one Euler driver, run_flows, and one protocol driver,
+stacked_perturb_and_reconverge; both take a list of states, and one flow
+is a stack of one. A loss-rescaled step taken at the loss floor is counted
+in the trace. The normalized system weights its samples by the
 exponential loss's one table in losses, clamp and warning included.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
@@ -79,7 +81,7 @@ class FlowState:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stopping condition for run_flow.
+    """Stopping condition for run_flows, shared by every flow it runs.
 
     Exactly one notion of success: if loss_below / grad_norm_below /
     direction_angle_below is set, meeting any of them means convergence
@@ -389,21 +391,6 @@ def _member(text, r, n) -> str:
     return text if n == 1 else f"flow {r}: {text}"
 
 
-def run_flow(
-    state: FlowState,
-    kind: str,
-    data: Dataset,
-    stop: StopRule,
-    sample_every: int = 100,
-    stepping: str = "fixed",
-    refs: TraceRefs | None = None,
-) -> TrajectoryTrace:
-    """Iterate the Euler flow until the stop rule or budget hits: the one
-    flow of run_flows, the package's one Euler driver."""
-    return run_flows([state], kind, data, stop, sample_every=sample_every,
-                     stepping=stepping, refs=refs)[0]
-
-
 def run_flows(
     states,
     kind: str,
@@ -420,8 +407,8 @@ def run_flows(
 
     datasets and refs are one Dataset / TraceRefs for every flow, or one
     per flow. Each flow keeps its own step, time, stop reason and trace
-    rows, bitwise as if run alone; a flow that has stopped takes no
-    further step.
+    rows, bitwise those of a stack of one; a flow that has stopped takes
+    no further step.
 
     stepping="fixed" advances time by `step` per iteration. For
     stepping="loss_rescaled" each iteration advances time by step/loss,
@@ -633,20 +620,6 @@ def _draw_perturbation(rng, layers, protocol):
     return deltas
 
 
-def perturb_and_reconverge(
-    state: FlowState,
-    protocol: PerturbationProtocol,
-    kind: str,
-    data: Dataset,
-    reconverge_tol: float = RECONVERGE_TOL,
-    refs: TraceRefs | None = None,
-) -> TrajectoryTrace:
-    """Alternate Gaussian weight perturbations with interval-long re-flows:
-    the one state of stacked_perturb_and_reconverge."""
-    return stacked_perturb_and_reconverge([state], protocol, kind, data,
-                                          reconverge_tol, refs)[0]
-
-
 def stacked_perturb_and_reconverge(
     states,
     protocol: PerturbationProtocol,
@@ -670,14 +643,14 @@ def stacked_perturb_and_reconverge(
     controls are states of the same architecture that flow alongside and
     are never perturbed: their rows have perturbation_count 0 and no flag,
     and they need not start at zero training error. A control's last row
-    and final state are those of one unbroken run_flow of
+    and final state are those of one unbroken run_flows of
     interval * (repetitions + 1) steps.
 
     The re-flows of a cycle, controls included, are one run_flows call,
     sampled at its two ends; each flow's last row and final state are the
     cycle boundary. Each state keeps its own perturbation stream (seeded by
-    its rng_seed), time, kinks, row flags and final state, bitwise as if it
-    ran alone.
+    its rng_seed), time, kinks, row flags and final state, bitwise those of
+    a stack of one.
     """
     regression = data.task == "regression"
 

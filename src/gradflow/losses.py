@@ -161,12 +161,6 @@ def _loss_and_gradient(kind: str, net: DeepNet, inputs, labels, layers=None):
     return value, batch_backprop(net, acts, derivs, ddelta, layers), kink
 
 
-def loss_gradient(kind: str, net: DeepNet, data: Dataset) -> list:
-    """Per-layer gradient matrices of the loss, shaped like net.layers."""
-    _, grads, _ = loss_and_gradient(kind, net, data)
-    return grads
-
-
 def separability_margin(net: DeepNet, data: Dataset) -> float:
     """min_n y_n f(x_n) for binary data; for multiclass the worst logit gap
     min_n min_{c != y_n} (f_y - f_c). Positive iff the net separates."""

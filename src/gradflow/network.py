@@ -8,15 +8,16 @@ top_linear=False to push the activation through the output as well.
 One forward/backward path serves every caller. batch_forward runs the
 samples as the columns of one matrix and caches, per layer, the input and
 the activation derivative next to the activation itself; batch_backprop
-reuses that cache instead of recomputing the activation. The per-sample
-calls (forward, backprop, layer_gradients) are batch-of-one wrappers.
-Both batch calls also take stacked layers (R, rows, cols) in place of the
-net's, for R flows that advance as one computation; every product then
-carries the leading member axis.
+reuses that cache instead of recomputing the activation. Both batch calls
+also take stacked layers (R, rows, cols) in place of the net's, for R
+flows that advance as one computation; every product then carries the
+leading member axis. forward and layer_gradients are the one-input API of
+a scalar-output net: they check one vector and run it through the batch
+path as a batch of one, so no caller sees the samples-as-columns layout.
 
-Gradients are exact backprop, returned per layer with the same shapes as
-the weights, so that Euler identities like sum_ij dF/dW_ij * W_ij = f can
-be checked entry by entry.
+Gradients are exact backpropagation, returned per layer with the same
+shapes as the weights, so that Euler identities like
+sum_ij dF/dW_ij * W_ij = f can be checked entry by entry.
 """
 
 from __future__ import annotations
@@ -215,39 +216,21 @@ def _input_row(net: DeepNet, x) -> np.ndarray:
     return x[None, :]
 
 
-def _forward_pass(net: DeepNet, x):
-    """Batch-of-one forward: (output vector, pre-activations per layer,
-    activations per layer input), the last two as one-column matrices.
-    preacts[k] = W_{k+1} @ acts[k]."""
-    out, preacts, acts, _, _ = batch_forward(net, _input_row(net, x))
-    return out[:, 0], preacts, acts
-
-
-def forward_multi(net: DeepNet, x) -> np.ndarray:
-    """Network output as a vector (multiclass heads keep all rows)."""
-    return _forward_pass(net, x)[0]
-
-
 def forward(net: DeepNet, x) -> float:
-    """Scalar network output; requires a single output row."""
+    """Scalar network output at one input vector."""
     if net.out_dim != 1:
         raise ValueError(f"forward needs one output row, net has {net.out_dim}")
-    return float(forward_multi(net, x)[0])
-
-
-def backprop(net: DeepNet, x, out_delta) -> LayerGradient:
-    """Per-layer gradients of <out_delta, f(W;x)> with respect to each W_k."""
-    _, _, acts, derivs, kink = batch_forward(net, _input_row(net, x))
-    out_delta = np.atleast_1d(np.asarray(out_delta, dtype=float))
-    grads = batch_backprop(net, acts, derivs, out_delta[:, None])
-    return LayerGradient(tuple(grads), kink)
+    return float(batch_forward(net, _input_row(net, x))[0][0, 0])
 
 
 def layer_gradients(net: DeepNet, x) -> LayerGradient:
-    """d f / d W_k for a scalar-output net, shaped like the layers."""
+    """d f / d W_k for a scalar-output net at one input vector, shaped like
+    the layers."""
     if net.out_dim != 1:
         raise ValueError("layer_gradients needs one output row")
-    return backprop(net, x, np.ones(1))
+    _, _, acts, derivs, kink = batch_forward(net, _input_row(net, x))
+    grads = batch_backprop(net, acts, derivs, np.ones((1, 1)))
+    return LayerGradient(tuple(grads), kink)
 
 
 def homogeneity_residual(net: DeepNet, x, k: int) -> float:

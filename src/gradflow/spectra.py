@@ -20,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import (FlowState, StopRule, _grad_norm, _total_gradient,
-                   _two_lambdas, _write_table, run_flow)
+                   _two_lambdas, _write_table, run_flows)
 from .linalg import check_matrix, symmetric_eig
-from .losses import Dataset, _check_kind, _loss_and_gradient, loss_gradient
+from .losses import Dataset, _check_kind, _loss_and_gradient
 from .network import (DeepNet, batch_backprop, batch_forward, flatten_params,
                       unflatten_params)
 
@@ -70,16 +70,8 @@ class SpectrumReport:
         return _zero_threshold(self.eigenvalues, self.tol)
 
     @property
-    def hyperbolic(self) -> bool:
-        return self.n_zero == 0
-
-    @property
     def min_eigenvalue(self) -> float:
         return self.eigenvalues[0]
-
-    @property
-    def max_eigenvalue(self) -> float:
-        return self.eigenvalues[-1]
 
     def counts(self) -> tuple:
         return (self.n_stable, self.n_unstable, self.n_zero)
@@ -200,6 +192,7 @@ def hyperbolicity_sweep(
     EQUILIBRIUM_GRAD_TOL is still classified but carries a per-lambda
     warning.
     """
+    _check_kind(kind, data, net)
     entries = []
     current = net
     for lam in lambda_list:
@@ -209,9 +202,10 @@ def hyperbolicity_sweep(
             state = FlowState(net=current, step=step, lambdas=lams)
             stop = StopRule(max_steps=max_steps,
                             grad_norm_below=EQUILIBRIUM_GRAD_TOL * 0.1)
-            current = run_flow(state, kind, data, stop,
-                               sample_every=10**9).final_state.net
-        grads = loss_gradient(kind, current, data)
+            current = run_flows([state], kind, data, stop,
+                                sample_every=10**9)[0].final_state.net
+        grads = _loss_and_gradient(kind, current, data.inputs,
+                                   data.labels)[1]
         gnorm = float(_grad_norm(_total_gradient(grads, current.layers,
                                                  _two_lambdas(lams))))
         warning = ""

@@ -22,7 +22,7 @@ from gradflow.flow import (
     StopRule,
     normalized_flow_step,
     normalized_state_from_net,
-    run_flow,
+    run_flows,
     run_normalized_flow,
 )
 from gradflow.linalg import RANK_CUTOFF, frobenius_norm, symmetric_eig
@@ -30,18 +30,18 @@ from gradflow.losses import (
     Dataset,
     batch_outputs,
     loss,
-    loss_gradient,
+    loss_and_gradient,
     separability_margin,
 )
 from gradflow.network import (
     DeepNet,
+    batch_forward,
     flatten_params,
     forward,
     homogeneity_residual,
     random_net,
     unflatten_params,
 )
-from gradflow.network import _forward_pass
 from gradflow.oracles import nonseparable_equilibrium_1d
 from gradflow.spectra import (
     classify_loss_hessian,
@@ -108,7 +108,7 @@ def _interpolating_instance(seed, dims=(2, 4, 1), n=3):
         x = r.normal(size=(n, dims[0]))
         clean = True
         for xi in x:
-            _, preacts, _ = _forward_pass(net, xi)
+            preacts = batch_forward(net, xi[None, :])[1]
             for p in preacts[:-1]:
                 if np.abs(p).min() < 0.08:
                     clean = False
@@ -126,8 +126,8 @@ def _pretrained_two_layer(seed, steps=3000):
         activation="linear",
     )
     state = FlowState(net=net, step=1e-2)
-    out = run_flow(state, "exponential", SEP, StopRule(max_steps=steps),
-                   sample_every=10**9)
+    out = run_flows([state], "exponential", SEP, StopRule(max_steps=steps),
+                    sample_every=10**9)[0]
     assert separability_margin(out.final_state.net, SEP) > 0.0
     return out.final_state.net
 
@@ -170,8 +170,8 @@ def test_criterion_03_null_space_invariance():
             net=DeepNet((w0[None, :].copy(),), activation="linear"),
             step=step,
         )
-        out = run_flow(state, kind, data, StopRule(max_steps=10_000),
-                       sample_every=10**9)
+        out = run_flows([state], kind, data, StopRule(max_steps=10_000),
+                        sample_every=10**9)[0]
         after = basis.T @ out.final_state.net.layers[0].ravel()
         assert np.abs(after - before).max() <= 1e-8, kind
     _passline(3, "null-space drift under 1e-8 per 1e4 steps, both losses")
@@ -202,7 +202,7 @@ def test_criterion_04_gradient_correctness():
             return loss(kind, net.with_layers(unflatten_params(p, shapes)),
                         data)
 
-        g = flatten_params(loss_gradient(kind, net, data))
+        g = flatten_params(loss_and_gradient(kind, net, data)[1])
         worst = max(worst, fd_gradient_check(f, g, flat))
         bad = g.copy()
         bad[int(np.argmax(np.abs(bad)))] += 0.01 * max(np.abs(bad).max(), 1.0)
@@ -356,11 +356,11 @@ def test_criterion_13_normalized_dynamics():
         w = (assembled.layers[1] @ assembled.layers[0]).ravel()
         directions.append(w / np.sqrt(w @ w))
         if seed == 3:
-            plain = run_flow(
-                FlowState(net=net, step=0.05), "exponential", SEP,
+            plain = run_flows(
+                [FlowState(net=net, step=0.05)], "exponential", SEP,
                 StopRule(max_time=st.time, max_steps=300_000),
                 stepping="loss_rescaled", sample_every=10**9,
-            )
+            )[0]
             wp = (plain.final_state.net.layers[1]
                   @ plain.final_state.net.layers[0]).ravel()
             plain_match = float(

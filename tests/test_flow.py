@@ -27,8 +27,6 @@ from gradflow.flow import (
     growth_numeric_trace,
     normalized_flow_step,
     normalized_state_from_net,
-    perturb_and_reconverge,
-    run_flow,
     run_flows,
     run_normalized_flow,
     stacked_perturb_and_reconverge,
@@ -54,9 +52,9 @@ class TestFlowStep:
     def test_matches_1d_closed_form(self):
         # e^w dw = dt integrates to w(t) = log(t + e^{w0})
         data = Dataset(np.array([[1.0]]), np.array([1.0]))
-        state = run_flow(FlowState(net=_linear_net([0.0]), step=1e-3),
-                         "exponential", data, StopRule(max_steps=100_000),
-                         sample_every=10**9).final_state
+        state = run_flows([FlowState(net=_linear_net([0.0]), step=1e-3)],
+                          "exponential", data, StopRule(max_steps=100_000),
+                          sample_every=10**9)[0].final_state
         expect = np.log(state.time + 1.0)
         got = state.net.layers[0][0, 0]
         assert abs(got - expect) / expect <= 1e-3
@@ -83,8 +81,8 @@ class TestFlowStep:
             w = w + fine / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         state = FlowState(net=_linear_net(w0), step=h)
-        trace = run_flow(state, "exponential", data, StopRule(max_time=t_end),
-                         sample_every=10**9)
+        trace = run_flows([state], "exponential", data,
+                          StopRule(max_time=t_end), sample_every=10**9)[0]
         got = trace.final_state.net.layers[0][0]
         assert np.abs(got - w).max() <= 5e-3
 
@@ -95,7 +93,7 @@ class TestFlowStep:
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(rng.normal(size=3)), step=50.0)
         with pytest.raises(ValueError, match="step"):
-            run_flow(state, "square", data, StopRule(max_steps=1))
+            run_flows([state], "square", data, StopRule(max_steps=1))[0]
 
     def test_state_validation(self):
         with pytest.raises(ValueError, match="step"):
@@ -113,8 +111,8 @@ class TestRunFlow:
         y = np.sign(x @ np.array([1.0, -0.5, 0.2, 0.8]))
         data = Dataset(x, y)
         state = FlowState(net=_linear_net(rng.normal(size=4) * 0.1), step=0.02)
-        trace = run_flow(state, "logistic", data, StopRule(max_steps=4000),
-                         sample_every=50)
+        trace = run_flows([state], "logistic", data, StopRule(max_steps=4000),
+                          sample_every=50)[0]
         diffs = np.diff(trace.losses)
         assert np.all(diffs <= 1e-12)
 
@@ -124,8 +122,8 @@ class TestRunFlow:
         y = rng.normal(size=5)
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(np.zeros(6)), step=0.02)
-        trace = run_flow(state, "square", data,
-                         StopRule(max_steps=100_000, loss_below=1e-10))
+        trace = run_flows([state], "square", data,
+                          StopRule(max_steps=100_000, loss_below=1e-10))[0]
         assert trace.converged and trace.stop_reason == "loss_below"
         assert trace.losses[-1] <= 1e-10
 
@@ -135,8 +133,8 @@ class TestRunFlow:
         y = rng.normal(size=5)
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(np.zeros(6)), step=1e-4)
-        trace = run_flow(state, "square", data,
-                         StopRule(max_steps=10, loss_below=1e-12))
+        trace = run_flows([state], "square", data,
+                          StopRule(max_steps=10, loss_below=1e-12))[0]
         assert not trace.converged
         assert trace.stop_reason == "max_steps"
 
@@ -147,8 +145,9 @@ class TestRunFlow:
         y = rng.normal(size=6)
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(np.zeros(12)), step=0.01)
-        trace = run_flow(state, "square", data,
-                         StopRule(max_steps=500_000, grad_norm_below=1e-13))
+        trace = run_flows([state], "square", data,
+                          StopRule(max_steps=500_000,
+                                   grad_norm_below=1e-13))[0]
         w = trace.final_state.net.layers[0][0]
         w_star = min_norm_least_squares(x, y)
         assert np.abs(w - w_star).max() <= 1e-6
@@ -169,8 +168,8 @@ class TestRunFlow:
             ("exponential", Dataset(x, np.sign(rng.normal(size=5)))),
         ]:
             state = FlowState(net=_linear_net(w0), step=1e-3)
-            trace = run_flow(state, kind, data, StopRule(max_steps=10_000),
-                             sample_every=10**9)
+            trace = run_flows([state], kind, data, StopRule(max_steps=10_000),
+                              sample_every=10**9)[0]
             c = null_basis @ trace.final_state.net.layers[0][0]
             assert np.abs(c - c0).max() <= 1e-8
 
@@ -180,19 +179,19 @@ class TestRunFlow:
         for _ in range(3):
             w0 = rng.normal(size=2) * 0.5
             state = FlowState(net=_linear_net(w0), step=0.05)
-            trace = run_flow(state, "exponential", SEP,
-                             StopRule(max_time=1e40, max_steps=400_000),
-                             stepping="loss_rescaled", sample_every=10**9)
+            trace = run_flows([state], "exponential", SEP,
+                              StopRule(max_time=1e40, max_steps=400_000),
+                              stepping="loss_rescaled", sample_every=10**9)[0]
             w = trace.final_state.net.layers[0][0]
             cos = (w @ svm.w_tilde) / np.sqrt(w @ w)
             assert cos >= 0.999
 
     def test_direction_stall_stop(self):
         state = FlowState(net=_linear_net([0.4, 0.1]), step=0.05)
-        trace = run_flow(state, "exponential", SEP,
-                         StopRule(max_time=1e300, max_steps=2_000_000,
-                                  direction_angle_below=1e-5),
-                         stepping="loss_rescaled", sample_every=10**9)
+        trace = run_flows([state], "exponential", SEP,
+                          StopRule(max_time=1e300, max_steps=2_000_000,
+                                   direction_angle_below=1e-5),
+                          stepping="loss_rescaled", sample_every=10**9)[0]
         assert trace.converged and trace.stop_reason == "direction_stalled"
 
     def test_regularized_run_satisfies_equilibrium_condition(self):
@@ -200,8 +199,9 @@ class TestRunFlow:
         lam = 0.05
         data = Dataset(np.array([[1.0]]), np.array([1.0]))
         state = FlowState(net=_linear_net([0.0]), step=0.05, lambdas=(lam,))
-        trace = run_flow(state, "exponential", data,
-                         StopRule(max_steps=400_000, grad_norm_below=1e-12))
+        trace = run_flows([state], "exponential", data,
+                          StopRule(max_steps=400_000,
+                                   grad_norm_below=1e-12))[0]
         assert trace.converged
         w = trace.final_state.net.layers[0][0, 0]
         assert abs(np.exp(-w) - 2.0 * lam * w) <= 1e-6
@@ -216,7 +216,7 @@ class TestRunFlow:
 
 
 class TestSharedStep:
-    """run_flow's Euler step: a run cut into chunks is bitwise one run, a
+    """run_flows' Euler step: a run cut into chunks is bitwise one run, a
     non-finite step raises and a backtracking give-up is counted, never
     absorbed."""
 
@@ -228,15 +228,15 @@ class TestSharedStep:
         state = FlowState(net=_linear_net([1.0]), step=1e308)
         with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                       match="non-finite"):
-            run_flow(state, "square", self.ONE, StopRule(max_steps=5),
-                     stepping=stepping)
+            run_flows([state], "square", self.ONE, StopRule(max_steps=5),
+                      stepping=stepping)[0]
 
     @pytest.mark.parametrize("kind", ["square", "exponential", "logistic"])
     def test_scalar_loss_rejects_multi_row_net(self, kind):
         state = FlowState(net=DeepNet((np.eye(2),), activation="linear"),
                           step=0.01)
         with pytest.raises(ValueError, match="single output row, got 2"):
-            run_flow(state, kind, SEP, StopRule(max_steps=1))
+            run_flows([state], kind, SEP, StopRule(max_steps=1))[0]
 
     @pytest.mark.parametrize("n_steps", [1, 5, 25])
     @pytest.mark.parametrize("kind, net, data, lambdas", [
@@ -257,9 +257,9 @@ class TestSharedStep:
         start = FlowState(net=net, step=0.01, lambdas=lambdas)
         state = start
         for _ in range(25 // n_steps):
-            state = run_flow(state, kind, data,
-                             StopRule(max_steps=n_steps)).final_state
-        trace = run_flow(start, kind, data, StopRule(max_steps=25))
+            state = run_flows([state], kind, data,
+                              StopRule(max_steps=n_steps))[0].final_state
+        trace = run_flows([start], kind, data, StopRule(max_steps=25))[0]
         final = trace.final_state
         assert final.time == state.time
         for a, b in zip(final.net.layers, state.net.layers):
@@ -268,8 +268,9 @@ class TestSharedStep:
     @pytest.mark.parametrize("kind", ["square", "exponential", "logistic",
                                       "softmax_cross_entropy"])
     def test_final_row_is_bitwise_a_fresh_evaluation(self, kind):
-        # perturb_and_reconverge reads its cycle-boundary loss and training
-        # error off run_flow's last row instead of evaluating them again
+        # stacked_perturb_and_reconverge reads its cycle-boundary loss and
+        # training error off run_flows' last row instead of evaluating them
+        # again
         rng = np.random.default_rng(12)
         out_dim, labels, task = 1, SEP_Y, "binary"
         if kind == "square":
@@ -281,8 +282,8 @@ class TestSharedStep:
                        0.5 * rng.normal(size=(out_dim, 5))),
                       activation="smoothed_relu")
         for n in range(1, 30):
-            trace = run_flow(FlowState(net=net, step=0.01), kind, data,
-                             StopRule(max_steps=n), sample_every=n)
+            trace = run_flows([FlowState(net=net, step=0.01)], kind, data,
+                              StopRule(max_steps=n), sample_every=n)[0]
             final = trace.final_state.net
             assert trace.losses[-1] == loss(kind, final, data)
             fresh = (mean_squared_error(final, data) if task == "regression"
@@ -300,7 +301,7 @@ class TestSharedStep:
         stacked = run_flows(states, "logistic", SEP, stop)
         for state, trace in zip(states, stacked, strict=True):
             got = trace.final_state
-            want = run_flow(state, "logistic", SEP, stop).final_state
+            want = run_flows([state], "logistic", SEP, stop)[0].final_state
             assert repr(got.time) == repr(want.time)
             assert got.lambdas == state.lambdas
             for a, b in zip(got.net.layers, want.net.layers, strict=True):
@@ -310,13 +311,13 @@ class TestSharedStep:
         # loss (1 - 2 dt)^2 rises for every dt > 1; from dt = 1e15 even
         # MAX_HALVINGS halvings leave dt near 900, so the step is a give-up
         state = FlowState(net=_linear_net([1.0]), step=1e15)
-        trace = run_flow(state, "square", self.ONE, StopRule(max_steps=1),
-                         stepping="loss_rescaled")
+        trace = run_flows([state], "square", self.ONE, StopRule(max_steps=1),
+                          stepping="loss_rescaled")[0]
         assert trace.backtrack_giveups == 1
         assert trace.losses[-1] > trace.losses[0]
-        calm = run_flow(FlowState(net=_linear_net([0.3, -0.2]), step=0.05),
-                        "exponential", SEP, StopRule(max_steps=2000),
-                        stepping="loss_rescaled")
+        calm = run_flows([FlowState(net=_linear_net([0.3, -0.2]), step=0.05)],
+                         "exponential", SEP, StopRule(max_steps=2000),
+                         stepping="loss_rescaled")[0]
         assert calm.backtrack_giveups == 0
 
 
@@ -352,17 +353,17 @@ def _blob_sets(count, n=6, seed=0):
 
 
 class TestRunFlows:
-    """R flows stacked on a member axis are bitwise R run_flow calls."""
+    """A stack of R flows is bitwise R stacks of one."""
 
-    def _assert_stack_is_separate_runs(self, states, kind, datasets, stop,
+    def _assert_stack_is_stacks_of_one(self, states, kind, datasets, stop,
                                        **kwargs):
         stacked = run_flows(states, kind, datasets, stop, **kwargs)
         each = datasets if isinstance(datasets, list) else [datasets] * len(
             states)
         assert len(stacked) == len(states)
         for state, data, got in zip(states, each, stacked):
-            _assert_same_trace(got, run_flow(state, kind, data, stop,
-                                             **kwargs))
+            _assert_same_trace(got, run_flows([state], kind, data, stop,
+                                              **kwargs)[0])
         return stacked
 
     def _halved_steps(self, states, traces):
@@ -377,7 +378,7 @@ class TestRunFlows:
         datasets = _blob_sets(4)
         states = [FlowState(net=_linear_net(rng.normal(size=2)), step=st)
                   for st in (0.05, 3.0, 8.0, 20.0)]
-        traces = self._assert_stack_is_separate_runs(
+        traces = self._assert_stack_is_stacks_of_one(
             states, "exponential", datasets, StopRule(max_steps=60),
             sample_every=1, stepping="loss_rescaled")
         halved = self._halved_steps(states, traces)
@@ -398,7 +399,7 @@ class TestRunFlows:
             (nets[0].layers[0] * [[1.0], [1.0], [0.0]], nets[0].layers[1]))
         states = [FlowState(net=net, step=st)
                   for net, st in zip(nets, (0.05, 1.0, 3.0, 8.0))]
-        traces = self._assert_stack_is_separate_runs(
+        traces = self._assert_stack_is_stacks_of_one(
             states, "exponential", _blob_sets(4, seed=1),
             StopRule(max_steps=40), sample_every=1, stepping="loss_rescaled")
         assert [tr.kink_events for tr in traces] == [41, 0, 0, 0]
@@ -412,7 +413,7 @@ class TestRunFlows:
                                            activation="smoothed_relu",
                                            scale=0.7), step=0.05)
                   for _ in range(3)]
-        self._assert_stack_is_separate_runs(
+        self._assert_stack_is_stacks_of_one(
             states, "logistic", SEP, StopRule(max_steps=200),
             sample_every=7, refs=TraceRefs(test_data=Dataset(SEP_X + 0.2,
                                                              SEP_Y)))
@@ -424,7 +425,7 @@ class TestRunFlows:
         states = [FlowState(net=_linear_net(rng.normal(size=6) * scale),
                             step=0.02, lambdas=lams)
                   for scale, lams in ((0.0, ()), (1.0, ()), (3.0, (0.01,)))]
-        traces = self._assert_stack_is_separate_runs(
+        traces = self._assert_stack_is_stacks_of_one(
             states, "square", data,
             StopRule(max_steps=100_000, grad_norm_below=1e-9),
             sample_every=500)
@@ -435,7 +436,7 @@ class TestRunFlows:
     def test_members_stop_at_different_iterations(self, stepping):
         states = [FlowState(net=_linear_net([0.3, -0.2]), step=st, time=t0)
                   for st, t0 in ((0.01, 0.0), (0.03, 0.5), (0.02, 0.0))]
-        traces = self._assert_stack_is_separate_runs(
+        traces = self._assert_stack_is_stacks_of_one(
             states, "exponential", SEP, StopRule(max_time=2.0),
             sample_every=10, stepping=stepping)
         assert all(tr.stop_reason == "max_time" for tr in traces)
@@ -458,13 +459,14 @@ class TestRunFlows:
         stop = StopRule(max_steps=10, loss_below=1e-5)
         with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                       match="loss exploded"):
-            run_flow(states[1], "square", one, replace(stop, loss_below=None))
+            run_flows([states[1]], "square", one,
+                      replace(stop, loss_below=None))
         traces = run_flows(states, "square", one, stop)
         assert [tr.stop_reason for tr in traces] == ["max_steps",
                                                      "loss_below"]
         assert traces[1].final_state.net.layers[0][0, 0] == 1.001
-        _assert_same_trace(traces[0], run_flow(states[0], "square", one,
-                                               stop))
+        _assert_same_trace(traces[0], run_flows([states[0]], "square", one,
+                                                stop)[0])
 
     def test_giveup_counted_on_its_member_only(self):
         # see TestSharedStep.test_backtrack_giveup_is_counted
@@ -476,15 +478,15 @@ class TestRunFlows:
                            stepping="loss_rescaled")
         assert [tr.backtrack_giveups for tr in traces] == [0, 1, 0]
         for state, got in zip(states, traces):
-            _assert_same_trace(got, run_flow(state, "square", one, stop,
-                                             stepping="loss_rescaled"))
+            _assert_same_trace(got, run_flows([state], "square", one, stop,
+                                              stepping="loss_rescaled")[0])
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "10"])
     def test_sample_every_must_be_a_positive_integer(self, bad):
         state = FlowState(net=_linear_net([1.0]), step=0.1)
         with pytest.raises(ValueError, match="sample_every"):
-            run_flow(state, "square", TestSharedStep.ONE,
-                     StopRule(max_steps=3), sample_every=bad)
+            run_flows([state], "square", TestSharedStep.ONE,
+                      StopRule(max_steps=3), sample_every=bad)[0]
 
 
 class TestLinearSquareGD:
@@ -547,7 +549,7 @@ class TestLinearSquareGD:
 
 
 def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
-    """perturb_and_reconverge built from run_flow: one run_flow call per
+    """The one-state protocol built from run_flows: a stack of one per
     re-convergence chunk, sampled only at its ends, whose last row is the
     cycle boundary; the same _draw_perturbation calls and redraw rule.
     Returns the trace (kink_events not counted) and the final net."""
@@ -561,13 +563,13 @@ def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
     pert_count = done = 0
     while done < total:
         chunk = min(protocol.interval, total - done)
-        inner = run_flow(replace(state, net=net, time=t), kind, data,
-                         StopRule(max_steps=chunk), sample_every=chunk)
+        inner = run_flows([replace(state, net=net, time=t)], kind, data,
+                          StopRule(max_steps=chunk), sample_every=chunk)[0]
         net, t = inner.final_state.net, inner.final_state.time
         done += chunk
         value, train_error = inner.losses[-1], inner.train_errors[-1]
         if data.task == "regression":
-            ok = value <= 1e-6  # perturb_and_reconverge's default tolerance
+            ok = value <= 1e-6  # the protocol's default tolerance
         else:
             ok = train_error == 0.0
         _record(trace, refs, net, train_error, t, value, pert_count,
@@ -598,7 +600,8 @@ class TestPerturbationProtocol:
     def test_counts_and_schedule(self):
         _, data, state = self._setup()
         proto = PerturbationProtocol(noise_std=0.05, interval=3000, repetitions=3)
-        trace = perturb_and_reconverge(state, proto, "square", data)
+        trace = stacked_perturb_and_reconverge([state], proto, "square",
+                                               data)[0]
         assert trace.perturbation_counts[-1] == 3
         assert trace.converged
         assert all(f == "" for f in trace.row_flags)
@@ -608,14 +611,16 @@ class TestPerturbationProtocol:
         _, _, vt = np.linalg.svd(x, full_matrices=True)
         refs = TraceRefs(null_basis=vt[4:])
         proto = PerturbationProtocol(noise_std=0.05, interval=3000, repetitions=4)
-        trace = perturb_and_reconverge(state, proto, "square", data, refs=refs)
+        trace = stacked_perturb_and_reconverge([state], proto, "square",
+                                               data, refs=refs)[0]
         walks = [v for v in trace.nullspace_norms if v is not None]
         assert walks[0] <= 1e-10
         assert walks[-1] > 0.01
 
     def _assert_matches_run_flow_chunks(self, state, proto, kind, data,
                                         refs):
-        trace = perturb_and_reconverge(state, proto, kind, data, refs=refs)
+        trace = stacked_perturb_and_reconverge([state], proto, kind, data,
+                                               refs=refs)[0]
         ref, ref_net = _protocol_by_run_flow_chunks(state, proto, kind, data,
                                                     refs)
         assert len(trace.times) == proto.repetitions + 2
@@ -628,8 +633,8 @@ class TestPerturbationProtocol:
     def test_rows_bitwise_run_flow_chunks_logistic(self):
         rng = np.random.default_rng(12)
         net = random_net(rng, (2, 8, 1), activation="smoothed_relu", scale=0.7)
-        pre = run_flow(FlowState(net=net, step=0.05), "logistic", SEP,
-                       StopRule(max_steps=1500), sample_every=1500)
+        pre = run_flows([FlowState(net=net, step=0.05)], "logistic", SEP,
+                        StopRule(max_steps=1500), sample_every=1500)[0]
         assert pre.train_errors[-1] == 0.0
         state = replace(pre.final_state, rng_seed=31)
         test = Dataset(SEP_X + 0.3, SEP_Y)
@@ -656,15 +661,16 @@ class TestPerturbationProtocol:
         state = FlowState(net=net, step=0.01, rng_seed=3)
         proto = PerturbationProtocol(noise_std=0.1, interval=40,
                                      repetitions=1, mode="relative")
-        trace = perturb_and_reconverge(state, proto, "exponential", SEP)
+        trace = stacked_perturb_and_reconverge([state], proto,
+                                               "exponential", SEP)[0]
         assert trace.perturbation_counts[-1] == 1
         assert trace.kink_events >= proto.interval
 
     def test_budget_too_small_flags_but_continues(self):
         _, data, state = self._setup()
         proto = PerturbationProtocol(noise_std=2.0, interval=2, repetitions=3)
-        trace = perturb_and_reconverge(state, proto, "square", data,
-                                       reconverge_tol=1e-12)
+        trace = stacked_perturb_and_reconverge([state], proto, "square",
+                                               data, reconverge_tol=1e-12)[0]
         assert any(f == "not_reconverged" for f in trace.row_flags)
         assert trace.converged  # the schedule itself completed
 
@@ -675,8 +681,8 @@ class TestPerturbationProtocol:
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(rng.normal(size=8)), step=0.01)
         with pytest.raises(ValueError, match="interpolating"):
-            perturb_and_reconverge(
-                state,
+            stacked_perturb_and_reconverge(
+                [state],
                 PerturbationProtocol(noise_std=0.1, interval=10, repetitions=1),
                 "square",
                 data,
@@ -723,18 +729,18 @@ def test_protocol_counts_must_be_integers(field, value):
 
 
 class TestStackedProtocol:
-    """R protocol runs stacked on a member axis are bitwise R separate
-    perturb_and_reconverge calls: rows, flags, kinks, time and final
-    point, each member with its own perturbation stream."""
+    """A protocol stack of R states is bitwise R stacks of one: rows,
+    flags, kinks, time and final point, each member with its own
+    perturbation stream."""
 
-    def _assert_stack_is_separate_runs(self, states, proto, kind, data,
+    def _assert_stack_is_stacks_of_one(self, states, proto, kind, data,
                                        **kwargs):
         stacked = stacked_perturb_and_reconverge(states, proto, kind, data,
                                                  **kwargs)
         assert len(stacked) == len(states)
         for state, got in zip(states, stacked):
-            _assert_same_trace(got, perturb_and_reconverge(
-                state, proto, kind, data, **kwargs))
+            _assert_same_trace(got, stacked_perturb_and_reconverge(
+                [state], proto, kind, data, **kwargs)[0])
         return stacked
 
     @pytest.fixture(scope="class")
@@ -762,7 +768,7 @@ class TestStackedProtocol:
 
     def test_smoothed_relu_logistic_members(self, smoothed_relu_run):
         states, proto, refs, _ = smoothed_relu_run
-        traces = self._assert_stack_is_separate_runs(
+        traces = self._assert_stack_is_stacks_of_one(
             states, proto, "logistic", SEP, refs=refs)
         assert all(tr.perturbation_counts[-1] == 3 for tr in traces)
         # each member draws its own noise
@@ -775,12 +781,12 @@ class TestStackedProtocol:
             states, proto, "logistic", SEP, refs=refs, controls=controls)
         assert len(traces) == len(states) + len(controls)
         for state, got in zip(states, traces):
-            _assert_same_trace(got, perturb_and_reconverge(
-                state, proto, "logistic", SEP, refs=refs))
+            _assert_same_trace(got, stacked_perturb_and_reconverge(
+                [state], proto, "logistic", SEP, refs=refs)[0])
 
     def test_control_is_one_unbroken_flow(self, smoothed_relu_run):
         # a control flows interval * (repetitions + 1) steps in chunks of
-        # interval, which is bitwise one run_flow of that many steps; it
+        # interval, which is bitwise one flow of that many steps; it
         # has the start row plus one row per cycle end, never a flag
         states, proto, refs, controls = smoothed_relu_run
         traces = stacked_perturb_and_reconverge(
@@ -788,9 +794,9 @@ class TestStackedProtocol:
         horizon = proto.interval * (proto.repetitions + 1)
         for control, got in zip(controls, traces[len(states):],
                                 strict=True):
-            want = run_flow(control, "logistic", SEP,
-                            StopRule(max_steps=horizon),
-                            sample_every=horizon, refs=refs)
+            want = run_flows([control], "logistic", SEP,
+                             StopRule(max_steps=horizon),
+                             sample_every=horizon, refs=refs)[0]
             assert len(got.times) == proto.repetitions + 2
             assert got.row_flags == [""] * len(got.times)
             assert got.perturbation_counts == [0] * len(got.times)
@@ -822,7 +828,7 @@ class TestStackedProtocol:
                   for r, net in enumerate(nets)]
         proto = PerturbationProtocol(noise_std=0.02, interval=30,
                                      repetitions=2, mode="relative")
-        traces = self._assert_stack_is_separate_runs(states, proto, "square",
+        traces = self._assert_stack_is_stacks_of_one(states, proto, "square",
                                                      data)
         # 3 chunks of 30 steps plus their first evaluation, 2 x 5 draws
         assert [tr.kink_events for tr in traces] == [3 * 31 + 2 * 5] * 3
@@ -838,7 +844,7 @@ class TestStackedProtocol:
                   for third in ([0.0, 0.0], [0.3, 0.2])]
         proto = PerturbationProtocol(noise_std=0.1, interval=40,
                                      repetitions=1, mode="relative")
-        traces = self._assert_stack_is_separate_runs(states, proto,
+        traces = self._assert_stack_is_stacks_of_one(states, proto,
                                                      "exponential", SEP)
         assert traces[0].kink_events >= proto.interval
         assert traces[1].kink_events == 0
@@ -854,7 +860,7 @@ class TestStackedProtocol:
                   for st, seed in ((0.01, 77), (0.02, 78), (1e-5, 79))]
         proto = PerturbationProtocol(noise_std=0.05, interval=400,
                                      repetitions=3)
-        traces = self._assert_stack_is_separate_runs(
+        traces = self._assert_stack_is_stacks_of_one(
             states, proto, "square", data, refs=TraceRefs(null_basis=vt[4:]))
         assert not any(traces[0].row_flags + traces[1].row_flags)
         assert "not_reconverged" in traces[2].row_flags
@@ -892,8 +898,8 @@ def _pretrained_two_layer(seed, steps=3000):
         activation="linear",
     )
     state = FlowState(net=net, step=1e-2)
-    trace = run_flow(state, "exponential", SEP, StopRule(max_steps=steps),
-                     sample_every=10**9)
+    trace = run_flows([state], "exponential", SEP, StopRule(max_steps=steps),
+                      sample_every=10**9)[0]
     assert separability_margin(trace.final_state.net, SEP) > 0.0
     return trace.final_state.net
 
@@ -952,9 +958,10 @@ class TestNormalizedFlow:
         assembled = state.assembled_net()
         w_norm = (assembled.layers[1] @ assembled.layers[0]).ravel()
 
-        plain = run_flow(FlowState(net=net, step=0.05), "exponential", SEP,
-                         StopRule(max_time=state.time, max_steps=300_000),
-                         stepping="loss_rescaled", sample_every=10**9)
+        plain = run_flows([FlowState(net=net, step=0.05)], "exponential",
+                          SEP, StopRule(max_time=state.time,
+                                        max_steps=300_000),
+                          stepping="loss_rescaled", sample_every=10**9)[0]
         w_plain = plain.final_state.net.layers[1] @ plain.final_state.net.layers[0]
         w_plain = w_plain.ravel()
         cos = (w_plain @ w_norm) / np.sqrt((w_plain @ w_plain) * (w_norm @ w_norm))
@@ -1030,10 +1037,10 @@ class TestDirectionFlow:
 
     @pytest.fixture(scope="class")
     def trace(self):
-        return run_flow(FlowState(net=_linear_net([1.0, 0.1]), step=0.05),
-                        "exponential", SEP,
-                        StopRule(max_time=1e290, max_steps=200_000),
-                        stepping="loss_rescaled", sample_every=10**9)
+        return run_flows([FlowState(net=_linear_net([1.0, 0.1]), step=0.05)],
+                         "exponential", SEP,
+                         StopRule(max_time=1e290, max_steps=200_000),
+                         stepping="loss_rescaled", sample_every=10**9)[0]
 
     def test_converges_to_max_margin_direction(self, trace):
         assert trace.floored_steps == 0
@@ -1057,9 +1064,9 @@ class TestDirectionFlow:
         # every margin above 745 puts the loss below 1e-300 from the start
         w0 = 1000.0 * np.array([1.0, 0.1])
         assert (SEP.labels * (SEP.inputs @ w0)).min() > 745.0
-        trace = run_flow(FlowState(net=_linear_net(w0), step=0.05),
-                         "exponential", SEP, StopRule(max_steps=50),
-                         stepping="loss_rescaled", sample_every=1)
+        trace = run_flows([FlowState(net=_linear_net(w0), step=0.05)],
+                          "exponential", SEP, StopRule(max_steps=50),
+                          stepping="loss_rescaled", sample_every=1)[0]
         assert trace.stop_reason == "max_steps"
         assert all(value < 1e-300 for value in trace.losses)
         assert trace.floored_steps == len(trace.times) - 1 == 50
@@ -1154,8 +1161,8 @@ class TestTraceCsv:
         y = rng.normal(size=4)
         data = Dataset(x, y, task="regression")
         state = FlowState(net=_linear_net(np.zeros(6)), step=0.02)
-        trace = run_flow(state, "square", data, StopRule(max_steps=50),
-                         sample_every=10)
+        trace = run_flows([state], "square", data, StopRule(max_steps=50),
+                          sample_every=10)[0]
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, header_comment="cfg=x seed=0")
         lines = path.read_text().split("\n")
@@ -1184,8 +1191,8 @@ class TestTraceCsv:
             state = FlowState(
                 net=_linear_net(min_norm_least_squares(x, y)), step=0.02,
                 rng_seed=4)
-            trace = perturb_and_reconverge(state, proto, "square", data,
-                                           refs=refs)
+            trace = stacked_perturb_and_reconverge([state], proto, "square",
+                                                   data, refs=refs)[0]
             write_trace_csv(trace, path, header_comment="cfg=y seed=4")
 
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

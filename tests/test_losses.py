@@ -13,7 +13,6 @@ from gradflow.losses import (
     classification_error,
     loss,
     loss_and_gradient,
-    loss_gradient,
     mean_squared_error,
     separability_margin,
 )
@@ -66,7 +65,7 @@ def test_softmax_uniform_logits_gives_log2():
 def test_exponential_gradient_at_zero_weight():
     net = DeepNet(layers=([[0.0]],), activation="linear")
     data = Dataset([[1.0]], [1.0], task="binary")
-    g = loss_gradient("exponential", net, data)
+    g = loss_and_gradient("exponential", net, data)[1]
     assert g[0][0, 0] == pytest.approx(-1.0, rel=1e-12)
 
 
@@ -74,7 +73,7 @@ def test_square_gradient_zero_at_interpolation():
     net = DeepNet(layers=([[1.0, 2.0]],), activation="linear")
     x = np.array([[1.0, 1.0], [2.0, 0.0]])
     data = Dataset(x, x @ np.array([1.0, 2.0]), task="regression")
-    g = loss_gradient("square", net, data)
+    g = loss_and_gradient("square", net, data)[1]
     assert np.abs(g[0]).max() == 0.0
 
 
@@ -107,7 +106,7 @@ def test_gradients_match_finite_differences_all_losses():
                     rng.choice([-1.0, 1.0], size=n),
                     "binary",
                 )
-        analytic = flatten_params(loss_gradient(kind, net, data))
+        analytic = flatten_params(loss_and_gradient(kind, net, data)[1])
         fd = _fd_loss_gradient(kind, net, data)
         denom = np.maximum(np.abs(fd), 1e-2)
         assert (np.abs(analytic - fd) / denom).max() <= 1e-5
@@ -121,7 +120,7 @@ def test_exponential_gradient_closed_form_linear_net():
     x = rng.normal(size=(6, 3))
     y = rng.choice([-1.0, 1.0], size=6)
     data = Dataset(x, y, task="binary")
-    g = loss_gradient("exponential", net, data)[0][0]
+    g = loss_and_gradient("exponential", net, data)[1][0][0]
     expect = -(y[:, None] * x * np.exp(-y * (x @ w))[:, None]).sum(axis=0)
     assert np.allclose(g, expect, rtol=1e-12, atol=1e-12)
 
@@ -166,7 +165,7 @@ def test_softmax_two_class_reduces_to_logistic_on_logit_gap():
 def _slope_along(sep, net, data):
     """sum_k <W*_k, grad_k L(W)> under the exponential loss: the loss's
     rate of change along a separating weight setting W*."""
-    grads = loss_gradient("exponential", net, data)
+    grads = loss_and_gradient("exponential", net, data)[1]
     return float(sum((ws * g).sum() for ws, g in zip(sep.layers, grads)))
 
 

@@ -11,19 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradflow.losses import Dataset, loss, loss_gradient
+from gradflow.losses import Dataset, loss, loss_and_gradient
 from gradflow.network import (
     DeepNet,
     _activate,
-    _forward_pass,
     _sigmoid,
     _tanh_sigmoid,
-    backprop,
     batch_backprop,
     batch_forward,
     flatten_params,
     forward,
-    forward_multi,
     homogeneity_residual,
     layer_gradients,
     normalize_layers,
@@ -115,7 +112,7 @@ def test_gradients_match_finite_differences_many_random_nets():
         if kind == "relu":
             # keep pre-activations away from the kink so the FD probe
             # (step 1e-6) never crosses it
-            _, pre, _ = _forward_pass(net, x)
+            pre = batch_forward(net, x[None, :])[1]
             if min(float(np.abs(p).min()) for p in pre) < 1e-3:
                 continue
         g = layer_gradients(net, x)
@@ -222,7 +219,8 @@ def test_backprop_multihead_seeding():
     # gradient of f_2 alone via one-hot seed matches FD on that head
     seed = np.zeros(4)
     seed[2] = 1.0
-    g = backprop(net, x, seed)
+    _, _, acts, derivs, _ = batch_forward(net, x[None, :])
+    g = batch_backprop(net, acts, derivs, seed[:, None])
     step = 1e-6
     shapes = [w.shape for w in net.layers]
     theta = flatten_params(net.layers)
@@ -231,10 +229,12 @@ def test_backprop_multihead_seeding():
         up[i] += step
         dn = theta.copy()
         dn[i] -= step
-        f_up = forward_multi(net.with_layers(unflatten_params(up, shapes)), x)[2]
-        f_dn = forward_multi(net.with_layers(unflatten_params(dn, shapes)), x)[2]
+        f_up = batch_forward(net.with_layers(unflatten_params(up, shapes)),
+                             x[None, :])[0][2, 0]
+        f_dn = batch_forward(net.with_layers(unflatten_params(dn, shapes)),
+                             x[None, :])[0][2, 0]
         fd = (f_up - f_dn) / (2.0 * step)
-        assert flatten_params(g.grads)[i] == pytest.approx(fd, abs=2e-6)
+        assert flatten_params(g)[i] == pytest.approx(fd, abs=2e-6)
 
 
 def _two_mask_sigmoid(u):
@@ -311,15 +311,15 @@ def test_logistic_loss_keeps_the_exact_left_tail():
     with mpmath.workdps(40):
         for margin in (40.0, 45.0, 60.0, 100.0, 300.0, 700.0):
             net = DeepNet(([[margin, 0.0]],), activation="linear")
-            grad = loss_gradient("logistic", net, data)[0][0, 0]
+            grad = loss_and_gradient("logistic", net, data)[1][0][0, 0]
             exact = -float(_mp_sigmoid(-margin))
             assert grad != 0.0
             assert abs(grad - exact) <= 1e-14 * abs(exact)
 
 
 def _matvec_backprop(net, x, out_delta):
-    """Per-sample backprop by matrix-vector products and outer products;
-    reference for the batch-of-one wrapper."""
+    """Per-sample gradients by matrix-vector products and outer products;
+    reference for batch_backprop on a batch of one."""
     acts, preacts, h = [x], [], x
     for k, w in enumerate(net.layers):
         z = w @ h
@@ -356,7 +356,8 @@ def test_per_sample_backprop_is_bitwise_matvec_reference():
     for net in _random_nets(rng, 400):
         x = rng.normal(size=net.in_dim)
         delta = rng.normal(size=net.out_dim)
-        got = backprop(net, x, delta).grads
+        _, _, acts, derivs, _ = batch_forward(net, x[None, :])
+        got = batch_backprop(net, acts, derivs, delta[:, None])
         want = _matvec_backprop(net, x, delta)
         for a, b in zip(got, want):
             assert a.shape == b.shape
@@ -379,11 +380,12 @@ def test_per_sample_backprop_matches_batched_column():
             one_hot = np.zeros_like(delta)
             one_hot[:, j] = delta[:, j]
             batched = batch_backprop(net, acts, derivs, one_hot)
-            single = backprop(net, x[j], delta[:, j])
-            for a, b in zip(batched, single.grads):
+            _, _, acts_j, derivs_j, kink_j = batch_forward(net, x[j][None, :])
+            single = batch_backprop(net, acts_j, derivs_j, delta[:, j, None])
+            for a, b in zip(batched, single):
                 scale = max(1.0, float(np.abs(b).max()))
                 assert np.abs(a - b).max() <= 1e-12 * scale
-            assert not single.kink_hit or kink
+            assert not kink_j or kink
 
 
 def _matmul_backprop(net, acts, derivs, out_delta, layers):
@@ -442,7 +444,8 @@ def test_two_row_softmax_backprop_matches_finite_differences():
         return loss("softmax_cross_entropy",
                     net.with_layers(unflatten_params(p, shapes)), data)
 
-    g = flatten_params(loss_gradient("softmax_cross_entropy", net, data))
+    _, grads, _ = loss_and_gradient("softmax_cross_entropy", net, data)
+    g = flatten_params(grads)
     assert fd_gradient_check(f, g, flatten_params(net.layers)) <= 1e-5
 
 
