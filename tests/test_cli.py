@@ -777,6 +777,19 @@ class TestScenarioCounts:
          "params.max_degree: must be >= params.min_degree (5), got 4"),
         ("perturb", {"variant": "deepnet", "loss": 3},
          "params.loss: must be a string, got 3"),
+        # JSON's NaN and Infinity parse as floats; no parameter takes them
+        ("sweep", {"frequency": float("nan")},
+         "params.frequency: must be finite, got nan"),
+        ("direction", {"step": float("nan")},
+         "params.step: must be finite, got nan"),
+        ("perturb", {"variant": "sine", "noise_std": float("inf"),
+                     "total_steps": 1000, "interval": 100},
+         "params.noise_std: must be finite, got inf"),
+        ("direction", {"blob_center": [1.0, float("-inf")]},
+         "params.blob_center[1]: must be finite, got -inf"),
+        pytest.param("sweep", {"frequency": 10 ** 400},
+                     f"params.frequency: must be finite, got {10 ** 400}",
+                     id="sweep-integer-past-float-range"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

@@ -2,8 +2,12 @@
 
 Oracles: numpy lstsq/pinv on well-conditioned designs, a fresh per-width
 Householder QR written out below (the solver's tall widths must match it
-bit for bit), and a 50-digit mpmath minimum-norm solution on a Chebyshev
+bit for bit), fresh one-width calls (every width must match them bit for
+bit), and a 50-digit mpmath minimum-norm solution on a Chebyshev
 Vandermonde design.
+
+The solver forms its long-double products with np.dot and the fresh QR
+below with @; a test here pins the two routines to the same bits.
 """
 
 import mpmath
@@ -93,6 +97,52 @@ def test_tall_widths_equal_fresh_factorizations_bitwise():
         [one] = extended_min_norm_path(design[:, :width], y, width)
         assert np.array_equal(one[0], w) and one[1] == cond
     assert refused == [73, 74, 75]
+
+
+def test_wide_widths_equal_fresh_one_width_calls_bitwise():
+    # the sweep's design again: widths 76..151 are wide, each read off the
+    # row-updated [R | Q^T] buffer after its own run of rotations
+    x, design = _chebyshev_vandermonde(76, 151)
+    y = np.sin(2.0 * np.pi * 4.0 * x)
+    fits = extended_min_norm_path(design, y, 76)
+    assert len(fits) == 151 - 76 + 1
+    for width, solved in zip(range(76, 152), fits):
+        [fresh] = extended_min_norm_path(design[:, :width], y, width)
+        if fresh is None:
+            assert solved is None, width
+            continue
+        assert np.array_equal(solved[0], fresh[0]), width
+        assert solved[1] == fresh[1], width
+
+
+def _long_double(rng, shape, step):
+    """Random long-double entries of either sign, magnitudes 1e-8..1e8, as
+    a view of every step-th entry along each axis."""
+    full = tuple(step * size for size in shape)
+    mag = 10.0 ** rng.uniform(-8.0, 8.0, size=full)
+    sign = rng.choice([-1.0, 1.0], size=full)
+    arr = (sign * mag).astype(np.longdouble)
+    return arr[(slice(None, None, step),) * len(shape)]
+
+
+@pytest.mark.parametrize("shapes", [
+    lambda m, k: ((k,), (k, m)),  # a reflector, or Q z
+    lambda m, k: ((m, k), (k,)),  # a design times its coefficients
+    lambda m, k: ((2, 2), (2, m)),  # a Givens rotation
+    lambda m, k: ((k,), (k,)),  # a substitution, or a reflector on b
+], ids=["1d-2d", "2d-1d", "2x2-2d", "1d-1d"])
+def test_long_double_dot_equals_matmul_bitwise(shapes):
+    # numpy has no BLAS for long double, and both routines sum each entry
+    # sequentially from zero; a numpy whose two routines disagree fails
+    # here. step 2 gives the strided views that the path multiplies.
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        m, k = rng.integers(1, 200, size=2)
+        a_shape, b_shape = shapes(m, k)
+        for step in (1, 2):
+            a = _long_double(rng, a_shape, step)
+            b = _long_double(rng, b_shape, step)
+            assert np.array_equal(np.dot(a, b), a @ b), (a.shape, b.shape)
 
 
 def test_singular_square_prefix_still_solves_wider_widths():
