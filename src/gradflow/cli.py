@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -63,8 +64,7 @@ SVM_KEYS = ("seed", "dataset")
 DATASET_KEYS = ("inputs", "labels", "task")
 NET_KEYS = ("dims", "layers", "activation", "epsilon", "scale", "top_linear",
             "coefficients")
-STOP_KEYS = ("max_time", "max_steps", "loss_below", "grad_norm_below",
-             "direction_angle_below")
+STOP_KEYS = tuple(f.name for f in fields(StopRule))
 
 
 class CliError(ValueError):
@@ -266,13 +266,7 @@ def _cmd_svm(args, body, seed) -> int:
     except ValueError as err:
         raise CliError(f"dataset: {err}") from err
     path = _out(args, "svm_solution.json")
-    payload = {
-        "header": header,
-        "w_raw": sol.w_raw,
-        "w_tilde": sol.w_tilde,
-        "margin": sol.margin,
-        "support_indices": sol.support_indices,
-    }
+    payload = {**asdict(sol), "header": header}
     _write_json(path, payload)
     print(f"wrote {path} (margin {sol.margin!r}, "
           f"{len(sol.support_indices)} support points)")

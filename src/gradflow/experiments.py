@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,13 @@ DEGREE_PARAMS = ("degree", "min_degree")
 EVEN_PARAMS = ("n_points",)
 # (low, high) pairs of params with low <= high
 ORDERED_PARAMS = (("min_degree", "max_degree"),
-                  ("control_repetitions", "repetitions"))
+                  ("control_repetitions", "repetitions"), ("t_min", "t_max"))
+# list params of exactly two entries: a 2-d blob center, a (low, high) window
+PAIR_PARAMS = ("blob_center", "slope_window")
+# the toy deepnet's choices: the binary losses, and the activations that
+# need no polynomial coefficients (no param carries them)
+CHOICE_PARAMS = {"loss": ("square", "exponential", "logistic"),
+                 "activation": ("relu", "smoothed_relu", "linear")}
 
 # The predicates' acceptance thresholds. They are fixed here, not scenario
 # params, so that no config can turn a failing run into a pass; the sine's
@@ -149,9 +155,11 @@ class ExperimentConfig:
     Unknown parameter keys are rejected by name so a typo in a config
     file fails loudly instead of silently running defaults, and so is a
     value of another type than its default's, an integer count below 1 (a
-    degree below 0), an odd EVEN_PARAMS count, and a pair of
-    ORDERED_PARAMS out of order. params keeps each value as its default's
-    type (see _check_param).
+    degree below 0), an odd EVEN_PARAMS count, a PAIR_PARAMS list without
+    two entries, a CHOICE_PARAMS string outside its choices, toy deepnet
+    dims that do not run from 2 inputs to 1 output through widths of at
+    least 1, and a pair of ORDERED_PARAMS out of order. params keeps each
+    value as its default's type (see _check_param).
     """
 
     scenario: str
@@ -194,6 +202,21 @@ class ExperimentConfig:
                     raise ValueError(
                         f"params.{key}: must be even, got {value!r}"
                     )
+            if key in PAIR_PARAMS and len(value) != 2:
+                raise ValueError(
+                    f"params.{key}: must have 2 entries, got {list(value)}")
+            if key in CHOICE_PARAMS and value not in CHOICE_PARAMS[key]:
+                raise ValueError(
+                    f"params.{key}: must be one of "
+                    f"{', '.join(CHOICE_PARAMS[key])}, got {value!r}")
+            if key == "dims":  # the toy deepnet's 2-d blobs, one output
+                for i, width in enumerate(value):
+                    if width < 1:
+                        raise ValueError(
+                            f"params.dims[{i}]: must be >= 1, got {width!r}")
+                if value[:1] != (2,) or value[-1:] != (1,):
+                    raise ValueError("params.dims: must start at 2 and end "
+                                     f"at 1, got {list(value)}")
         for low, high in ORDERED_PARAMS:
             if {low, high} <= merged.keys() and merged[high] < merged[low]:
                 raise ValueError(
@@ -298,18 +321,8 @@ def _write_json(path, body):
 
 def write_report_json(report: ScenarioReport, path, header: str = ""):
     # Basenames only: reruns into a different directory stay byte-identical.
-    body = {
-        "scenario": report.scenario,
-        "seed": report.seed,
-        "config_hash": report.config_hash,
-        "repetitions": report.repetitions,
-        "excluded": report.excluded,
-        "passed": report.passed,
-        "predicates": report.predicates,
-        "aggregates": report.aggregates,
-        "trace_paths": [os.path.basename(p) for p in report.trace_paths],
-        "notes": list(report.notes),
-    }
+    body = {**asdict(report), "passed": report.passed,
+            "trace_paths": [os.path.basename(p) for p in report.trace_paths]}
     if header:
         body["header"] = header
     _write_json(path, body)
@@ -655,7 +668,6 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         noise_std=p["noise_rel_std"],
         interval=p["interval"],
         repetitions=p["cycles"],
-        mode="relative",
     )
     reps = p["repetitions"]
     kind = p["loss"]
@@ -1031,14 +1043,7 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
                           predicates, aggregates, trace_paths, notes)
 
 
-SCENARIO_RUNNERS = {
-    "sine_polynomial_perturbation": sine_polynomial_perturbation,
-    "min_norm_degree_sweep": min_norm_degree_sweep,
-    "toy_deepnet_perturbation": toy_deepnet_perturbation,
-    "growth_asymptotics": growth_asymptotics,
-    "convergence_direction_study": convergence_direction_study,
-}
-
-
 def run_scenario(config: ExperimentConfig) -> ScenarioReport:
-    return SCENARIO_RUNNERS[config.scenario](config)
+    """Run the module function named config.scenario, looked up at call
+    time, so that a wrapper or a stub bound to that name is what runs."""
+    return globals()[config.scenario](config)

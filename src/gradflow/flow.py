@@ -584,39 +584,29 @@ class PerturbationProtocol:
     `interval` flow steps (the re-convergence budget), with a perturbation
     after every cycle but the last.
 
-    noise_std is an absolute per-entry standard deviation in "absolute"
-    mode, or a fraction of each layer's empirical weight std in "relative"
-    mode. per_coordinate=False rescales each perturbation to total norm
-    noise_std instead.
+    noise_std is relative: each layer's entries get Gaussian noise of std
+    noise_std times that layer's weight std (see _draw_perturbation).
     """
 
     noise_std: float
     interval: int
     repetitions: int
-    mode: str = "absolute"
-    per_coordinate: bool = True
 
     def __post_init__(self):
         if not self.noise_std > 0.0:
             raise ValueError("noise_std must be positive")
         _check_count("interval", self.interval)
         _check_count("repetitions", self.repetitions)
-        if self.mode not in ("absolute", "relative"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
 def _draw_perturbation(rng, layers, protocol):
+    """Per layer, Gaussian noise of std noise_std times the layer's weight
+    std (noise_std itself where that std is 0), drawn in layer order."""
     deltas = []
     for w in layers:
-        sigma = protocol.noise_std
-        if protocol.mode == "relative":
-            spread = float(w.std())
-            sigma = protocol.noise_std * (spread if spread > 0.0 else 1.0)
+        spread = float(w.std())
+        sigma = protocol.noise_std * (spread if spread > 0.0 else 1.0)
         deltas.append(sigma * rng.normal(size=w.shape))
-    if not protocol.per_coordinate:
-        total = np.sqrt(sum(float((d * d).sum()) for d in deltas))
-        if total > 0.0:
-            deltas = [d * (protocol.noise_std / total) for d in deltas]
     return deltas
 
 
@@ -625,7 +615,6 @@ def stacked_perturb_and_reconverge(
     protocol: PerturbationProtocol,
     kind: str,
     data: Dataset,
-    reconverge_tol: float = RECONVERGE_TOL,
     refs: TraceRefs | None = None,
     controls=(),
 ) -> list:
@@ -636,7 +625,7 @@ def stacked_perturb_and_reconverge(
     Every trace records the start plus one row per cycle, at its end (just
     before its perturbation); a row's perturbation_count is its cycle's
     index. A cycle whose training criterion (classification error 0, or
-    loss <= reconverge_tol for regression) is not met gets flagged, and the
+    loss <= RECONVERGE_TOL for regression) is not met gets flagged, and the
     run continues. kink_events counts the relu kinks met by the
     re-convergence steps and the perturbation redraws.
 
@@ -655,7 +644,7 @@ def stacked_perturb_and_reconverge(
     regression = data.task == "regression"
 
     def reconverged(value, train_error):
-        return value <= reconverge_tol if regression else train_error == 0.0
+        return value <= RECONVERGE_TOL if regression else train_error == 0.0
 
     perturbed = len(states)
     states, traces = list(states) + list(controls), []
@@ -665,7 +654,7 @@ def stacked_perturb_and_reconverge(
         if r < perturbed and not reconverged(value, train_error):
             raise ValueError(_member(
                 f"start the protocol at an interpolating state (loss "
-                f"{value:.3e} > {reconverge_tol:.1e})" if regression
+                f"{value:.3e} > {RECONVERGE_TOL:.1e})" if regression
                 else "start the protocol at zero training error",
                 r, len(states)))
         traces.append(TrajectoryTrace(layer_count=net.depth))

@@ -33,12 +33,10 @@ DEFAULT_EPSILON = 0.05
 HOMOGENEOUS = ("relu", "linear")
 
 
-def _sigmoid(u, e=None):
-    """Logistic function from one e = exp(-|u|), passed in by a caller
-    that has it: 1/(1+e) for u >= 0 and e/(1+e) below, so neither tail
-    overflows."""
-    if e is None:
-        e = np.exp(-np.abs(u))
+def _sigmoid(u, e):
+    """Logistic function of u from e = exp(-|u|), which the caller has
+    already computed: 1/(1+e) for u >= 0 and e/(1+e) below, so neither
+    tail overflows."""
     d = 1.0 + e
     return np.where(u >= 0, 1.0 / d, e / d)
 

@@ -42,6 +42,15 @@ class TestDispatch:
         assert main(["--help"]) == 0
         assert "subcommands:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, code, stream, text", [
+        ([], 1, "err", "the following arguments are required: --config"),
+        (["--help"], 0, "out", "usage: gradflow flow"),
+    ])
+    def test_subcommand_flags_through_argparse(self, capsys, flags, code,
+                                               stream, text):
+        assert main(["flow"] + flags) == code
+        assert text in getattr(capsys.readouterr(), stream)
+
     def test_missing_config_file_names_path(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["svm", "--config", missing]) == 1
@@ -243,6 +252,12 @@ class TestFlow:
         ({"dataset": {"inputs": [[1.0, 0.0], [-1.0, 0.0]],
                       "labels": [1, 0]}},
          "dataset: binary labels must be -1 or +1"),
+        ({"net": {"activation": "relu"}}, "net: needs either dims or layers"),
+        ({"stop": 5}, "stop: required object with at least one bound"),
+        ({"stop": {"loss_below": 0.001}},
+         "stop: need a budget: max_time or max_steps"),
+        ({"net": {"layers": [[[1.0, 0.0]], [[1.0, 2.0]]]}},
+         "net: layer 2 expects 2 inputs, layer 1 outputs 1"),
     ])
     def test_missing_or_refused_object_names_field(self, tmp_path, capsys,
                                                    extra, message):
@@ -656,6 +671,9 @@ class TestScenarios:
         ([1, 0.7], 0, ""),
         (["1.0", 0.7], 1, "params.blob_center[0]: must be a number"),
         (1.0, 1, "params.blob_center: must be a list, got 1.0"),
+        ([1.0], 1, "params.blob_center: must have 2 entries, got [1.0]"),
+        ([1.0, 0.7, 3.0], 1,
+         "params.blob_center: must have 2 entries, got [1.0, 0.7, 3.0]"),
     ])
     def test_list_valued_blob_center(self, tmp_path, capsys, center, code,
                                      message):
@@ -790,6 +808,32 @@ class TestScenarioCounts:
         pytest.param("sweep", {"frequency": 10 ** 400},
                      f"params.frequency: must be finite, got {10 ** 400}",
                      id="sweep-integer-past-float-range"),
+        ("growth", {"ks": [1], "slope_window": [1000.0]},
+         "params.slope_window: must have 2 entries, got [1000.0]"),
+        ("growth", {"ks": [1], "slope_window": []},
+         "params.slope_window: must have 2 entries, got []"),
+        ("growth", {"t_min": 1e4, "t_max": 1e2},
+         "params.t_max: must be >= params.t_min (10000.0), got 100.0"),
+        ("direction", {"blob_center": [1.0, 0.7, 3.0]},
+         "params.blob_center: must have 2 entries, got [1.0, 0.7, 3.0]"),
+        ("perturb", {"variant": "deepnet", "blob_center": [1.0]},
+         "params.blob_center: must have 2 entries, got [1.0]"),
+        ("perturb", {"variant": "deepnet", "dims": [2, 0, 1]},
+         "params.dims[1]: must be >= 1, got 0"),
+        ("perturb", {"variant": "deepnet", "dims": [3, 8, 1]},
+         "params.dims: must start at 2 and end at 1, got [3, 8, 1]"),
+        ("perturb", {"variant": "deepnet", "loss": "hinge"},
+         "params.loss: must be one of square, exponential, logistic, "
+         "got 'hinge'"),
+        ("perturb", {"variant": "deepnet", "loss": "softmax_cross_entropy"},
+         "params.loss: must be one of square, exponential, logistic, "
+         "got 'softmax_cross_entropy'"),
+        ("perturb", {"variant": "deepnet", "activation": "swish"},
+         "params.activation: must be one of relu, smoothed_relu, linear, "
+         "got 'swish'"),
+        ("perturb", {"variant": "deepnet", "activation": "polynomial"},
+         "params.activation: must be one of relu, smoothed_relu, linear, "
+         "got 'polynomial'"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

@@ -10,6 +10,7 @@ full-size defaults are exercised in the acceptance suite.
 import filecmp
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ class TestReportPlumbing:
         assert body["trace_paths"] == ["run.csv"]
         assert body["passed"] is True
         assert body["aggregates"]["x"] == 1.5
+        assert body.keys() == {f.name for f in fields(ScenarioReport)} | {
+            "passed", "header"}
+
+    def test_run_scenario_calls_the_runner_bound_to_the_name(self,
+                                                              monkeypatch):
+        # looked up at call time, so a wrapper bound to the name runs
+        calls = []
+        monkeypatch.setattr(experiments, "min_norm_degree_sweep",
+                            lambda config: calls.append(config) or "stub")
+        cfg = ExperimentConfig(scenario="min_norm_degree_sweep")
+        assert run_scenario(cfg) == "stub"
+        assert calls == [cfg]
 
     def test_numpy_integer_seed_writes_its_report(self, tmp_path):
         # ExperimentConfig takes a numpy integer seed; json is handed it

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gradflow.flow import (
+    RECONVERGE_TOL,
     FlowState,
     LinearSquareGD,
     NormalizedFlowState,
@@ -569,7 +570,7 @@ def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
         done += chunk
         value, train_error = inner.losses[-1], inner.train_errors[-1]
         if data.task == "regression":
-            ok = value <= 1e-6  # the protocol's default tolerance
+            ok = value <= RECONVERGE_TOL
         else:
             ok = train_error == 0.0
         _record(trace, refs, net, train_error, t, value, pert_count,
@@ -639,7 +640,7 @@ class TestPerturbationProtocol:
         state = replace(pre.final_state, rng_seed=31)
         test = Dataset(SEP_X + 0.3, SEP_Y)
         proto = PerturbationProtocol(noise_std=0.25, interval=150,
-                                     repetitions=3, mode="relative")
+                                     repetitions=3)
         self._assert_matches_run_flow_chunks(state, proto, "logistic", SEP,
                                              TraceRefs(test_data=test))
 
@@ -660,7 +661,7 @@ class TestPerturbationProtocol:
                        [[1.0, -1.0, 0.0]]), activation="relu")
         state = FlowState(net=net, step=0.01, rng_seed=3)
         proto = PerturbationProtocol(noise_std=0.1, interval=40,
-                                     repetitions=1, mode="relative")
+                                     repetitions=1)
         trace = stacked_perturb_and_reconverge([state], proto,
                                                "exponential", SEP)[0]
         assert trace.perturbation_counts[-1] == 1
@@ -670,7 +671,7 @@ class TestPerturbationProtocol:
         _, data, state = self._setup()
         proto = PerturbationProtocol(noise_std=2.0, interval=2, repetitions=3)
         trace = stacked_perturb_and_reconverge([state], proto, "square",
-                                               data, reconverge_tol=1e-12)[0]
+                                               data)[0]
         assert any(f == "not_reconverged" for f in trace.row_flags)
         assert trace.converged  # the schedule itself completed
 
@@ -688,20 +689,10 @@ class TestPerturbationProtocol:
                 data,
             )
 
-    def test_total_norm_mode_draws_unit_scaled_noise(self):
-        rng = np.random.default_rng(5)
-        layers = [rng.normal(size=(3, 4)), rng.normal(size=(1, 3))]
-        proto = PerturbationProtocol(noise_std=0.7, interval=1, repetitions=1,
-                                     per_coordinate=False)
-        deltas = _draw_perturbation(np.random.default_rng(1), layers, proto)
-        total = np.sqrt(sum(float((d * d).sum()) for d in deltas))
-        assert abs(total - 0.7) <= 1e-12
-
     def test_relative_mode_scales_with_layer_spread(self):
         big = [np.full((2, 2), 0.0) + np.diag([100.0, -100.0])]
         small = [np.diag([0.01, -0.01])]
-        proto = PerturbationProtocol(noise_std=0.1, interval=1, repetitions=1,
-                                     mode="relative")
+        proto = PerturbationProtocol(noise_std=0.1, interval=1, repetitions=1)
         d_big = _draw_perturbation(np.random.default_rng(2), big, proto)[0]
         d_small = _draw_perturbation(np.random.default_rng(2), small, proto)[0]
         ratio = np.abs(d_big).sum() / np.abs(d_small).sum()
@@ -712,9 +703,6 @@ class TestPerturbationProtocol:
             PerturbationProtocol(noise_std=0.0, interval=1, repetitions=1)
         with pytest.raises(ValueError):
             PerturbationProtocol(noise_std=1.0, interval=0, repetitions=1)
-        with pytest.raises(ValueError):
-            PerturbationProtocol(noise_std=1.0, interval=1, repetitions=1,
-                                 mode="odd")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -758,7 +746,7 @@ class TestStackedProtocol:
             sample_every=1500)]
         assert all(classification_error(s.net, SEP) == 0.0 for s in states)
         proto = PerturbationProtocol(noise_std=0.25, interval=150,
-                                     repetitions=3, mode="relative")
+                                     repetitions=3)
         refs = TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y))
         fresh = FlowState(net=DeepNet(([[0.0, 1.0]] * 8, [[0.2] * 8]),
                                       activation="smoothed_relu"),
@@ -827,7 +815,7 @@ class TestStackedProtocol:
         states = [FlowState(net=net, step=0.002, rng_seed=40 + r)
                   for r, net in enumerate(nets)]
         proto = PerturbationProtocol(noise_std=0.02, interval=30,
-                                     repetitions=2, mode="relative")
+                                     repetitions=2)
         traces = self._assert_stack_is_stacks_of_one(states, proto, "square",
                                                      data)
         # 3 chunks of 30 steps plus their first evaluation, 2 x 5 draws
@@ -843,7 +831,7 @@ class TestStackedProtocol:
                             step=0.01, rng_seed=3)
                   for third in ([0.0, 0.0], [0.3, 0.2])]
         proto = PerturbationProtocol(noise_std=0.1, interval=40,
-                                     repetitions=1, mode="relative")
+                                     repetitions=1)
         traces = self._assert_stack_is_stacks_of_one(states, proto,
                                                      "exponential", SEP)
         assert traces[0].kink_events >= proto.interval
