@@ -44,8 +44,12 @@ from .oracles import (
 MAX_EXCLUSION_RATE = 0.10
 # params that may also be null: no time budget, only the step budget
 NULLABLE_PARAMS = ("max_time",)
-# integer params are counts, at least 1; polynomial degrees may be 0
-DEGREE_PARAMS = ("degree", "min_degree")
+# bounds on a given number by its field's own name, in every command (ks for
+# params.ks[0]): value >= floor, value > 0; other integers are counts >= 1
+FLOORS = {"degree": 0, "min_degree": 0, "slope_points": 2, "noise_std": 0.0,
+          "blob_std": 0.0, "tol": 0.0}
+POSITIVE_PARAMS = ("step", "square_step", "noise_rel_std", "f_tilde", "t_min",
+                   "slope_window", "max_time")
 # integer params split evenly between two classes
 EVEN_PARAMS = ("n_points",)
 # (low, high) pairs of params with low <= high
@@ -153,13 +157,12 @@ class ExperimentConfig:
     """Scenario name, base seed, output directory, parameter overrides.
 
     Unknown parameter keys are rejected by name so a typo in a config
-    file fails loudly instead of silently running defaults, and so is a
-    value of another type than its default's, an integer count below 1 (a
-    degree below 0), an odd EVEN_PARAMS count, a PAIR_PARAMS list without
+    file fails loudly instead of silently running defaults. _check_param
+    types and bounds each given value; the rules here are of shape and
+    between params: an odd EVEN_PARAMS count, a PAIR_PARAMS list without
     two entries, a CHOICE_PARAMS string outside its choices, toy deepnet
-    dims that do not run from 2 inputs to 1 output through widths of at
-    least 1, and a pair of ORDERED_PARAMS out of order. params keeps each
-    value as its default's type (see _check_param).
+    dims not from 2 inputs to 1 output, growth ks empty or with a repeat or
+    a depth >= 2 beside rho0 <= 0, and ORDERED_PARAMS out of order.
     """
 
     scenario: str
@@ -191,17 +194,8 @@ class ExperimentConfig:
         object.__setattr__(self, "params", typed)
         merged = {**defaults, **typed}
         for key, value in merged.items():
-            default = defaults[key]
-            if isinstance(default, int) and not isinstance(default, bool):
-                floor = 0 if key in DEGREE_PARAMS else 1
-                if value < floor:  # an integer: _check_param saw to it
-                    raise ValueError(
-                        f"params.{key}: must be >= {floor}, got {value!r}"
-                    )
-                if key in EVEN_PARAMS and value % 2:
-                    raise ValueError(
-                        f"params.{key}: must be even, got {value!r}"
-                    )
+            if key in EVEN_PARAMS and value % 2:
+                raise ValueError(f"params.{key}: must be even, got {value!r}")
             if key in PAIR_PARAMS and len(value) != 2:
                 raise ValueError(
                     f"params.{key}: must have 2 entries, got {list(value)}")
@@ -209,14 +203,21 @@ class ExperimentConfig:
                 raise ValueError(
                     f"params.{key}: must be one of "
                     f"{', '.join(CHOICE_PARAMS[key])}, got {value!r}")
-            if key == "dims":  # the toy deepnet's 2-d blobs, one output
-                for i, width in enumerate(value):
-                    if width < 1:
-                        raise ValueError(
-                            f"params.dims[{i}]: must be >= 1, got {width!r}")
-                if value[:1] != (2,) or value[-1:] != (1,):
-                    raise ValueError("params.dims: must start at 2 and end "
-                                     f"at 1, got {list(value)}")
+            # the toy deepnet's 2-d blobs, one output
+            if key == "dims" and (value[:1] != (2,) or value[-1:] != (1,)):
+                raise ValueError("params.dims: must start at 2 and end "
+                                 f"at 1, got {list(value)}")
+            if key == "ks":
+                if not value:
+                    raise ValueError(
+                        "params.ks: must name at least one depth, got []")
+                if len(set(value)) < len(value):
+                    raise ValueError("params.ks: depths must be distinct, "
+                                     f"got {list(value)}")
+                if max(value) >= 2 and merged["rho0"] <= 0.0:
+                    raise ValueError(
+                        "params.rho0: must be > 0 for depth >= 2 (zero scales "
+                        "are a fixed point of the growth dynamics)")
         for low, high in ORDERED_PARAMS:
             if {low, high} <= merged.keys() and merged[high] < merged[low]:
                 raise ValueError(
@@ -256,7 +257,10 @@ def _check_param(name, value, default):
     bool for a bool, an integer for an integer count, any finite number
     (made a float) for a float, a string for a string, and a list (or
     tuple) of such entries (made a tuple) for a tuple. JSON's NaN and
-    Infinity, and an integer too large for a float, are not finite."""
+    Infinity, and an integer too large for a float, are not finite. A number
+    is then bounded, here only, by FLOORS and POSITIVE_PARAMS under its
+    field's own name (name's last part without an index); any other
+    integer is a count of at least 1."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name}: must be a list, got {value!r}")
@@ -277,7 +281,14 @@ def _check_param(name, value, default):
     # a Python int compares exactly, so one past float's range fails too
     if isinstance(default, float) and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name}: must be finite, got {value!r}")
-    return type(default)(value)
+    value = type(default)(value)
+    field = name.rsplit(".", 1)[-1].split("[")[0]
+    if field in POSITIVE_PARAMS and not value > 0:
+        raise ValueError(f"{name}: must be > 0, got {value!r}")
+    floor = FLOORS.get(field, 1 if type(default) is int else None)
+    if floor is not None and value < floor:
+        raise ValueError(f"{name}: must be >= {floor}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -778,27 +789,13 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
 
     Depth one grows like log t; deeper stacks push the product of scales
     above log t (the excess keeps widening) while each individual layer
-    falls ever further below it.
+    falls ever further below it. Its params are checked by ExperimentConfig.
     """
     p = config.resolved()
     notes = []
     f_tilde = p["f_tilde"]
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["grid_points"])
     ks = p["ks"]
-    if not ks:
-        raise ValueError("params.ks: must name at least one depth, got []")
-    for i, k in enumerate(ks):
-        if k < 1:  # an integer: _check_param saw to it
-            raise ValueError(f"params.ks[{i}]: must be >= 1, got {k!r}")
-    if len(set(ks)) < len(ks):
-        raise ValueError(f"params.ks: depths must be distinct, got {list(ks)}")
-    if not f_tilde > 0.0:
-        raise ValueError(f"params.f_tilde: must be > 0, got {f_tilde!r}")
-    if any(k >= 2 for k in ks) and p["rho0"] <= 0.0:
-        raise ValueError(
-            "params.rho0: must be > 0 for depth >= 2 (zero scales are a "
-            "fixed point of the growth dynamics)"
-        )
 
     # the points each check reads besides t_grid; integrated in the same pass
     extra = {}

@@ -138,6 +138,8 @@ class TrajectoryTrace:
     converged: bool = False
     stop_reason: str = ""
     final_state: FlowState | None = None
+    # points the flow took, its start included, with a relu pre-activation
+    # of exactly 0 (where the subgradient 0 is used)
     kink_events: int = 0
     # loss_rescaled steps taken although the loss still rose after
     # MAX_HALVINGS halvings; a count only, not a CSV column
@@ -626,8 +628,10 @@ def stacked_perturb_and_reconverge(
     before its perturbation); a row's perturbation_count is its cycle's
     index. A cycle whose training criterion (classification error 0, or
     loss <= RECONVERGE_TOL for regression) is not met gets flagged, and the
-    run continues. kink_events counts the relu kinks met by the
-    re-convergence steps and the perturbation redraws.
+    run continues. Each perturbation is one draw, applied as drawn even
+    where it puts a relu pre-activation on the kink; kink_events sums the
+    re-flows' kink_events, so a kinked perturbed point counts once, as the
+    start of the next cycle's re-flow.
 
     controls are states of the same architecture that flow alongside and
     are never perturbed: their rows have perturbation_count 0 and no flag,
@@ -674,15 +678,9 @@ def stacked_perturb_and_reconverge(
                     "" if control or reconverged(value, train_error)
                     else "not_reconverged")
             if cycle < protocol.repetitions and not control:
-                for _ in range(5):
-                    deltas = _draw_perturbation(rngs[r], net.layers, protocol)
-                    candidate = net.with_layers(
-                        [w + d for w, d in zip(net.layers, deltas)]
-                    )
-                    if not batch_forward(candidate, data.inputs)[-1]:
-                        break
-                    trace.kink_events += 1
-                net = candidate
+                deltas = _draw_perturbation(rngs[r], net.layers, protocol)
+                net = net.with_layers(
+                    [w + d for w, d in zip(net.layers, deltas)])
             states[r] = replace(end.final_state, net=net)
     for state, trace in zip(states, traces):
         trace.converged = True

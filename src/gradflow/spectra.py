@@ -146,7 +146,10 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
 
 def classify(h_mat, tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
     """Spectrum of a symmetric flow matrix split into stable (< -thr),
-    unstable (> +thr) and zero (within thr = tol * spectral radius)."""
+    unstable (> +thr) and zero (within thr = tol * spectral radius). A
+    negative tol, which would count some eigenvalues twice, is refused."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     a = check_matrix(h_mat, "matrix")
     dec = symmetric_eig(a)
     evals = np.sort(dec.eigenvalues)

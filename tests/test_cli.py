@@ -258,6 +258,13 @@ class TestFlow:
          "stop: need a budget: max_time or max_steps"),
         ({"net": {"layers": [[[1.0, 0.0]], [[1.0, 2.0]]]}},
          "net: layer 2 expects 2 inputs, layer 1 outputs 1"),
+        # the scenario params' bounds hold for the same field names here
+        ({"net": {"dims": [2, 0, 1]}}, "net.dims[1]: must be >= 1, got 0"),
+        ({"net": {"dims": [2, -1, 1]}}, "net.dims[1]: must be >= 1, got -1"),
+        ({"step": 0.0}, "step: must be > 0, got 0.0"),
+        ({"stop": {"max_steps": 0}}, "stop.max_steps: must be >= 1, got 0"),
+        ({"stop": {"max_time": 0.0}}, "stop.max_time: must be > 0, got 0.0"),
+        ({"stop": {"max_time": -1}}, "stop.max_time: must be > 0, got -1.0"),
     ])
     def test_missing_or_refused_object_names_field(self, tmp_path, capsys,
                                                    extra, message):
@@ -503,6 +510,15 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: tol: must be ")
+
+    def test_negative_tol_names_field(self, tmp_path, capsys):
+        # a negative tol used to print a negative zero count and exit 0
+        cfg = self._config(tmp_path, tol=-1.0)
+        assert main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: tol: must be >= 0.0, got -1.0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path, convnetion="flow")
@@ -834,6 +850,29 @@ class TestScenarioCounts:
         ("perturb", {"variant": "deepnet", "activation": "polynomial"},
          "params.activation: must be one of relu, smoothed_relu, linear, "
          "got 'polynomial'"),
+        # the FLOORS and POSITIVE_PARAMS bounds, by the field's own name
+        ("growth", {"t_min": 0.0}, "params.t_min: must be > 0, got 0.0"),
+        ("growth", {"ks": [1], "slope_window": [0.0, 1000.0]},
+         "params.slope_window[0]: must be > 0, got 0.0"),
+        ("growth", {"ks": [1], "slope_points": 1},
+         "params.slope_points: must be >= 2, got 1"),
+        ("direction", {"step": 0.0}, "params.step: must be > 0, got 0.0"),
+        ("direction", {"square_step": -1.0},
+         "params.square_step: must be > 0, got -1.0"),
+        ("perturb", {"variant": "deepnet", "step": -0.1},
+         "params.step: must be > 0, got -0.1"),
+        ("perturb", {"variant": "sine", "step": 0.0, "total_steps": 1000,
+                     "interval": 100}, "params.step: must be > 0, got 0.0"),
+        ("perturb", {"variant": "deepnet", "noise_rel_std": 0.0},
+         "params.noise_rel_std: must be > 0, got 0.0"),
+        ("direction", {"blob_std": -1.0},
+         "params.blob_std: must be >= 0.0, got -1.0"),
+        ("perturb", {"variant": "deepnet", "blob_std": -1.0},
+         "params.blob_std: must be >= 0.0, got -1.0"),
+        ("perturb", {"variant": "sine", "noise_std": -1.0},
+         "params.noise_std: must be >= 0.0, got -1.0"),
+        ("direction", {"max_time": 0.0, "n_datasets": 1, "n_inits": 2},
+         "params.max_time: must be > 0, got 0.0"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

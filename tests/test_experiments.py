@@ -42,6 +42,17 @@ class TestExperimentConfig:
             ExperimentConfig(scenario="sine_polynomial_perturbation",
                              params={"repetitions": 0})
 
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFAULTS))
+    def test_defaults_obey_the_bounds(self, scenario):
+        # bounds apply to given values only: a default that broke its own
+        # rule would run unchecked unless a config repeated it
+        defaults = SCENARIO_DEFAULTS[scenario]
+        for key, value in defaults.items():
+            assert experiments._check_param(f"params.{key}", value,
+                                            value) == value
+        assert ExperimentConfig(scenario=scenario,
+                                params=defaults).resolved() == defaults
+
     def test_seed_must_be_integer(self):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(scenario="growth_asymptotics", seed=1.5)
@@ -421,9 +432,9 @@ class TestGrowthAsymptotics:
         assert header == ["t", "log_t", "rho", "product"]
 
     def test_zero_scale_rejected_for_deep_stacks(self):
-        cfg = ExperimentConfig(scenario="growth_asymptotics",
-                               params={"rho0": 0.0})
         with pytest.raises(ValueError, match="params.rho0"):
+            cfg = ExperimentConfig(scenario="growth_asymptotics",
+                                   params={"rho0": 0.0})
             run_scenario(cfg)
 
     @pytest.mark.parametrize("params, message", [
@@ -436,10 +447,10 @@ class TestGrowthAsymptotics:
     ])
     def test_bad_depths_and_margin_refused_by_name(self, tmp_path, params,
                                                    message):
-        cfg = ExperimentConfig(scenario="growth_asymptotics",
-                               output_dir=str(tmp_path / "out"),
-                               params=params)
         with pytest.raises(ValueError) as err:
+            cfg = ExperimentConfig(scenario="growth_asymptotics",
+                                   output_dir=str(tmp_path / "out"),
+                                   params=params)
             run_scenario(cfg)
         assert str(err.value) == message
         assert not (tmp_path / "out").exists()
@@ -684,3 +695,11 @@ class TestByteDeterminism:
     def test_sine_reruns_identical(self, tmp_path):
         self._run_twice(tmp_path, "sine_polynomial_perturbation",
                         {"repetitions": 3, "total_steps": 480_000})
+
+
+@pytest.mark.parametrize("obj, name", [(object(), "object"), ({1}, "set"),
+                                       (1j, "complex")])
+def test_json_hook_refuses_what_it_cannot_write(obj, name):
+    with pytest.raises(TypeError, match=f"^Object of type {name} is not "
+                                        "JSON serializable$"):
+        experiments._json_default(obj)

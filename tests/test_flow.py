@@ -552,7 +552,7 @@ class TestLinearSquareGD:
 def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
     """The one-state protocol built from run_flows: a stack of one per
     re-convergence chunk, sampled only at its ends, whose last row is the
-    cycle boundary; the same _draw_perturbation calls and redraw rule.
+    cycle boundary; the same _draw_perturbation call, one per perturbation.
     Returns the trace (kink_events not counted) and the final net."""
     net, t = state.net, state.time
     stop_after = protocol.interval * protocol.repetitions
@@ -577,13 +577,8 @@ def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
                 "" if ok else "not_reconverged")
         if done <= stop_after and pert_count < protocol.repetitions \
                 and done < total:
-            for _ in range(5):
-                deltas = _draw_perturbation(rng, net.layers, protocol)
-                candidate = net.with_layers(
-                    [w + d for w, d in zip(net.layers, deltas)])
-                if not batch_forward(candidate, data.inputs)[-1]:
-                    break
-            net = candidate
+            deltas = _draw_perturbation(rng, net.layers, protocol)
+            net = net.with_layers([w + d for w, d in zip(net.layers, deltas)])
             pert_count += 1
     return trace, net
 
@@ -799,10 +794,10 @@ class TestStackedProtocol:
         # the fresh control starts at nonzero training error
         assert traces[-1].train_errors[0] > 0.0
 
-    def test_relu_members_whose_redraws_hit_the_kink(self):
+    def test_relu_members_whose_draws_hit_the_kink(self):
         # the origin is an input, so every pre-activation column there is
         # exactly zero: every step and every perturbation draw sits on the
-        # kink, and each perturbation uses all five draws. Labels are the
+        # kink, and each perturbation is applied as drawn. Labels are the
         # teacher's own outputs, and the rescaled twins (factors 2 and 1/2
         # are exact) fit them exactly too, so every start has loss 0.
         rng = np.random.default_rng(6)
@@ -818,8 +813,9 @@ class TestStackedProtocol:
                                      repetitions=2)
         traces = self._assert_stack_is_stacks_of_one(states, proto, "square",
                                                      data)
-        # 3 chunks of 30 steps plus their first evaluation, 2 x 5 draws
-        assert [tr.kink_events for tr in traces] == [3 * 31 + 2 * 5] * 3
+        # 3 chunks of 30 steps plus their first evaluation; a perturbed
+        # point is counted once, as its chunk's first evaluation
+        assert [tr.kink_events for tr in traces] == [3 * 31] * 3
 
     def test_kinks_stay_with_their_member(self):
         # both nets compute relu(x1) - relu(-x1), which separates SEP; the
@@ -1216,5 +1212,27 @@ def _run_two(nets=None, datasets=SEP, stepping="fixed", refs=None):
     (lambda: _run_two(refs=[TraceRefs()]), "1 refs for 2 flows"),
 ])
 def test_flow_setup_refuses(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NormalizedFlowState(unit_net=_linear_net([0.6, 0.8]),
+                                 rhos=(1.0,), step=0.1, stepping="sideways"),
+     "unknown stepping 'sideways'"),
+    (lambda: NormalizedFlowState(unit_net=_linear_net([0.6, 0.8]),
+                                 rhos=(0.0,), step=0.1),
+     "rhos must stay positive"),
+    (lambda: normalized_flow_step(NormalizedFlowState(
+        unit_net=DeepNet((np.array([[0.6, 0.8]]),),
+                         activation="smoothed_relu"),
+        rhos=(1.0,), step=0.1), SEP),
+     "normalized dynamics needs a homogeneous activation"),
+    (lambda: normalized_flow_step(NormalizedFlowState(
+        unit_net=_linear_net([0.6, 0.8]), rhos=(1.0,), step=0.1),
+        Dataset(SEP.inputs, np.arange(4.0), task="regression")),
+     "normalized dynamics is stated for binary data"),
+])
+def test_normalized_flow_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -6,6 +6,8 @@ polynomial and against a cyclic-Jacobi solver (jacobi_oracle.py), and the
 minimum-norm solver against the ridge-regression limit.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ import gradflow.spectra as spectra
 from gradflow.linalg import (
     RANK_CUTOFF,
     EigenDecomposition,
+    check_matrix,
+    check_vector,
     extended_min_norm_path,
     frobenius_norm,
     gram_solve,
@@ -455,3 +459,24 @@ class TestAgainstJacobiOracle:
             a = 0.5 * (a + a.T)
             self._cross_check(a, monkeypatch)
             assert classify(a).n_zero == n_zero
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_matrix([1.0, 2.0], "X"),
+     "X must be 2-dimensional, got shape (2,)"),
+    (lambda: check_matrix(np.zeros((0, 3)), "X"), "X is empty"),
+    (lambda: check_matrix([[1.0, np.nan]], "X"), "X has non-finite entries"),
+    (lambda: check_vector([], "y"), "y is empty"),
+    (lambda: check_vector([1.0, np.inf], "y"), "y has non-finite entries"),
+    (lambda: frobenius_norm([[1.0], [np.inf]]),
+     "frobenius_norm: non-finite entries"),
+    (lambda: symmetric_eig(np.zeros((0, 0))), "A is empty"),
+    (lambda: min_norm_least_squares([[1.0, 2.0]], [1.0, 2.0]),
+     "y has length 2, expected 1"),
+    # X is nonzero, but X X^T = 1e-400 underflows to 0
+    (lambda: min_norm_least_squares([[1e-200]], [1.0]),
+     "X X^T is numerically zero"),
+])
+def test_linalg_refuses(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -297,3 +297,19 @@ class TestRefusals:
         net = DeepNet((np.ones((out_dim, in_dim)),), activation="linear")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             loss(kind, net, data)
+
+    @pytest.mark.parametrize("metric, task, labels, out_dim, message", [
+        (separability_margin, "binary", [1.0, -1.0], 2,
+         "binary margin needs a single output row"),
+        (separability_margin, "regression", [0.3, 0.1], 1,
+         "separability is a classification notion"),
+        (classification_error, "binary", [1.0, -1.0], 2,
+         "binary error rate needs a single output row"),
+        (classification_error, "regression", [0.3, 0.1], 1,
+         "classification error needs a classification task"),
+    ])
+    def test_metric_refuses(self, metric, task, labels, out_dim, message):
+        data = Dataset(self.X2, labels, task=task)
+        net = DeepNet((np.ones((out_dim, 2)),), activation="linear")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            metric(net, data)

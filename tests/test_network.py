@@ -463,3 +463,24 @@ def test_deepnet_refuses(kwargs, message):
     kwargs = {"layers": (np.ones((1, 2)),), **kwargs}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DeepNet(**kwargs)
+
+
+TWO_ROWS = DeepNet((np.ones((2, 2)),), activation="linear")
+ONE_ROW = DeepNet((np.ones((1, 2)),), activation="relu")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: forward(TWO_ROWS, [1.0, 0.0]),
+     "forward needs one output row, net has 2"),
+    (lambda: layer_gradients(TWO_ROWS, [1.0, 0.0]),
+     "layer_gradients needs one output row"),
+    (lambda: homogeneity_residual(ONE_ROW, [1.0, 0.0], 2),
+     "layer index 2 outside 1..1"),
+    (lambda: homogeneity_residual(ONE_ROW, [1.0, 0.0], 0),
+     "layer index 0 outside 1..1"),
+    (lambda: unflatten_params(np.zeros(5), [(2, 2)]),
+     "parameter vector length mismatch"),
+])
+def test_network_functions_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -6,6 +6,8 @@ enumeration against hand-solved instances, KKT conditions and the
 per-subset loop in svm_oracle.py.
 """
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -351,3 +353,20 @@ def test_margin_solution_invariants():
     assert isinstance(sol, MarginSolution)
     assert np.linalg.norm(sol.w_tilde) == pytest.approx(1.0, rel=1e-12)
     assert ((data.labels[:, None] * data.inputs) @ sol.w_raw).min() >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hard_margin_svm(Dataset([[1.0], [2.0]], [0.5, 1.5],
+                                     task="regression")),
+     ValueError, "hard_margin_svm needs binary -1/+1 labels"),
+    (lambda: growth_closed_form(1, 0.0, 1.0), ValueError,
+     "growth needs a positive margin value f_tilde"),
+    (lambda: growth_closed_form(2, 1.0, -1.0, rho0=0.5), ValueError,
+     "time must be nonnegative"),
+    # the rest point sits near w = 2.6e9, past the bracket's 1e6 cap
+    (lambda: nonseparable_equilibrium_1d(1e-10, 1e-9), RuntimeError,
+     "bisection bracket failed to close"),
+])
+def test_oracles_refuse(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

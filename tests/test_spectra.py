@@ -8,6 +8,7 @@ modes).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -275,6 +276,16 @@ class TestClassify:
         assert rep.n_stable == 1 and rep.n_unstable == 1
         assert "loss Hessian" in rep.convention
 
+    # a negative tol inverts the zero band: eigenvalues counted twice, and
+    # a negative zero count that balances the partition check
+    def test_negative_tol_refused(self):
+        with pytest.raises(ValueError, match=r"^tol must be >= 0, got -1\.0$"):
+            classify(np.diag([-2.0, 1.0, 3.0]), tol=-1.0)
+
+    def test_loss_orientation_refuses_negative_tol(self):
+        with pytest.raises(ValueError, match=r"^tol must be >= 0, got -0\.5$"):
+            classify_loss_hessian(np.diag([-2.0, 1.0, 3.0]), tol=-0.5)
+
     def test_report_partition_enforced(self):
         with pytest.raises(ValueError, match="partition"):
             SpectrumReport(eigenvalues=(1.0, 2.0), n_stable=1, n_unstable=0,
@@ -515,3 +526,18 @@ class TestWriters:
         write_spectrum_csv(rep, a)
         write_spectrum_csv(rep, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hessian("square", DeepNet((np.ones((2, 2)), np.ones((1, 2))),
+                                       activation="linear"),
+                     Dataset(SEP_X, SEP_Y), lambdas=(0.1,)),
+     "1 lambdas for 2 layers"),
+    (lambda: virtual_linear_system(
+        DeepNet((np.ones((2, 2)),), activation="linear"),
+        Dataset(SEP_X, SEP_Y)),
+     "virtual construction needs a scalar-output net"),
+])
+def test_spectra_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
