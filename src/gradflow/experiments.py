@@ -49,7 +49,9 @@ NULLABLE_PARAMS = ("max_time",)
 FLOORS = {"degree": 0, "min_degree": 0, "slope_points": 2, "noise_std": 0.0,
           "blob_std": 0.0, "tol": 0.0}
 POSITIVE_PARAMS = ("step", "square_step", "noise_rel_std", "f_tilde", "t_min",
-                   "slope_window", "max_time")
+                   "slope_window", "max_time", "stop_fraction")
+# largest value a float param may take
+CEILINGS = {"stop_fraction": 1.0}
 # integer params split evenly between two classes
 EVEN_PARAMS = ("n_points",)
 # (low, high) pairs of params with low <= high
@@ -258,8 +260,8 @@ def _check_param(name, value, default):
     (made a float) for a float, a string for a string, and a list (or
     tuple) of such entries (made a tuple) for a tuple. JSON's NaN and
     Infinity, and an integer too large for a float, are not finite. A number
-    is then bounded, here only, by FLOORS and POSITIVE_PARAMS under its
-    field's own name (name's last part without an index); any other
+    is then bounded, here only, by FLOORS, POSITIVE_PARAMS and CEILINGS
+    under its field's own name (name's last part without an index); any other
     integer is a count of at least 1."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
@@ -288,6 +290,9 @@ def _check_param(name, value, default):
     floor = FLOORS.get(field, 1 if type(default) is int else None)
     if floor is not None and value < floor:
         raise ValueError(f"{name}: must be >= {floor}, got {value!r}")
+    ceiling = CEILINGS.get(field)
+    if ceiling is not None and value > ceiling:
+        raise ValueError(f"{name}: must be <= {ceiling}, got {value!r}")
     return value
 
 

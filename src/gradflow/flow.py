@@ -28,14 +28,15 @@ from .linalg import frobenius_norm, gram_solve, symmetric_eig
 from .losses import (
     Dataset,
     _check_kind,
-    _loss_and_gradient,
     _loss_terms,
+    _terms_and_gradient,
     classification_error,
     loss,
     mean_squared_error,
 )
-from .network import (HOMOGENEOUS, DeepNet, batch_backprop, batch_forward,
-                      flatten_params, normalize_layers, unflatten_params)
+from .network import (HOMOGENEOUS, DeepNet, _columns, batch_backprop,
+                      batch_forward, flatten_params, normalize_layers,
+                      unflatten_params)
 
 LOSS_EXPLOSION_FACTOR = 10.0
 MAX_HALVINGS = 40
@@ -288,19 +289,26 @@ class _Euler:
             )
         for net, data in zip(nets, self.datasets):
             _check_kind(kind, data, net)
-        if shared:
-            self.inputs, self.labels = datasets.inputs, datasets.labels
-        else:
-            self.inputs = np.stack([d.inputs for d in self.datasets])
-            self.labels = np.stack([d.labels for d in self.datasets])
         self.kind, self.arch, self.shared = kind, arch, shared
+        if shared:
+            self._take_data(datasets.inputs, datasets.labels)
+        else:
+            self._take_data(np.stack([d.inputs for d in self.datasets]),
+                            np.stack([d.labels for d in self.datasets]))
         self.ids = np.arange(len(nets))  # each member's place in nets
         self.two_lambdas = _two_lambdas(lambdas)
         self._bind(np.stack([flatten_params(net.layers) for net in nets]))
         self.value, self.grads, kink = self._evaluate(self.layers)
-        self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
+        self._set_total()
         self.kink_events = np.zeros(len(nets), dtype=int) + kink
         self.backtrack_giveups = np.zeros(len(nets), dtype=int)
+
+    def _take_data(self, inputs, labels):
+        """Fix what every step reads of the data: the inputs as columns and
+        the loss formula on these labels."""
+        self.inputs, self.labels = inputs, labels
+        self.columns = _columns(inputs)
+        self.terms = _loss_terms(self.kind, labels)
 
     def _bind(self, flat):
         """Take flat as the current point, with a fresh trial buffer."""
@@ -321,19 +329,26 @@ class _Euler:
         self.ids = self.ids[index]
         self.datasets = [self.datasets[i] for i in index]
         if not self.shared:
-            self.inputs, self.labels = self.inputs[index], self.labels[index]
+            self._take_data(self.inputs[index], self.labels[index])
         if self.two_lambdas is not None:
             self.two_lambdas = [tl[index] for tl in self.two_lambdas]
         self._bind(self.flat[index])
         self.value, self.grads = self.value[index], [g[index]
                                                      for g in self.grads]
-        self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
+        self._set_total()
         self.kink_events = self.kink_events[index]
         self.backtrack_giveups = self.backtrack_giveups[index]
 
     def _evaluate(self, layers):
-        return _loss_and_gradient(self.kind, self.arch, self.inputs,
-                                  self.labels, layers)
+        return _terms_and_gradient(self.terms, self.arch, self.columns,
+                                   layers)
+
+    def _set_total(self):
+        """The step direction: the loss gradient, plus 2 lam_k W_k where a
+        ridge term is set."""
+        self.total = (self.grads if self.two_lambdas is None else
+                      _total_gradient(self.grads, self.layers,
+                                      self.two_lambdas))
 
     def step(self, dt, backtrack: bool):
         """Move every member to W_k - dt * (grad_k + 2 lam_k W_k), dt one
@@ -346,12 +361,14 @@ class _Euler:
         counted as a give-up of that member.
         """
         halvings = 0
+        d = dt[:, None, None]  # a view: it sees every halving of dt
+        trial = self._trial_flat
         while True:
-            d = dt[:, None, None]
             for w, g, out in zip(self.layers, self.total, self._trial_layers):
                 np.subtract(w, d * g, out=out)
-            if not np.isfinite(self._trial_flat).all():
-                bad = ~np.isfinite(self._trial_flat).all(axis=-1)
+            # a count, not a sum: finite weights may sum past float's range
+            if np.count_nonzero(np.isfinite(trial)) < trial.size:
+                bad = ~np.isfinite(trial).all(axis=-1)
                 r = np.flatnonzero(bad)[0]
                 raise ValueError(self._named(
                     r, f"non-finite weights after a step of {dt[r]:.3e}; "
@@ -360,14 +377,14 @@ class _Euler:
             if not backtrack:
                 blown = value > LOSS_EXPLOSION_FACTOR * np.maximum(self.value,
                                                                    1e-300)
-                if blown.any():
+                if np.count_nonzero(blown):
                     r = np.flatnonzero(blown)[0]
                     raise ValueError(self._named(
                         r, f"loss exploded {self.value[r]:.3e} -> "
                         f"{value[r]:.3e}; reduce step below {dt[r]:.3e}"))
                 break
             rising = value > self.value
-            if not rising.any():
+            if not np.count_nonzero(rising):
                 break
             if halvings >= MAX_HALVINGS:
                 self.backtrack_giveups += rising
@@ -381,7 +398,7 @@ class _Euler:
         self.value, self.grads = value, grads
         if kink is not False:  # False for nets without a relu layer
             self.kink_events += kink
-        self.total = _total_gradient(self.grads, self.layers, self.two_lambdas)
+        self._set_total()
         return dt
 
     def _named(self, r, text) -> str:
@@ -745,7 +762,7 @@ def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> Normalize
     rhos = np.asarray(state.rhos)
     prod = float(np.prod(rhos))
     out, _, acts, derivs, _ = batch_forward(unit, data.inputs)
-    value, ddelta = _loss_terms("exponential", prod * out, data.labels)
+    value, ddelta = _loss_terms("exponential", data.labels)(prod * out)
     # ddelta is -y exp(-prod f~); with y = +-1 every sign flip is exact
     margin_mass = float((-ddelta[0] * out[0]).sum())
     rho_dots = (prod / rhos) * margin_mass

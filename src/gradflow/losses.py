@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DeepNet, _sigmoid, batch_backprop, batch_forward
+from .network import (DeepNet, _columns, _forward_columns, _sigmoid,
+                      batch_backprop, batch_forward)
 
-LOSS_KINDS = ("square", "exponential", "logistic", "softmax_cross_entropy")
 TASKS = ("binary", "multiclass", "regression")
 # largest exponent fed to exp(); beyond this the per-sample term is clamped
 EXP_CLAMP = 709.0
@@ -93,7 +93,8 @@ def batch_outputs(net: DeepNet, inputs) -> np.ndarray:
 
 
 def _clamped_exp(u, context):
-    if (u > EXP_CLAMP).any():
+    # fmax skips NaN, so a NaN exponent does not hide one past the clamp
+    if np.fmax.reduce(u, axis=None) > EXP_CLAMP:
         warnings.warn(
             f"{context}: exponent clamped at {EXP_CLAMP:.0f}; the flow has "
             "left the regime where the exponential loss is meaningful",
@@ -103,45 +104,73 @@ def _clamped_exp(u, context):
     return np.exp(u)
 
 
-def _loss_terms(kind: str, out, y):
-    """The one table of loss formulas: the summed loss of the (C, N)
-    outputs and its derivative with respect to them. Stacked outputs
-    (R, C, N) give one sum per member; labels are (N,) or (R, N).
+def _square_terms(y):
+    def terms(out):
+        f = out[..., 0, :]
+        return (np.add.reduce((y - f) ** 2, axis=-1),
+                (2.0 * (f - y))[..., None, :])
+    return terms
 
-    Softmax goes by log-sum-exp: -log of an underflowed probability would
-    be inf where this is finite. Logistic, log(1 + e^{-yf}), is stable on
-    both tails.
-    """
-    if kind == "softmax_cross_entropy":
-        z = out.mT - out.mT.max(axis=-1, keepdims=True)
+
+def _exponential_terms(y):
+    neg_y = -y
+
+    def terms(out):
+        e = _clamped_exp(neg_y * out[..., 0, :], "exponential loss")
+        return np.add.reduce(e, axis=-1), (neg_y * e)[..., None, :]
+    return terms
+
+
+def _logistic_terms(y):
+    # log(1 + e^{-yf}) is stable on both tails
+    neg_y = -y
+
+    def terms(out):
+        m = neg_y * out[..., 0, :]
+        e = np.exp(-np.abs(m))
+        value = np.add.reduce(np.maximum(m, 0.0) + np.log1p(e), axis=-1)
+        return value, (neg_y * _sigmoid(m, e))[..., None, :]
+    return terms
+
+
+def _softmax_terms(y):
+    # log-sum-exp: -log of an underflowed probability would be inf where
+    # this is finite
+    def terms(out):
+        z = out.mT - np.maximum.reduce(out.mT, axis=-1, keepdims=True)
         e = np.exp(z)
-        norm = e.sum(axis=-1, keepdims=True)
+        norm = np.add.reduce(e, axis=-1, keepdims=True)
         hot = y[..., None] == np.arange(out.shape[-2])
         # the one entry of each row where hot is set is z at the label
-        picked = np.where(hot, z, 0.0).sum(axis=-1)
-        value = (np.log(norm[..., 0]) - picked).sum(axis=-1)
+        picked = np.add.reduce(np.where(hot, z, 0.0), axis=-1)
+        value = np.add.reduce(np.log(norm[..., 0]) - picked, axis=-1)
         return value, (e / norm - hot).mT
-    f = out[..., 0, :]
-    if kind == "square":
-        value = ((y - f) ** 2).sum(axis=-1)
-        ddelta = 2.0 * (f - y)
-    elif kind == "exponential":
-        e = _clamped_exp(-y * f, "exponential loss")
-        value = e.sum(axis=-1)
-        ddelta = -y * e
-    else:
-        m = -y * f
-        e = np.exp(-np.abs(m))
-        value = (np.maximum(m, 0.0) + np.log1p(e)).sum(axis=-1)
-        ddelta = -y * _sigmoid(m, e)
-    return value, ddelta[..., None, :]
+    return terms
+
+
+_LOSS_TERMS = {
+    "square": _square_terms,
+    "exponential": _exponential_terms,
+    "logistic": _logistic_terms,
+    "softmax_cross_entropy": _softmax_terms,
+}
+LOSS_KINDS = tuple(_LOSS_TERMS)
+
+
+def _loss_terms(kind: str, labels):
+    """The one table of loss formulas: for labels (N,), or (R, N) for R
+    stacked members, the function that maps the (C, N) outputs, or
+    (R, C, N), to the summed loss (one sum per member) and its derivative
+    with respect to them. The kind and the labels are fixed here once, so
+    a flow builds its function once and calls it every step."""
+    return _LOSS_TERMS[kind](labels)
 
 
 def loss(kind: str, net: DeepNet, data: Dataset) -> float:
     """Sum over samples of the per-sample loss."""
     _check_kind(kind, data, net)
-    return float(_loss_terms(kind, batch_forward(net, data.inputs)[0],
-                             data.labels)[0])
+    terms = _loss_terms(kind, data.labels)
+    return float(terms(batch_forward(net, data.inputs)[0])[0])
 
 
 def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
@@ -156,8 +185,16 @@ def _loss_and_gradient(kind: str, net: DeepNet, inputs, labels, layers=None):
     """loss_and_gradient without the argument check, for loops that make
     the check once up front. Stacked layers (see batch_forward) stand in
     for net's and give one value, gradient and kink flag per member."""
-    out, _, acts, derivs, kink = batch_forward(net, inputs, layers)
-    value, ddelta = _loss_terms(kind, out, labels)
+    return _terms_and_gradient(_loss_terms(kind, labels), net,
+                               _columns(inputs), layers)
+
+
+def _terms_and_gradient(terms, net: DeepNet, columns, layers=None):
+    """_loss_and_gradient from a _loss_terms function and the inputs as
+    columns (see _forward_columns), which a flow fixes once for all its
+    steps."""
+    out, _, acts, derivs, kink = _forward_columns(net, columns, layers)
+    value, ddelta = terms(out)
     return value, batch_backprop(net, acts, derivs, ddelta, layers), kink
 
 

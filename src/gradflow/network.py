@@ -22,6 +22,7 @@ sum_ij dF/dW_ij * W_ij = f can be checked entry by entry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,8 +73,16 @@ class DeepNet:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.activation == "smoothed_relu" and not self.epsilon > 0:
-            raise ValueError("smoothed_relu needs epsilon > 0")
+        if self.activation == "smoothed_relu":
+            if not self.epsilon > 0:
+                raise ValueError("smoothed_relu needs epsilon > 0")
+            # the activation divides by epsilon**2: one that underflows
+            # (or overflows) would pass for a step that blew up
+            square = float(self.epsilon) * float(self.epsilon)
+            if not sys.float_info.min <= square <= sys.float_info.max:
+                raise ValueError(
+                    f"smoothed_relu epsilon {self.epsilon!r}: its square "
+                    f"{square!r} is not a normal float")
         if self.activation == "polynomial" and len(self.coefficients) == 0:
             raise ValueError("polynomial activation needs coefficients")
         layers = tuple(np.asarray(w, dtype=float) for w in self.layers)
@@ -160,14 +169,25 @@ def batch_forward(net: DeepNet, inputs, layers=None):
     shared (N x d) or per member (R x N x d), out is R x C x N and kink
     holds one flag per member.
     """
+    return _forward_columns(net, _columns(inputs), layers)
+
+
+def _columns(inputs):
+    """Input rows (N x d, or R x N x d) as the columns batch_forward runs."""
+    return np.asarray(inputs, dtype=float).mT
+
+
+def _forward_columns(net: DeepNet, h, layers=None):
+    """batch_forward of inputs already given as _columns, for a loop that
+    runs the same inputs many times."""
     layers = net.layers if layers is None else layers
-    h = np.asarray(inputs, dtype=float).mT
+    top = len(layers) - 1 if net.top_linear else -1
     preacts, acts, derivs = [], [h], []
     kink = False
     for k, w in enumerate(layers):
         z = w @ h
         preacts.append(z)
-        if k == net.depth - 1 and net.top_linear:
+        if k == top:
             h, d = z, None
         else:
             h, d, hit = _activate(net, z)
@@ -187,8 +207,8 @@ def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None) -> list:
     same bit for bit."""
     layers = net.layers if layers is None else layers
     delta = out_delta
-    grads = [None] * net.depth
-    for k in range(net.depth - 1, -1, -1):
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
         if derivs[k] is not None:
             # a product made here is scaled in place, the caller's is not
             delta = (delta * derivs[k] if delta is out_delta

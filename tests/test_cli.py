@@ -333,6 +333,23 @@ class TestFlow:
         assert err.startswith(f"error: {field}: must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("epsilon, square", [
+        (1e-300, "0.0"), (1e-160, "1e-320"), (1e200, "inf"),
+    ])
+    def test_epsilon_whose_square_is_not_normal_is_refused(
+            self, tmp_path, capsys, epsilon, square):
+        # not blamed on the step, as a smoothed relu dividing by a
+        # flushed epsilon**2 would be
+        cfg = self._config(tmp_path, net={
+            "dims": [2, 3, 1], "activation": "smoothed_relu",
+            "epsilon": epsilon})
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: net: smoothed_relu epsilon {epsilon!r}: its square "
+            f"{square} is not a normal float\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("extra, field", [
         ({"sample_evry": 5}, "sample_evry"),
         ({"net": {"dims": [2, 1], "activaton": "linear"}}, "net.activaton"),
@@ -873,6 +890,11 @@ class TestScenarioCounts:
          "params.noise_std: must be >= 0.0, got -1.0"),
         ("direction", {"max_time": 0.0, "n_datasets": 1, "n_inits": 2},
          "params.max_time: must be > 0, got 0.0"),
+        # a fraction of the schedule: 0 perturbs nothing, past 1 is 1
+        ("perturb", {"variant": "sine", "stop_fraction": 0.0},
+         "params.stop_fraction: must be > 0, got 0.0"),
+        ("perturb", {"variant": "sine", "stop_fraction": 5.0},
+         "params.stop_fraction: must be <= 1.0, got 5.0"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

@@ -3,17 +3,21 @@
 Oracles: the 1D closed form w(t) = log(t + e^{w(0)}) for the single-sample
 exponential flow, an in-test RK4 integrator run at a fraction of the Euler
 step, a direct numpy gradient-descent loop for the exact propagator, the
-subset-enumeration SVM solver, bisection for 1D regularized equilibria, and
-a plain-numpy normalized step of a one-layer linear net.
+subset-enumeration SVM solver, bisection for 1D regularized equilibria, a
+plain-numpy normalized step of a one-layer linear net, and a plain-numpy
+loss-rescaled exponential loop that run_flows must match bit for bit.
 """
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gradflow.flow import (
+    LOSS_FLOOR,
+    MAX_HALVINGS,
     RECONVERGE_TOL,
     FlowState,
     LinearSquareGD,
@@ -34,8 +38,9 @@ from gradflow.flow import (
     write_trace_csv,
 )
 from gradflow.linalg import min_norm_least_squares
-from gradflow.losses import (Dataset, classification_error, loss,
-                             mean_squared_error, separability_margin)
+from gradflow.losses import (EXP_CLAMP, Dataset, _loss_terms,
+                             classification_error, loss, mean_squared_error,
+                             separability_margin)
 from gradflow.network import DeepNet, batch_forward, flatten_params, random_net
 from gradflow.oracles import growth_closed_form, hard_margin_svm
 
@@ -216,6 +221,99 @@ class TestRunFlow:
         assert abs(w - lo) <= 1e-6
 
 
+def _reference_rescaled_flow(w0, x, y, step, n_steps, sample_every):
+    """Loss-rescaled exponential flow of R one-layer linear nets (R, 1, d)
+    on per-member data x (R, N, d), y (R, N), in plain numpy: the
+    operations of run_flows in its order, so every bit should agree.
+    Returns per member (rows, final weights (1, d), time, floored steps,
+    give-ups), then the number of member-steps halved."""
+    r_count = len(w0)
+    cols, neg_y = x.mT, -y
+
+    def evaluate(w):
+        u = neg_y * (w @ cols)[:, 0, :]
+        if (u > EXP_CLAMP).any():
+            u = np.minimum(u, EXP_CLAMP)
+        e = np.exp(u)
+        return e.sum(axis=-1), (neg_y * e)[:, None, :] @ x
+
+    def row(r):
+        f = (w[r] @ x[r].T)[0]
+        train_error = float(np.mean(y[r] * f <= 0.0))
+        norm = float(np.sqrt((w[r] * w[r]).sum()))
+        return [float(t[r]), float(value[r]), train_error, None, norm, None,
+                None, None, 0]
+
+    w = np.array(w0, dtype=float)
+    t = np.zeros(r_count)
+    floored = np.zeros(r_count, dtype=int)
+    giveups = np.zeros(r_count, dtype=int)
+    halved = 0
+    rows = [[] for _ in range(r_count)]
+    value, grad = evaluate(w)
+    for it in range(n_steps):
+        if it % sample_every == 0:
+            for r in range(r_count):
+                rows[r].append(row(r))
+        floored += value < LOSS_FLOOR
+        dt = step / np.maximum(value, LOSS_FLOOR)
+        for halvings in range(MAX_HALVINGS + 1):
+            trial = w - dt[:, None, None] * grad
+            assert np.isfinite(trial).all()
+            trial_value, trial_grad = evaluate(trial)
+            rising = trial_value > value
+            if not rising.any():
+                break
+            if halvings == MAX_HALVINGS:
+                giveups += rising
+                break
+            dt[rising] *= 0.5
+            halved += int(rising.sum())
+        w, value, grad = trial, trial_value, trial_grad
+        t += dt
+    for r in range(r_count):
+        if rows[r][-1][0] != float(t[r]):
+            rows[r].append(row(r))
+    return [(rows[r], w[r], float(t[r]), int(floored[r]), int(giveups[r]))
+            for r in range(r_count)], halved
+
+
+class TestPlainNumpyReference:
+    """run_flows against a plain numpy loop of the same operations, bit
+    for bit: a trim of the step's fixed cost must move no output."""
+
+    def test_rescaled_exponential_stack_is_the_plain_loop(self):
+        # two blob datasets, five starts on each. At step 4 the flows on
+        # the tight, separable blobs run onto the loss floor, where their
+        # steps are counted as floored; those on the overlapping blobs
+        # overshoot and halve.
+        rng = np.random.default_rng(5)
+        datasets = []
+        for center, std in (([1.0, 0.7], 0.1), ([0.4, -1.0], 0.8)):
+            x = np.vstack([rng.normal(size=(6, 2)) * std + center,
+                           rng.normal(size=(6, 2)) * std - center])
+            datasets.append(Dataset(x, np.repeat([1.0, -1.0], 6)))
+        members = [datasets[r // 5] for r in range(10)]
+        w0 = 0.5 * rng.normal(size=(10, 1, 2))
+        states = [FlowState(net=_linear_net(w), step=4.0) for w in w0]
+        traces = run_flows(states, "exponential", members,
+                           StopRule(max_steps=700), sample_every=100,
+                           stepping="loss_rescaled")
+        want, halved = _reference_rescaled_flow(
+            w0, np.stack([d.inputs for d in members]),
+            np.stack([d.labels for d in members]), 4.0, 700, 100)
+        for trace, (rows, w, t, floored, giveups) in zip(traces, want,
+                                                          strict=True):
+            assert [repr(r) for r in trace.rows()] == [repr(r) for r in rows]
+            assert np.array_equal(_bits(trace.final_state.net.layers[0]),
+                                  _bits(w))
+            assert repr(trace.final_state.time) == repr(t)
+            assert trace.floored_steps == floored
+            assert trace.backtrack_giveups == giveups
+        assert all(tr.floored_steps > 0 for tr in traces[:5])
+        assert halved > 0
+
+
 class TestSharedStep:
     """run_flows' Euler step: a run cut into chunks is bitwise one run, a
     non-finite step raises and a backtracking give-up is counted, never
@@ -231,6 +329,43 @@ class TestSharedStep:
                                                       match="non-finite"):
             run_flows([state], "square", self.ONE, StopRule(max_steps=5),
                       stepping=stepping)[0]
+
+    def test_finite_weights_whose_sum_overflows_take_their_step(self):
+        # zero inputs give a zero gradient: the weights stay at 1e308,
+        # finite although their sum is not
+        zero = Dataset(np.zeros((2, 2)), np.array([0.5, -0.5]),
+                       task="regression")
+        start = np.array([[1e308, 1e308]])
+        state = FlowState(net=_linear_net(start), step=0.1)
+        with np.errstate(over="ignore"):  # the trace's norm overflows
+            trace = run_flows([state], "square", zero,
+                              StopRule(max_steps=3))[0]
+        assert trace.stop_reason == "max_steps"
+        assert np.array_equal(trace.final_state.net.layers[0], start)
+
+    def test_nan_step_raises_naming_the_member(self):
+        # inf - inf in flow 1's output makes its gradient and trial NaN
+        data = Dataset(np.array([[10.0, -10.0]]), np.array([0.0]),
+                       task="regression")
+        states = [FlowState(net=_linear_net(w), step=0.1)
+                  for w in ([0.1, 0.2], [1e308, 1e308], [0.3, 0.1])]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^flow 1: non-finite weights"):
+            run_flows(states, "square", data, StopRule(max_steps=5))
+
+    @pytest.mark.parametrize("exponents, warns", [
+        ([800.0, 1.0], True),
+        ([np.nan, 1.0], False),
+        ([np.nan, 800.0], True),
+    ])
+    def test_exp_clamp_warning(self, exponents, warns):
+        # the exponential loss of output f at label -1 has exponent f
+        terms = _loss_terms("exponential", np.array([-1.0, -1.0]))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            terms(np.array([exponents]))
+        clamped = [w for w in rec if "exponent clamped" in str(w.message)]
+        assert len(clamped) == warns
 
     @pytest.mark.parametrize("kind", ["square", "exponential", "logistic"])
     def test_scalar_loss_rejects_multi_row_net(self, kind):

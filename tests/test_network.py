@@ -458,6 +458,12 @@ def test_two_row_softmax_backprop_matches_finite_differences():
     ({"layers": (np.ones(3),)}, "layer 1 is not a matrix"),
     ({"layers": (np.ones((2, 2)), np.array([[1.0, np.inf]]))},
      "layer 2 has non-finite entries"),
+    ({"activation": "smoothed_relu", "epsilon": 1e-300},
+     "smoothed_relu epsilon 1e-300: its square 0.0 is not a normal float"),
+    ({"activation": "smoothed_relu", "epsilon": 1e-160},
+     "smoothed_relu epsilon 1e-160: its square 1e-320 is not a normal float"),
+    ({"activation": "smoothed_relu", "epsilon": 1e200},
+     "smoothed_relu epsilon 1e+200: its square inf is not a normal float"),
 ])
 def test_deepnet_refuses(kwargs, message):
     kwargs = {"layers": (np.ones((1, 2)),), **kwargs}
