@@ -164,7 +164,8 @@ class ExperimentConfig:
     between params: an odd EVEN_PARAMS count, a PAIR_PARAMS list without
     two entries, a CHOICE_PARAMS string outside its choices, toy deepnet
     dims not from 2 inputs to 1 output, growth ks empty or with a repeat or
-    a depth >= 2 beside rho0 <= 0, and ORDERED_PARAMS out of order.
+    a depth >= 2 beside rho0 <= 0, ORDERED_PARAMS out of order, and a
+    perturbed sine run that stops perturbing before its first checkpoint.
     """
 
     scenario: str
@@ -226,6 +227,14 @@ class ExperimentConfig:
                     f"params.{high}: must be >= params.{low} "
                     f"({merged[low]!r}), got {merged[high]!r}"
                 )
+        # the sine study perturbs at its checkpoints before stop_after
+        if "stop_fraction" in merged and merged["perturb"]:
+            stop_after = int(merged["total_steps"] * merged["stop_fraction"])
+            if stop_after <= merged["interval"]:
+                raise ValueError(
+                    "params.stop_fraction: perturbs nothing, since "
+                    f"int(total_steps * stop_fraction) = {stop_after} is not "
+                    f"above params.interval ({merged['interval']!r})")
 
     def resolved(self) -> dict:
         return {**SCENARIO_DEFAULTS[self.scenario], **self.params}

@@ -7,9 +7,10 @@ workhorse behind million-step perturbation schedules), the normalized
 scale/direction system, and the perturb-and-reconverge protocol. There is
 one Euler driver, run_flows, and one protocol driver,
 stacked_perturb_and_reconverge; both take a list of states, and one flow
-is a stack of one. A loss-rescaled step taken at the loss floor is counted
-in the trace. The normalized system weights its samples by the
-exponential loss's one table in losses, clamp and warning included.
+is a stack of one. A normalized flow is a stack whose states carry scales
+(FlowState.rhos); run_flows steps it with the same guarded step, trace
+rows and counters. A loss-rescaled step taken at the loss floor is counted
+in the trace.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
 norm_l1..norm_lK, margin_cosine, nullspace_norm, residual_norm,
@@ -34,9 +35,8 @@ from .losses import (
     loss,
     mean_squared_error,
 )
-from .network import (HOMOGENEOUS, DeepNet, _columns, batch_backprop,
-                      batch_forward, flatten_params, normalize_layers,
-                      unflatten_params)
+from .network import (HOMOGENEOUS, DeepNet, _columns, _forward_columns,
+                      batch_backprop, flatten_params, unflatten_params)
 
 LOSS_EXPLOSION_FACTOR = 10.0
 MAX_HALVINGS = 40
@@ -52,17 +52,24 @@ STEPPINGS = ("fixed", "loss_rescaled")
 
 @dataclass(frozen=True)
 class FlowState:
-    """One point on a gradient-descent trajectory."""
+    """One point on a gradient-descent trajectory.
+
+    A normalized state carries scales rhos, one per layer: its weights are
+    rho_k V_k, and net holds the unit-Frobenius directions V_k.
+    """
 
     net: DeepNet
     step: float
     time: float = 0.0
     lambdas: tuple = ()  # per-layer ridge strength, empty means all zero
     rng_seed: int = 0
+    rhos: tuple = ()  # per-layer scales of a normalized state
 
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError("step must be positive")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time!r}")
         if self.time < 0.0:
             raise ValueError("time must be nonnegative")
         lams = tuple(float(l) for l in self.lambdas)
@@ -73,6 +80,19 @@ class FlowState:
         if any(l < 0.0 for l in lams):
             raise ValueError("lambdas must be nonnegative")
         object.__setattr__(self, "lambdas", lams)
+        rhos = tuple(float(r) for r in self.rhos)
+        if rhos:
+            if any(lams):
+                raise ValueError("a normalized state takes no lambdas")
+            if len(rhos) != self.net.depth:
+                raise ValueError("need one rho per layer")
+            if not all(r > 0.0 for r in rhos):
+                raise ValueError("rhos must stay positive")
+            for k, v in enumerate(self.net.layers):
+                if abs(frobenius_norm(v) - 1.0) > V_DRIFT_INVARIANT:
+                    raise ValueError(
+                        f"layer {k + 1} is not unit Frobenius norm")
+        object.__setattr__(self, "rhos", rhos)
 
     def lambda_array(self) -> np.ndarray:
         if self.lambdas:
@@ -99,6 +119,8 @@ class StopRule:
     def __post_init__(self):
         if self.max_time is None and self.max_steps is None:
             raise ValueError("need a budget: max_time or max_steps")
+        if self.max_time is not None and not math.isfinite(self.max_time):
+            raise ValueError(f"max_time must be finite, got {self.max_time!r}")
 
     @property
     def has_target(self) -> bool:
@@ -264,44 +286,63 @@ class _Euler:
     advance as one array computation; run_flows drives it.
 
     Member r has its own weights, data (or data shared by all members),
-    step size, halving count and give-up count. The current point and a
-    trial point live in two (R, P) float64 buffers with the stacked layers
-    (R, rows, cols) as views into them, so a step rewrites numbers in place
-    instead of building nets; net(r) builds member r's net when it is read.
-    The loss kind is checked once per member up front; every trial point is
-    checked for non-finite weights, and one is an error, never absorbed.
+    step size and counters. The current point and a trial point live in
+    two (R, P) float64 buffers with the stacked layers (R, rows, cols) as
+    views into them, so a step rewrites numbers in place instead of
+    building nets; net(r) builds member r's net when it is read. The loss
+    kind is checked once per member up front; every trial point is checked
+    for non-finite weights, and one is an error, never absorbed.
+
+    A normalized stack's layers are the unit directions V_k of the net
+    rho_k V_k, and its scales rho_k are one more (1, K) view after them.
+    rho_k moves down its gradient -(prod(rho) / rho_k) sum_n(-l'_n f_n); V_k
+    along B_k - 2 lam_k V_k, B_k = -dL/dV_k, with lam_k = <V_k, B_k>/2
+    keeping V_k on the unit sphere, and is then renormalized.
     """
 
-    def __init__(self, nets, kind: str, datasets, lambdas):
-        """nets: R nets of one architecture; datasets: one Dataset for
-        every member or one per member; lambdas: (R, K) ridge strengths."""
-        arch = nets[0]
+    def __init__(self, states, kind: str, datasets):
+        """states: R states of one architecture, all plain or all
+        normalized; datasets: one Dataset for every member or one per
+        member."""
+        arch = states[0].net
         self.shapes = [w.shape for w in arch.layers]
-        for net in nets[1:]:
+        for net in [s.net for s in states[1:]]:
             if ([w.shape for w in net.layers] != self.shapes
                     or replace(net, layers=arch.layers) != arch):
                 raise ValueError("stacked flows need nets of one architecture")
+        self.normalized = bool(states[0].rhos)
+        if any(bool(s.rhos) != self.normalized for s in states):
+            raise ValueError("a stack cannot mix plain and normalized flows")
         shared = isinstance(datasets, Dataset)
-        self.datasets = [datasets] * len(nets) if shared else list(datasets)
-        if len(self.datasets) != len(nets):
+        self.datasets = [datasets] * len(states) if shared else list(datasets)
+        if len(self.datasets) != len(states):
             raise ValueError(
-                f"{len(self.datasets)} datasets for {len(nets)} flows"
+                f"{len(self.datasets)} datasets for {len(states)} flows"
             )
-        for net, data in zip(nets, self.datasets):
-            _check_kind(kind, data, net)
+        if self.normalized:
+            if arch.activation not in HOMOGENEOUS:
+                raise ValueError(
+                    "normalized dynamics needs a homogeneous activation")
+            if any(data.task != "binary" for data in self.datasets):
+                raise ValueError("normalized dynamics is stated for binary data")
+            self.shapes.append((1, arch.depth))
+        for state, data in zip(states, self.datasets):
+            _check_kind(kind, data, state.net)
         self.kind, self.arch, self.shared = kind, arch, shared
         if shared:
             self._take_data(datasets.inputs, datasets.labels)
         else:
             self._take_data(np.stack([d.inputs for d in self.datasets]),
                             np.stack([d.labels for d in self.datasets]))
-        self.ids = np.arange(len(nets))  # each member's place in nets
-        self.two_lambdas = _two_lambdas(lambdas)
-        self._bind(np.stack([flatten_params(net.layers) for net in nets]))
-        self.value, self.grads, kink = self._evaluate(self.layers)
-        self._set_total()
-        self.kink_events = np.zeros(len(nets), dtype=int) + kink
-        self.backtrack_giveups = np.zeros(len(nets), dtype=int)
+        self.ids = np.arange(len(states))  # each member's place in states
+        self.two_lambdas = _two_lambdas([s.lambda_array() for s in states])
+        self._bind(np.stack([flatten_params([*s.net.layers, s.rhos])
+                             for s in states]))
+        self.value, grads, kink = self._evaluate(self.layers)
+        self._set_total(grads)
+        self.kink_events = np.zeros(len(states), dtype=int) + kink
+        self.backtrack_giveups = np.zeros(len(states), dtype=int)
+        self.floored_steps = np.zeros(len(states), dtype=int)
 
     def _take_data(self, inputs, labels):
         """Fix what every step reads of the data: the inputs as columns and
@@ -316,16 +357,21 @@ class _Euler:
         self.layers = unflatten_params(flat, self.shapes)
         self._trial_layers = unflatten_params(self._trial_flat, self.shapes)
 
-    def net(self, r) -> DeepNet:
+    def net(self, r, unit=False) -> DeepNet:
         """Member r's current point as a net on the current buffer: read it
-        before the next step, or drop the member first (see keep)."""
-        return self.arch.with_layers(w[r] for w in self.layers)
+        before the next step, or drop the member first (see keep). A
+        normalized member's net is rho_k V_k, or V_k with unit=True."""
+        layers = [w[r] for w in self.layers[:self.arch.depth]]
+        if self.normalized and not unit:
+            layers = [rho * v for rho, v in zip(self.layers[-1][r, 0], layers)]
+        return self.arch.with_layers(layers)
 
     def keep(self, mask):
         """Drop the members where mask is False. The survivors move to new
         buffers, so no buffer behind a dropped member's net is written
         again."""
         index = np.flatnonzero(mask)
+        total = [g[index] for g in self.direction()]
         self.ids = self.ids[index]
         self.datasets = [self.datasets[i] for i in index]
         if not self.shared:
@@ -333,55 +379,102 @@ class _Euler:
         if self.two_lambdas is not None:
             self.two_lambdas = [tl[index] for tl in self.two_lambdas]
         self._bind(self.flat[index])
-        self.value, self.grads = self.value[index], [g[index]
-                                                     for g in self.grads]
-        self._set_total()
+        self.value, self.total = self.value[index], total
         self.kink_events = self.kink_events[index]
         self.backtrack_giveups = self.backtrack_giveups[index]
+        self.floored_steps = self.floored_steps[index]
 
     def _evaluate(self, layers):
-        return _terms_and_gradient(self.terms, self.arch, self.columns,
-                                   layers)
+        """The loss, gradients and kink flags at the point of layers; for a
+        normalized stack, what _set_total and direction() take instead."""
+        if not self.normalized:
+            return _terms_and_gradient(self.terms, self.arch, self.columns,
+                                       layers)
+        *units, rho = layers
+        prod = np.multiply.reduce(rho, axis=-1, keepdims=True)
+        out, _, acts, derivs, kink = _forward_columns(self.arch,
+                                                      self.columns, units)
+        value, ddelta = self.terms(prod * out)
+        mass = np.add.reduce(-ddelta * out, axis=-1, keepdims=True)
+        return value, (acts, derivs, ddelta, prod, (prod / rho) * -mass), kink
 
-    def _set_total(self):
-        """The step direction: the loss gradient, plus 2 lam_k W_k where a
-        ridge term is set."""
-        self.total = (self.grads if self.two_lambdas is None else
-                      _total_gradient(self.grads, self.layers,
-                                      self.two_lambdas))
+    def _set_total(self, grads):
+        """The step direction at the current point: the loss gradient, plus
+        2 lam_k W_k where a ridge term is set; a normalized stack's layer
+        entries wait for direction()."""
+        if self.normalized:
+            *self._pending, rho_grad = grads
+            self.total = [None] * self.arch.depth + [rho_grad]
+        else:
+            self.total = (grads if self.two_lambdas is None else
+                          _total_gradient(grads, self.layers,
+                                          self.two_lambdas))
 
-    def step(self, dt, backtrack: bool):
-        """Move every member to W_k - dt * (grad_k + 2 lam_k W_k), dt one
-        entry per member; returns dt, holding the dt each member took.
+    def direction(self) -> list:
+        """The step direction, a normalized stack's -(B_k - 2 lam_k V_k)
+        built on first use: its backward pass may overflow where a scale
+        would cross zero, so step refuses that first."""
+        if self.total[0] is None:
+            acts, derivs, ddelta, prod = self._pending
+            units = self.layers[:-1]
+            bs = batch_backprop(self.arch, acts, derivs, ddelta * -prod, units)
+            for k, (v, b) in enumerate(zip(units, bs)):
+                lam = 0.5 * _member_sum(v * b)
+                self.total[k] = -(b - 2.0 * lam * v)
+        return self.total
 
-        Without backtrack a loss jump by more than LOSS_EXPLOSION_FACTOR
+    def step(self, steps, rescaled: bool):
+        """Move every member to W_k - dt * direction_k; returns the dt
+        each took. dt is steps, or if rescaled steps / loss, the loss
+        floored at LOSS_FLOOR (a floored step is counted); a normalized
+        member's is steps / (loss (1 + prod(rho))), refused below the floor,
+        whose extra factor bounds the V step (B_k carries prod(rho)).
+
+        Without rescaled a loss jump by more than LOSS_EXPLOSION_FACTOR
         raises: it is the signature of a step beyond the stability limit.
         With it, a member's dt halves (in place) while its loss would rise;
         a step still rising after MAX_HALVINGS halvings is taken and
         counted as a give-up of that member.
         """
-        halvings = 0
+        dt = steps
+        if rescaled:
+            scale = self.value
+            if self.normalized:
+                scale = scale * (1.0 + np.multiply.reduce(self.layers[-1][:, 0],
+                                                          axis=-1))
+                self._refuse(scale < LOSS_FLOOR, lambda r: (
+                    f"the loss underflowed ({self.value[r]:.3e}); a "
+                    "loss-rescaled step would divide by it"))
+            self.floored_steps += scale < LOSS_FLOOR
+            dt = steps / np.maximum(scale, LOSS_FLOOR)
         d = dt[:, None, None]  # a view: it sees every halving of dt
+        if self.normalized:
+            self._refuse(
+                (self.layers[-1] - d * self.total[-1] <= 0.0).any(axis=(1, 2)),
+                lambda r: "a scale crossed zero (the state does not separate "
+                "the data); run the plain flow to a separating state before "
+                "switching to normalized coordinates")
+        total = self.direction()
+        halvings = 0
         trial = self._trial_flat
         while True:
-            for w, g, out in zip(self.layers, self.total, self._trial_layers):
+            for w, g, out in zip(self.layers, total, self._trial_layers):
                 np.subtract(w, d * g, out=out)
+            if self.normalized:
+                for v in self._trial_layers[:-1]:
+                    np.divide(v, np.sqrt(_member_sum(v * v)), out=v)
             # a count, not a sum: finite weights may sum past float's range
             if np.count_nonzero(np.isfinite(trial)) < trial.size:
-                bad = ~np.isfinite(trial).all(axis=-1)
-                r = np.flatnonzero(bad)[0]
-                raise ValueError(self._named(
-                    r, f"non-finite weights after a step of {dt[r]:.3e}; "
+                self._refuse(~np.isfinite(trial).all(axis=-1), lambda r: (
+                    f"non-finite weights after a step of {dt[r]:.3e}; "
                     "reduce the step"))
             value, grads, kink = self._evaluate(self._trial_layers)
-            if not backtrack:
-                blown = value > LOSS_EXPLOSION_FACTOR * np.maximum(self.value,
-                                                                   1e-300)
-                if np.count_nonzero(blown):
-                    r = np.flatnonzero(blown)[0]
-                    raise ValueError(self._named(
-                        r, f"loss exploded {self.value[r]:.3e} -> "
-                        f"{value[r]:.3e}; reduce step below {dt[r]:.3e}"))
+            if not rescaled:
+                self._refuse(
+                    value > LOSS_EXPLOSION_FACTOR * np.maximum(self.value,
+                                                               1e-300),
+                    lambda r: f"loss exploded {self.value[r]:.3e} -> "
+                    f"{value[r]:.3e}; reduce step below {dt[r]:.3e}")
                 break
             rising = value > self.value
             if not np.count_nonzero(rising):
@@ -395,14 +488,22 @@ class _Euler:
             halvings += 1
         self.flat, self._trial_flat = self._trial_flat, self.flat
         self.layers, self._trial_layers = self._trial_layers, self.layers
-        self.value, self.grads = value, grads
+        self.value = value
         if kink is not False:  # False for nets without a relu layer
             self.kink_events += kink
-        self._set_total()
+        self._set_total(grads)
         return dt
 
-    def _named(self, r, text) -> str:
-        return _member(text, self.ids[r], len(self.ids))
+    def _refuse(self, bad, text):
+        """Raise text(r) for the first member r where bad is set, if any."""
+        if np.count_nonzero(bad):
+            r = np.flatnonzero(bad)[0]
+            raise ValueError(_member(text(r), self.ids[r], len(self.ids)))
+
+
+def _member_sum(a):
+    """The sum of each member's entries of stacked a, as (R, 1, 1)."""
+    return np.add.reduce(a.reshape(len(a), -1), axis=-1)[:, None, None]
 
 
 def _member(text, r, n) -> str:
@@ -421,8 +522,8 @@ def run_flows(
 ) -> list:
     """Iterate R Euler flows as one stacked computation until each one's
     stop rule or budget hits; one TrajectoryTrace per state. This is the
-    one loop that steps _Euler: the perturbation protocol and every
-    scenario flow are calls of it.
+    one loop that steps _Euler: the perturbation protocol, the normalized
+    system and every scenario flow are calls of it.
 
     datasets and refs are one Dataset / TraceRefs for every flow, or one
     per flow. Each flow keeps its own step, time, stop reason and trace
@@ -438,6 +539,11 @@ def run_flows(
     floored at LOSS_FLOOR; each step taken from a loss below the floor,
     whose dt is then step / LOSS_FLOOR, is counted in the trace's
     floored_steps.
+
+    A stack of normalized states (see FlowState.rhos) records rows of the
+    net rho_k V_k, so a row's norm_lk is rho_k to rounding, and final
+    states of its unit layers and exact scales; direction_angle_below reads
+    the unit layers.
     """
     if stepping not in STEPPINGS:
         raise ValueError(f"unknown stepping {stepping!r}")
@@ -447,8 +553,7 @@ def run_flows(
         refs = [refs] * n
     if len(refs) != n:
         raise ValueError(f"{len(refs)} refs for {n} flows")
-    euler = _Euler([s.net for s in states], kind, datasets,
-                   [s.lambda_array() for s in states])
+    euler = _Euler(states, kind, datasets)
     steps = np.array([s.step for s in states])
     t = np.array([s.time for s in states], dtype=float)
     traces = [TrajectoryTrace(layer_count=s.net.depth) for s in states]
@@ -461,10 +566,10 @@ def run_flows(
         max_steps = np.full(n, MAX_ITERATIONS_HARD_CAP)
     first_budget = float(max_steps.min())  # the earliest member's budget
     has_target = stop.has_target
-    backtrack = stepping == "loss_rescaled"
-    snapshots = np.zeros_like(euler.flat)  # direction_angle_below state
+    rescaled = stepping == "loss_rescaled"
+    width = euler.flat.shape[1] - len(states[0].rhos)  # the layers' part
+    snapshots = np.zeros((n, width))  # direction_angle_below state
     snapshot_times = np.full(n, np.nan)
-    floored = np.zeros(n, dtype=int)
 
     def finish(i, converged, reason):
         """Close the trace of euler's member i, which stops here."""
@@ -477,9 +582,13 @@ def run_flows(
         trace.converged, trace.stop_reason = converged, reason
         trace.kink_events = int(euler.kink_events[i])
         trace.backtrack_giveups = int(euler.backtrack_giveups[i])
-        trace.floored_steps = int(floored[i])
-        # member i leaves the stack next, so no step writes under net again
-        trace.final_state = replace(state, net=net, time=time)
+        trace.floored_steps = int(euler.floored_steps[i])
+        # member i leaves the stack next, so no step writes under net again;
+        # a normalized one resumes from its unit layers and exact scales
+        trace.final_state = (
+            replace(state, net=euler.net(i, unit=True), time=time,
+                    rhos=tuple(euler.layers[-1][i, 0]))
+            if euler.normalized else replace(state, net=net, time=time))
 
     iteration = 0
     while True:
@@ -499,12 +608,12 @@ def run_flows(
                 checks.append((euler.value <= stop.loss_below, True,
                                "loss_below"))
             if stop.grad_norm_below is not None:
-                checks.append((_grad_norm(euler.total)
+                checks.append((_grad_norm(euler.direction())
                                <= stop.grad_norm_below, True,
                                "grad_norm_below"))
             if stop.direction_angle_below is not None:
                 checks.append((_direction_stalled(
-                    euler.flat, t, snapshots, snapshot_times,
+                    euler.flat[:, :width], t, snapshots, snapshot_times,
                     stop.direction_angle_below), True, "direction_stalled"))
             if stop.max_time is not None:
                 checks.append((t >= stop.max_time, not has_target,
@@ -524,14 +633,9 @@ def run_flows(
                 t, steps, max_steps = t[keep], steps[keep], max_steps[keep]
                 snapshots = snapshots[keep]
                 snapshot_times = snapshot_times[keep]
-                floored = floored[keep]
                 first_budget = float(max_steps.min())
 
-        dt = steps
-        if backtrack:
-            floored += euler.value < LOSS_FLOOR
-            dt = steps / np.maximum(euler.value, LOSS_FLOOR)
-        t += euler.step(dt, backtrack)
+        t += euler.step(steps, rescaled)
         iteration += 1
     return traces
 
@@ -662,6 +766,9 @@ def stacked_perturb_and_reconverge(
     its rng_seed), time, kinks, row flags and final state, bitwise those of
     a stack of one.
     """
+    if any(s.rhos for s in [*states, *controls]):
+        raise ValueError("the protocol perturbs plain flows only, not "
+                         "normalized ones")
     regression = data.task == "regression"
 
     def reconverged(value, train_error):
@@ -704,127 +811,6 @@ def stacked_perturb_and_reconverge(
         trace.stop_reason = "schedule_complete"
         trace.final_state = state
     return traces
-
-
-@dataclass(frozen=True)
-class NormalizedFlowState:
-    """Scales rho_k and unit-Frobenius directions V_k, evolved separately.
-
-    Every step recomputes lambda_k = <V_k, B_k>/2, the multiplier that
-    keeps V_k on the unit sphere.
-    """
-
-    unit_net: DeepNet
-    rhos: tuple
-    step: float
-    time: float = 0.0
-    stepping: str = "fixed"
-
-    def __post_init__(self):
-        if self.stepping not in STEPPINGS:
-            raise ValueError(f"unknown stepping {self.stepping!r}")
-        rhos = tuple(float(r) for r in self.rhos)
-        if len(rhos) != self.unit_net.depth:
-            raise ValueError("need one rho per layer")
-        if any(r <= 0.0 for r in rhos):
-            raise ValueError("rhos must stay positive")
-        for k, v in enumerate(self.unit_net.layers):
-            if abs(frobenius_norm(v) - 1.0) > V_DRIFT_INVARIANT:
-                raise ValueError(f"layer {k + 1} is not unit Frobenius norm")
-        object.__setattr__(self, "rhos", rhos)
-
-    def assembled_net(self) -> DeepNet:
-        return self.unit_net.with_layers(
-            [r * v for r, v in zip(self.rhos, self.unit_net.layers)]
-        )
-
-
-def normalized_state_from_net(net: DeepNet, step: float, **kwargs):
-    rhos, unit = normalize_layers(net)
-    return NormalizedFlowState(unit_net=unit, rhos=tuple(rhos), step=step, **kwargs)
-
-
-def normalized_flow_step(state: NormalizedFlowState, data: Dataset) -> NormalizedFlowState:
-    """One Euler step of the coupled scale/direction system.
-
-    rho_k moves by the per-scale gradient (prod_{i!=k} rho_i times the
-    loss-weighted margin sum, always positive on separated data); V_k by
-    B_k - 2 lambda_k V_k and is renormalized. The loss, its sample weights
-    exp(-prod f~) and the output delta come from the exponential loss's
-    one table, clamp and warning included; a loss-rescaled step refuses a
-    loss that has underflowed.
-    """
-    if state.unit_net.activation not in HOMOGENEOUS:
-        raise ValueError("normalized dynamics needs a homogeneous activation")
-    if data.task != "binary":
-        raise ValueError("normalized dynamics is stated for binary data")
-    unit = state.unit_net
-    rhos = np.asarray(state.rhos)
-    prod = float(np.prod(rhos))
-    out, _, acts, derivs, _ = batch_forward(unit, data.inputs)
-    value, ddelta = _loss_terms("exponential", data.labels)(prod * out)
-    # ddelta is -y exp(-prod f~); with y = +-1 every sign flip is exact
-    margin_mass = float((-ddelta[0] * out[0]).sum())
-    rho_dots = (prod / rhos) * margin_mass
-    dt = state.step
-    if state.stepping == "loss_rescaled":
-        # extra 1/(1+prod) keeps the tangent step bounded: the direction
-        # gradient B_k carries a factor prod that the loss does not cancel
-        scale = float(value) * (1.0 + prod)
-        if scale < LOSS_FLOOR:
-            raise ValueError(
-                f"the loss underflowed ({float(value):.3e}); a loss-rescaled "
-                "step would divide by it"
-            )
-        dt = state.step / scale
-    new_layers = []
-    new_rhos = rhos + dt * rho_dots
-    if np.any(new_rhos <= 0.0):
-        raise ValueError(
-            "a scale crossed zero (the state does not separate the data); "
-            "run the plain flow to a separating state before switching to "
-            "normalized coordinates"
-        )
-    b_list = batch_backprop(unit, acts, derivs, ddelta * -prod)
-    for v, b in zip(unit.layers, b_list):
-        lam = 0.5 * float((v * b).sum())
-        v_new = v + dt * (b - 2.0 * lam * v)
-        norm = frobenius_norm(v_new)
-        new_layers.append(v_new / norm if norm > 0.0 else v)
-    return replace(
-        state,
-        unit_net=unit.with_layers(new_layers),
-        rhos=tuple(float(r) for r in new_rhos),
-        time=state.time + dt,
-    )
-
-
-def run_normalized_flow(
-    state: NormalizedFlowState,
-    data: Dataset,
-    n_steps: int,
-    sample_every: int = 100,
-    max_time: float | None = None,
-):
-    """Iterate normalized_flow_step; returns (final state, diagnostics).
-
-    Stops after n_steps or once state.time reaches max_time. Diagnostics:
-    times, rho history (list of tuples), loss history of the assembled net
-    under the exponential loss.
-    """
-    times, rho_hist, losses = [], [], []
-    for i in range(n_steps):
-        if max_time is not None and state.time >= max_time:
-            break
-        if i % sample_every == 0:
-            times.append(state.time)
-            rho_hist.append(state.rhos)
-            losses.append(loss("exponential", state.assembled_net(), data))
-        state = normalized_flow_step(state, data)
-    times.append(state.time)
-    rho_hist.append(state.rhos)
-    losses.append(loss("exponential", state.assembled_net(), data))
-    return state, {"times": times, "rhos": rho_hist, "losses": losses}
 
 
 def growth_numeric_trace(k: int, f_tilde: float, rho0: float, t_grid):

@@ -146,7 +146,8 @@ def inverse_logarithmic_integral(y: float) -> float:
     bracket [lo, hi] is replaced by bisection in log(z - 1). The bracket
     squares its upper end until it holds y. Stops once a Newton step is
     below 1e-13 relative to max(1, z); the step is quadratically small by
-    then, so the result is as exact as li itself.
+    then, so the result is as exact as li itself. Newton that has not
+    stopped after 200 steps raises.
     """
     lo = 1.0 + 1e-9
     while logarithmic_integral(lo) > y:
@@ -173,7 +174,8 @@ def inverse_logarithmic_integral(y: float) -> float:
             lo = z
         else:
             hi = z
-    return z
+    raise ValueError(f"li(z) = {y} did not converge in 200 Newton steps; "
+                     f"its last step was {step:.3e}, to z = {z!r}")
 
 
 def growth_closed_form(k: int, f_tilde: float, t: float, rho0: float = 0.0) -> float:

@@ -17,14 +17,7 @@ from gradflow.experiments import (
     SCENARIO_DEFAULTS,
     run_scenario,
 )
-from gradflow.flow import (
-    FlowState,
-    StopRule,
-    normalized_flow_step,
-    normalized_state_from_net,
-    run_flows,
-    run_normalized_flow,
-)
+from gradflow.flow import FlowState, StopRule, run_flows
 from gradflow.linalg import RANK_CUTOFF, frobenius_norm, symmetric_eig
 from gradflow.losses import (
     Dataset,
@@ -39,6 +32,7 @@ from gradflow.network import (
     flatten_params,
     forward,
     homogeneity_residual,
+    normalize_layers,
     random_net,
     unflatten_params,
 )
@@ -119,17 +113,22 @@ def _interpolating_instance(seed, dims=(2, 4, 1), n=3):
     raise RuntimeError("no clean instance found")
 
 
-def _pretrained_two_layer(seed, steps=3000):
-    rng = np.random.default_rng(seed)
-    net = DeepNet(
-        (rng.normal(size=(3, 2)) * 0.5, rng.normal(size=(1, 3)) * 0.5),
-        activation="linear",
-    )
-    state = FlowState(net=net, step=1e-2)
-    out = run_flows([state], "exponential", SEP, StopRule(max_steps=steps),
-                    sample_every=10**9)[0]
-    assert separability_margin(out.final_state.net, SEP) > 0.0
-    return out.final_state.net
+def _pretrained_two_layer(seeds, steps=3000):
+    """One separating two-layer net per seed, pretrained as one stack
+    (bitwise one run per seed)."""
+    states = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        net = DeepNet(
+            (rng.normal(size=(3, 2)) * 0.5, rng.normal(size=(1, 3)) * 0.5),
+            activation="linear",
+        )
+        states.append(FlowState(net=net, step=1e-2))
+    nets = [out.final_state.net for out in run_flows(
+        states, "exponential", SEP, StopRule(max_steps=steps),
+        sample_every=10**9)]
+    assert all(separability_margin(net, SEP) > 0.0 for net in nets)
+    return nets
 
 
 def test_criterion_01_max_margin_direction(direction_report):
@@ -326,34 +325,43 @@ def test_criterion_12_nonseparable_equilibrium():
     _passline(12, "1d equilibrium closed form on 20 pairs")
 
 
+def _normalized_state(net, step):
+    """The normalized state of net: unit layers V_k and scales rho_k."""
+    rhos, unit = normalize_layers(net)
+    return FlowState(net=unit, rhos=tuple(rhos), step=step)
+
+
 def test_criterion_13_normalized_dynamics():
     # per-step invariant: every visited state keeps unit layer norms and
-    # strictly growing scales
-    state = normalized_state_from_net(_pretrained_two_layer(3), step=1e-2)
+    # strictly growing scales; a chain of one-step runs is one run
+    nets = _pretrained_two_layer(range(5))
+    state = _normalized_state(nets[3], step=1e-2)
     prev = state.rhos
     for _ in range(2000):
-        state = normalized_flow_step(state, SEP)
-        for v in state.unit_net.layers:
+        state = run_flows([state], "exponential", SEP, StopRule(max_steps=1),
+                          sample_every=10**9)[0].final_state
+        for v in state.net.layers:
             assert abs(float(np.sqrt((v * v).sum())) - 1.0) <= 1e-6
         assert all(r > q for r, q in zip(state.rhos, prev))
         prev = state.rhos
 
-    # long-horizon runs from five inits: rates decay, limits agree
+    # long-horizon runs from five inits, as one stack: rates decay, limits
+    # agree; a row's layer norms are the scales rho_k to rounding
+    traces = run_flows([_normalized_state(net, step=0.05) for net in nets],
+                       "exponential", SEP,
+                       StopRule(max_time=1e12, max_steps=100_000),
+                       stepping="loss_rescaled", sample_every=20)
     directions = []
     plain_match = None
-    for seed in range(5):
-        net = _pretrained_two_layer(seed)
-        st = normalized_state_from_net(net, step=0.05,
-                                       stepping="loss_rescaled")
-        st, diag = run_normalized_flow(st, SEP, 100_000, sample_every=20,
-                                       max_time=1e12)
-        rhos = np.array(diag["rhos"])
+    for seed, (net, trace) in enumerate(zip(nets, traces)):
+        st = trace.final_state
+        rhos = np.array(trace.layer_norms)
         d_rho = np.diff(rhos, axis=0)
         assert (d_rho > 0.0).all()
-        rates = (d_rho / np.diff(np.array(diag["times"]))[:, None]).max(axis=1)
+        rates = (d_rho / np.diff(np.array(trace.times))[:, None]).max(axis=1)
         assert rates[-1] <= 1e-2 * rates[0]
-        assembled = st.assembled_net()
-        w = (assembled.layers[1] @ assembled.layers[0]).ravel()
+        assembled = [r * v for r, v in zip(st.rhos, st.net.layers)]
+        w = (assembled[1] @ assembled[0]).ravel()
         directions.append(w / np.sqrt(w @ w))
         if seed == 3:
             plain = run_flows(

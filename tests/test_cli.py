@@ -895,6 +895,19 @@ class TestScenarioCounts:
          "params.stop_fraction: must be > 0, got 0.0"),
         ("perturb", {"variant": "sine", "stop_fraction": 5.0},
          "params.stop_fraction: must be <= 1.0, got 5.0"),
+        # a perturbed sine run perturbs at the checkpoints before
+        # int(total_steps * stop_fraction), the first being interval
+        ("perturb", {"variant": "sine", "stop_fraction": 1e-9},
+         "params.stop_fraction: perturbs nothing, since int(total_steps * "
+         "stop_fraction) = 0 is not above params.interval (120000)"),
+        ("perturb", {"variant": "sine", "interval": 480_000,
+                     "total_steps": 480_000},
+         "params.stop_fraction: perturbs nothing, since int(total_steps * "
+         "stop_fraction) = 240000 is not above params.interval (480000)"),
+        ("perturb", {"variant": "sine", "interval": 240_000,
+                     "total_steps": 480_000},
+         "params.stop_fraction: perturbs nothing, since int(total_steps * "
+         "stop_fraction) = 240000 is not above params.interval (240000)"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

@@ -21,7 +21,6 @@ from gradflow.flow import (
     RECONVERGE_TOL,
     FlowState,
     LinearSquareGD,
-    NormalizedFlowState,
     PerturbationProtocol,
     StopRule,
     TraceRefs,
@@ -30,10 +29,7 @@ from gradflow.flow import (
     _error_metric,
     _record,
     growth_numeric_trace,
-    normalized_flow_step,
-    normalized_state_from_net,
     run_flows,
-    run_normalized_flow,
     stacked_perturb_and_reconverge,
     write_trace_csv,
 )
@@ -41,7 +37,8 @@ from gradflow.linalg import min_norm_least_squares
 from gradflow.losses import (EXP_CLAMP, Dataset, _loss_terms,
                              classification_error, loss, mean_squared_error,
                              separability_margin)
-from gradflow.network import DeepNet, batch_forward, flatten_params, random_net
+from gradflow.network import (DeepNet, batch_forward, flatten_params,
+                              normalize_layers, random_net)
 from gradflow.oracles import growth_closed_form, hard_margin_svm
 
 
@@ -470,9 +467,13 @@ def _assert_same_trace(got, want):
                                                 want.stop_reason)
     assert got.kink_events == want.kink_events
     assert got.backtrack_giveups == want.backtrack_giveups
-    assert repr(got.final_state.time) == repr(want.final_state.time)
-    for a, b in zip(got.final_state.net.layers, want.final_state.net.layers,
-                    strict=True):
+    _assert_same_state(got.final_state, want.final_state)
+
+
+def _assert_same_state(got, want):
+    assert repr(got.time) == repr(want.time)
+    assert [repr(r) for r in got.rhos] == [repr(r) for r in want.rhos]
+    for a, b in zip(got.net.layers, want.net.layers, strict=True):
         assert np.array_equal(_bits(a), _bits(b))
 
 
@@ -1023,24 +1024,47 @@ def _pretrained_two_layer(seed, steps=3000):
     return trace.final_state.net
 
 
-def _unit_linear_state(w, rho, stepping):
+def _normalized_state(net, step):
+    """The normalized state of net: unit layers V_k and scales rho_k."""
+    rhos, unit = normalize_layers(net)
+    return FlowState(net=unit, rhos=tuple(rhos), step=step)
+
+
+def _assembled(state):
+    """A normalized state's net rho_k V_k."""
+    return state.net.with_layers(
+        [r * v for r, v in zip(state.rhos, state.net.layers)])
+
+
+def _normalized_flow(state, data, n_steps, stepping="fixed", **kwargs):
+    """n_steps of the normalized system by run_flows: its one trace."""
+    return run_flows([state], "exponential", data, StopRule(
+        max_steps=n_steps, **kwargs), stepping=stepping,
+        sample_every=10**9)[0]
+
+
+def _normalized_step(state, data, stepping="fixed"):
+    return _normalized_flow(state, data, 1, stepping).final_state
+
+
+def _unit_linear_state(w, rho):
     w = np.asarray(w, float)
-    return NormalizedFlowState(unit_net=_linear_net(w / np.sqrt(w @ w)),
-                               rhos=(rho,), step=0.05, stepping=stepping)
+    return FlowState(net=_linear_net(w / np.sqrt(w @ w)), rhos=(rho,),
+                     step=0.05)
 
 
-def _reference_normalized_step(state, data, clamp):
-    """normalized_flow_step of a one-layer linear net in plain numpy, as
+def _reference_normalized_step(state, data, clamp, stepping):
+    """The normalized step of a one-layer linear net in plain numpy, as
     (V, rho, time). clamp=True weights samples by exp(-min(rho f~, 709)),
     which the loss table's weights must equal bit for bit wherever no
     rho f~ exceeds 709; clamp=False takes the true weights."""
     x, y = data.inputs, data.labels
-    v, rho = state.unit_net.layers[0], state.rhos[0]
+    v, rho = state.net.layers[0], state.rhos[0]
     f_tilde = y * (v @ x.T)[0]
     u = np.minimum(rho * f_tilde, 709.0) if clamp else rho * f_tilde
     weights = np.exp(-u)
     dt = state.step
-    if state.stepping == "loss_rescaled":
+    if stepping == "loss_rescaled":
         dt = state.step / (float(weights.sum()) * (1.0 + rho))
     b = ((y * weights)[None, :] * rho) @ x
     lam = 0.5 * float((v * b).sum())
@@ -1051,7 +1075,7 @@ def _reference_normalized_step(state, data, clamp):
 
 def _assert_step_is(got, want):
     v, rho, time = want
-    assert np.array_equal(_bits(got.unit_net.layers[0]), _bits(v))
+    assert np.array_equal(_bits(got.net.layers[0]), _bits(v))
     assert repr(got.rhos[0]) == repr(float(rho))
     assert repr(got.time) == repr(float(time))
 
@@ -1059,11 +1083,11 @@ def _assert_step_is(got, want):
 class TestNormalizedFlow:
     def test_unit_norm_invariant_and_growing_scales(self):
         net = _pretrained_two_layer(3)
-        state = normalized_state_from_net(net, step=1e-2)
+        state = _normalized_state(net, step=1e-2)
         prev = state.rhos
         for _ in range(500):
-            state = normalized_flow_step(state, SEP)
-            for v in state.unit_net.layers:
+            state = _normalized_step(state, SEP)
+            for v in state.net.layers:
                 assert abs(np.sqrt((v * v).sum()) - 1.0) <= 1e-6
             assert all(r > p for r, p in zip(state.rhos, prev))
             prev = state.rhos
@@ -1071,10 +1095,10 @@ class TestNormalizedFlow:
     def test_matches_plain_flow_direction(self):
         # same time horizon for both parameterizations, then compare
         net = _pretrained_two_layer(3)
-        state = normalized_state_from_net(net, step=0.05, stepping="loss_rescaled")
-        state, _ = run_normalized_flow(state, SEP, 100_000, sample_every=10**9,
-                                       max_time=1e12)
-        assembled = state.assembled_net()
+        state = _normalized_state(net, step=0.05)
+        state = _normalized_flow(state, SEP, 100_000, "loss_rescaled",
+                                 max_time=1e12).final_state
+        assembled = _assembled(state)
         w_norm = (assembled.layers[1] @ assembled.layers[0]).ravel()
 
         plain = run_flows([FlowState(net=net, step=0.05)], "exponential",
@@ -1090,64 +1114,139 @@ class TestNormalizedFlow:
         # sign-flipped top layer puts every sample on the wrong side
         net = _pretrained_two_layer(3)
         net = net.with_layers([net.layers[0], -net.layers[1]])
-        state = normalized_state_from_net(net, step=0.05)
+        state = _normalized_state(net, step=0.05)
         with pytest.raises(ValueError, match="separat"):
-            for _ in range(50_000):
-                state = normalized_flow_step(state, SEP)
+            _normalized_flow(state, SEP, 50_000)
 
     @pytest.mark.parametrize("stepping", ["fixed", "loss_rescaled"])
     def test_step_on_sep_is_the_old_formula_bit_for_bit(self, stepping):
-        state = _unit_linear_state([1.0, 0.1], 3.0, stepping)
-        _assert_step_is(normalized_flow_step(state, SEP),
-                        _reference_normalized_step(state, SEP, clamp=True))
+        state = _unit_linear_state([1.0, 0.1], 3.0)
+        _assert_step_is(_normalized_step(state, SEP, stepping),
+                        _reference_normalized_step(state, SEP, clamp=True,
+                                                   stepping=stepping))
 
     def test_sample_past_the_clamp_gets_its_true_weight(self):
         # rho f~ is 680 and 720.8: only the second sample is past 709, and
         # it alone turns V off (1, 0), by dt rho w_2 / 2 with rescaled dt
         data = Dataset(np.array([[1.0, 0.0], [1.06, 0.5]]),
                        np.array([1.0, 1.0]))
-        state = _unit_linear_state([1.0, 0.0], 680.0, "loss_rescaled")
-        got = normalized_flow_step(state, data)
-        _assert_step_is(got, _reference_normalized_step(state, data,
-                                                        clamp=False))
-        turn = got.unit_net.layers[0][0, 1]
-        clamped = _reference_normalized_step(state, data, clamp=True)
+        state = _unit_linear_state([1.0, 0.0], 680.0)
+        got = _normalized_step(state, data, "loss_rescaled")
+        _assert_step_is(got, _reference_normalized_step(
+            state, data, clamp=False, stepping="loss_rescaled"))
+        turn = got.net.layers[0][0, 1]
+        clamped = _reference_normalized_step(state, data, clamp=True,
+                                             stepping="loss_rescaled")
         assert 0.0 < 1e3 * turn < clamped[0][0, 1]
 
     def test_misclassified_sample_past_the_clamp_warns(self):
         data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]),
                        np.array([1.0, -1.0]))
-        state = _unit_linear_state([1.0, 0.0], 800.0, "fixed")
+        state = _unit_linear_state([1.0, 0.0], 800.0)
         with (pytest.warns(RuntimeWarning, match="exponent clamped"),
               pytest.raises(ValueError, match="scale crossed zero")):
-            normalized_flow_step(state, data)
+            _normalized_step(state, data)
 
     def test_scales_are_checked_before_the_backward_pass(self):
         # the clamped weight exp(709) would overflow the direction
         # gradient's products; the crossed scale is refused before them
         data = Dataset(np.array([[0.5, 0.0], [1.0, 0.0]]),
                        np.array([1.0, -1.0]))
-        state = _unit_linear_state([1.0, 0.0], 800.0, "fixed")
+        state = _unit_linear_state([1.0, 0.0], 800.0)
         with (pytest.warns(RuntimeWarning, match="exponent clamped"),
               np.errstate(all="raise"),
               pytest.raises(ValueError, match="scale crossed zero")):
-            normalized_flow_step(state, data)
+            _normalized_step(state, data)
 
     def test_rescaled_step_refuses_an_underflowed_loss(self):
         # every rho f~ is above 745, where exp(-rho f~) rounds to 0
-        state = _unit_linear_state([1.0, 0.1], 1000.0, "loss_rescaled")
-        v = state.unit_net.layers[0][0]
+        state = _unit_linear_state([1.0, 0.1], 1000.0)
+        v = state.net.layers[0][0]
         assert (1000.0 * SEP.labels * (SEP.inputs @ v)).min() > 745.0
         with pytest.raises(ValueError, match="loss underflowed"):
-            normalized_flow_step(state, SEP)
+            _normalized_step(state, SEP, "loss_rescaled")
 
     def test_state_validation(self):
         net = _pretrained_two_layer(3)
         with pytest.raises(ValueError, match="unit"):
-            NormalizedFlowState(unit_net=net, rhos=(1.0, 1.0), step=0.1)
-        state = normalized_state_from_net(net, step=0.1)
+            FlowState(net=net, rhos=(1.0, 1.0), step=0.1)
+        state = _normalized_state(net, step=0.1)
         with pytest.raises(ValueError, match="rho"):
-            NormalizedFlowState(unit_net=state.unit_net, rhos=(1.0,), step=0.1)
+            FlowState(net=state.net, rhos=(1.0,), step=0.1)
+
+    def test_stack_of_five_is_five_stacks_of_one(self):
+        # the members stop at different steps, so the stack drops some
+        states = [_normalized_state(_pretrained_two_layer(seed),
+                                    step=0.02 * (seed + 1))
+                  for seed in range(5)]
+        for stepping, max_time in (("fixed", 15.0), ("loss_rescaled", 1e6)):
+            stop = StopRule(max_time=max_time, max_steps=400)
+            stacked = run_flows(states, "exponential", SEP, stop,
+                                stepping=stepping, sample_every=7)
+            for state, got in zip(states, stacked, strict=True):
+                _assert_same_trace(got, run_flows(
+                    [state], "exponential", SEP, stop, stepping=stepping,
+                    sample_every=7)[0])
+
+    def test_chained_calls_are_one_call(self):
+        state = _normalized_state(_pretrained_two_layer(1), step=0.05)
+        half = _normalized_flow(state, SEP, 120, "loss_rescaled").final_state
+        chained = _normalized_flow(half, SEP, 80, "loss_rescaled")
+        whole = _normalized_flow(state, SEP, 200, "loss_rescaled")
+        assert repr(list(chained.rows())[-1]) == repr(list(whole.rows())[-1])
+        _assert_same_state(chained.final_state, whole.final_state)
+
+    def test_norm_rows_are_the_scales(self):
+        # each row records rho_k V_k, whose norm is rho_k to rounding; the
+        # exact scales come from one-step calls, a chain of which is the run
+        state = _normalized_state(_pretrained_two_layer(3), step=0.05)
+        trace = run_flows([state], "exponential", SEP, StopRule(max_steps=30),
+                          stepping="loss_rescaled", sample_every=1)[0]
+        for norms in trace.layer_norms:
+            assert np.allclose(norms, state.rhos, rtol=1e-15, atol=0.0)
+            state = _normalized_step(state, SEP, "loss_rescaled")
+        assert len(trace.layer_norms) == 31
+
+    @pytest.mark.parametrize("rule, reason", [
+        ({"max_steps": 300}, "max_steps"),
+        ({"max_time": 1e4}, "max_time"),
+        ({"loss_below": 1e-3, "max_steps": 10**5}, "loss_below"),
+        ({"grad_norm_below": 1e-3, "max_steps": 10**5}, "grad_norm_below"),
+        ({"direction_angle_below": 1e-4, "max_steps": 10**5},
+         "direction_stalled"),
+    ])
+    def test_every_stop_rule_on_a_normalized_stack(self, rule, reason):
+        states = [_unit_linear_state(w, 2.0) for w in ([1.0, 0.1],
+                                                        [1.0, -0.3])]
+        stop = StopRule(**rule)
+        stacked = run_flows(states, "exponential", SEP, stop,
+                            stepping="loss_rescaled")
+        for state, got in zip(states, stacked):
+            assert got.stop_reason == reason
+            _assert_same_trace(got, run_flows([state], "exponential", SEP,
+                                              stop, stepping="loss_rescaled")[0])
+
+    def test_grad_norm_stop_reads_the_whole_direction(self):
+        # the direction's norm over V and rho, in plain numpy: above the
+        # threshold one step before the stop, at most it at the stop
+        def norm(state):
+            x, y = SEP.inputs, SEP.labels
+            v, rho = state.net.layers[0], state.rhos[0]
+            f_tilde = y * (v @ x.T)[0]
+            weights = np.exp(-rho * f_tilde)
+            b = ((y * weights)[None, :] * rho) @ x
+            lam = 0.5 * float((v * b).sum())
+            return np.sqrt(((b - 2.0 * lam * v) ** 2).sum()
+                           + float((weights * f_tilde).sum()) ** 2)
+
+        state = _unit_linear_state([1.0, 0.1], 2.0)
+        trace = run_flows([state], "exponential", SEP, StopRule(
+            grad_norm_below=1e-3, max_steps=10**5), stepping="loss_rescaled",
+            sample_every=1)[0]
+        steps = len(trace.times) - 1  # a row at the start and every step
+        before = _normalized_flow(state, SEP, steps - 1, "loss_rescaled")
+        assert norm(trace.final_state) <= 1e-3 * (1.0 + 1e-9)
+        assert norm(before.final_state) > 1e-3 * (1.0 - 1e-9)
 
 
 class TestDirectionFlow:
@@ -1345,28 +1444,42 @@ def _run_two(nets=None, datasets=SEP, stepping="fixed", refs=None):
     (lambda: _run_two(datasets=[SEP, SEP, SEP]), "3 datasets for 2 flows"),
     (lambda: _run_two(stepping="adaptive"), "unknown stepping 'adaptive'"),
     (lambda: _run_two(refs=[TraceRefs()]), "1 refs for 2 flows"),
+    # a time or time limit of nan or inf would leave a fixed-step budget
+    # of nan steps, which no stop check reaches
+    (lambda: FlowState(net=_linear_net([0.1, 0.2]), step=0.1,
+                       time=float("nan")), "time must be finite, got nan"),
+    (lambda: StopRule(max_time=float("nan")), "max_time must be finite, got nan"),
+    (lambda: StopRule(max_time=float("inf"), max_steps=5),
+     "max_time must be finite, got inf"),
 ])
 def test_flow_setup_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
+_UNIT = FlowState(net=_linear_net([0.6, 0.8]), rhos=(1.0,), step=0.1)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: NormalizedFlowState(unit_net=_linear_net([0.6, 0.8]),
-                                 rhos=(1.0,), step=0.1, stepping="sideways"),
+    (lambda: _normalized_flow(_UNIT, SEP, 1, stepping="sideways"),
      "unknown stepping 'sideways'"),
-    (lambda: NormalizedFlowState(unit_net=_linear_net([0.6, 0.8]),
-                                 rhos=(0.0,), step=0.1),
+    (lambda: FlowState(net=_linear_net([0.6, 0.8]), rhos=(0.0,), step=0.1),
      "rhos must stay positive"),
-    (lambda: normalized_flow_step(NormalizedFlowState(
-        unit_net=DeepNet((np.array([[0.6, 0.8]]),),
-                         activation="smoothed_relu"),
-        rhos=(1.0,), step=0.1), SEP),
+    (lambda: _normalized_step(replace(_UNIT, net=DeepNet(
+        (np.array([[0.6, 0.8]]),), activation="smoothed_relu")), SEP),
      "normalized dynamics needs a homogeneous activation"),
-    (lambda: normalized_flow_step(NormalizedFlowState(
-        unit_net=_linear_net([0.6, 0.8]), rhos=(1.0,), step=0.1),
-        Dataset(SEP.inputs, np.arange(4.0), task="regression")),
+    (lambda: _normalized_step(_UNIT, Dataset(SEP.inputs, np.arange(4.0),
+                                             task="regression")),
      "normalized dynamics is stated for binary data"),
+    (lambda: run_flows([replace(_UNIT, rhos=()), _UNIT], "exponential", SEP,
+                       StopRule(max_steps=1)),
+     "a stack cannot mix plain and normalized flows"),
+    (lambda: replace(_UNIT, lambdas=(0.1,)),
+     "a normalized state takes no lambdas"),
+    (lambda: stacked_perturb_and_reconverge(
+        [_UNIT], PerturbationProtocol(noise_std=0.1, interval=10,
+                                      repetitions=1), "exponential", SEP),
+     "the protocol perturbs plain flows only, not normalized ones"),
 ])
 def test_normalized_flow_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -247,6 +247,16 @@ def test_inverse_li_round_trips_and_keeps_its_errors():
         inverse_logarithmic_integral(1e298)
 
 
+def test_inverse_li_raises_where_newton_does_not_converge(monkeypatch):
+    # an li that jumps by 2 across z = 3: every Newton step from either
+    # side is a whole log(z), so none is ever small enough to stop
+    monkeypatch.setattr(oracles, "logarithmic_integral",
+                        lambda z: 5.0 + (1.0 if z >= 3.0 else -1.0))
+    with pytest.raises(ValueError, match=r"^li\(z\) = 5\.0 did not converge "
+                       r"in 200 Newton steps; its last step was -?\d\.\d{3}e"):
+        inverse_logarithmic_integral(5.0)
+
+
 def test_growth_k1_closed_form():
     rho = growth_closed_form(1, 1.0, 100.0, rho0=0.0)
     assert rho == pytest.approx(np.log(101.0), rel=1e-12)
