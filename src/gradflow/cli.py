@@ -223,12 +223,11 @@ def _cmd_flow(args, body, seed) -> int:
     write_trace_csv(trace, path, header_comment=header)
     print(f"wrote {path} ({len(trace.times)} rows, "
           f"stop: {trace.stop_reason})")
-    if trace.backtrack_giveups:
-        print(f"backtrack give-ups: {trace.backtrack_giveups}")
-    if trace.floored_steps:
-        print(f"loss-floored steps: {trace.floored_steps}")
-    if trace.kink_events:
-        print(f"relu kinks: {trace.kink_events}")
+    for name, label in (("backtrack_giveups", "backtrack give-ups"),
+                        ("floored_steps", "loss-floored steps"),
+                        ("kink_events", "relu kinks")):
+        if trace.counts[name]:
+            print(f"{label}: {trace.counts[name]}")
     if args.verbose:
         print(f"final loss {trace.losses[-1]!r} at time {trace.times[-1]!r}")
     return 0

@@ -46,10 +46,11 @@ MAX_EXCLUSION_RATE = 0.10
 NULLABLE_PARAMS = ("max_time",)
 # bounds on a given number by its field's own name, in every command (ks for
 # params.ks[0]): value >= floor, value > 0; other integers are counts >= 1
-FLOORS = {"degree": 0, "min_degree": 0, "slope_points": 2, "noise_std": 0.0,
-          "blob_std": 0.0, "tol": 0.0}
-POSITIVE_PARAMS = ("step", "square_step", "noise_rel_std", "f_tilde", "t_min",
-                   "slope_window", "max_time", "stop_fraction")
+FLOORS = {"degree": 0, "min_degree": 0, "slope_points": 2, "blob_std": 0.0,
+          "tol": 0.0, "lambdas": 0.0}
+POSITIVE_PARAMS = ("step", "square_step", "noise_std", "noise_rel_std",
+                   "f_tilde", "t_min", "slope_window", "max_time",
+                   "stop_fraction")
 # largest value a float param may take
 CEILINGS = {"stop_fraction": 1.0}
 # integer params split evenly between two classes
@@ -964,8 +965,8 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
         refs=refs,
     )
     # a flow whose backtracking gave up took a step that raised the loss
-    excluded = sum(out.backtrack_giveups > 0 for out in outs)
-    floored = sum(out.floored_steps for out in outs)
+    excluded = sum(out.counts["backtrack_giveups"] > 0 for out in outs)
+    floored = sum(out.counts["floored_steps"] for out in outs)
     if floored:
         notes.append(f"{floored} exponential flow step(s) taken at a loss "
                      f"below LOSS_FLOOR = {LOSS_FLOOR:.0e}")

@@ -9,7 +9,7 @@ one Euler driver, run_flows, and one protocol driver,
 stacked_perturb_and_reconverge; both take a list of states, and one flow
 is a stack of one. A normalized flow is a stack whose states carry scales
 (FlowState.rhos); run_flows steps it with the same guarded step, trace
-rows and counters. A loss-rescaled step taken at the loss floor is counted
+rows and counts. A loss-rescaled step taken at the loss floor is counted
 in the trace.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
@@ -48,6 +48,24 @@ RECONVERGE_TOL = 1e-6
 LOSS_FLOOR = 1e-300
 # how a flow's time advances per step: by `step`, or by step / loss
 STEPPINGS = ("fixed", "loss_rescaled")
+# per-flow event counts, the keys of TrajectoryTrace.counts; counts only,
+# not CSV columns. kink_events: points the flow took, its start included,
+# with a relu pre-activation of exactly 0 (where the subgradient 0 is used).
+# backtrack_giveups: loss_rescaled steps taken although the loss still rose
+# after MAX_HALVINGS halvings. floored_steps: loss_rescaled steps taken at a
+# loss below LOSS_FLOOR, where dt is step / LOSS_FLOOR instead of step / loss.
+COUNTS = ("kink_events", "backtrack_giveups", "floored_steps")
+
+
+def _check_lambdas(lambdas, depth) -> tuple:
+    """Per-layer ridge strengths as floats: none, or one per layer and each
+    at least 0."""
+    lams = tuple(float(l) for l in lambdas)
+    if lams and len(lams) != depth:
+        raise ValueError(f"{len(lams)} lambdas for {depth} layers")
+    if not all(l >= 0.0 for l in lams):
+        raise ValueError("lambdas must be nonnegative")
+    return lams
 
 
 @dataclass(frozen=True)
@@ -72,13 +90,7 @@ class FlowState:
             raise ValueError(f"time must be finite, got {self.time!r}")
         if self.time < 0.0:
             raise ValueError("time must be nonnegative")
-        lams = tuple(float(l) for l in self.lambdas)
-        if lams and len(lams) != self.net.depth:
-            raise ValueError(
-                f"{len(lams)} lambdas for {self.net.depth} layers"
-            )
-        if any(l < 0.0 for l in lams):
-            raise ValueError("lambdas must be nonnegative")
+        lams = _check_lambdas(self.lambdas, self.net.depth)
         object.__setattr__(self, "lambdas", lams)
         rhos = tuple(float(r) for r in self.rhos)
         if rhos:
@@ -161,15 +173,7 @@ class TrajectoryTrace:
     converged: bool = False
     stop_reason: str = ""
     final_state: FlowState | None = None
-    # points the flow took, its start included, with a relu pre-activation
-    # of exactly 0 (where the subgradient 0 is used)
-    kink_events: int = 0
-    # loss_rescaled steps taken although the loss still rose after
-    # MAX_HALVINGS halvings; a count only, not a CSV column
-    backtrack_giveups: int = 0
-    # loss_rescaled steps taken at a loss below LOSS_FLOOR, where dt is
-    # step / LOSS_FLOOR instead of step / loss; a count only, as above
-    floored_steps: int = 0
+    counts: dict = field(default_factory=lambda: dict.fromkeys(COUNTS, 0))
 
     def header(self) -> list:
         cols = ["time", "loss", "train_error", "test_error"]
@@ -286,7 +290,7 @@ class _Euler:
     advance as one array computation; run_flows drives it.
 
     Member r has its own weights, data (or data shared by all members),
-    step size and counters. The current point and a trial point live in
+    step size and COUNTS. The current point and a trial point live in
     two (R, P) float64 buffers with the stacked layers (R, rows, cols) as
     views into them, so a step rewrites numbers in place instead of
     building nets; net(r) builds member r's net when it is read. The loss
@@ -340,9 +344,8 @@ class _Euler:
                              for s in states]))
         self.value, grads, kink = self._evaluate(self.layers)
         self._set_total(grads)
-        self.kink_events = np.zeros(len(states), dtype=int) + kink
-        self.backtrack_giveups = np.zeros(len(states), dtype=int)
-        self.floored_steps = np.zeros(len(states), dtype=int)
+        self.counts = {name: np.zeros(len(states), int) for name in COUNTS}
+        self.counts["kink_events"] += kink
 
     def _take_data(self, inputs, labels):
         """Fix what every step reads of the data: the inputs as columns and
@@ -380,9 +383,7 @@ class _Euler:
             self.two_lambdas = [tl[index] for tl in self.two_lambdas]
         self._bind(self.flat[index])
         self.value, self.total = self.value[index], total
-        self.kink_events = self.kink_events[index]
-        self.backtrack_giveups = self.backtrack_giveups[index]
-        self.floored_steps = self.floored_steps[index]
+        self.counts = {name: c[index] for name, c in self.counts.items()}
 
     def _evaluate(self, layers):
         """The loss, gradients and kink flags at the point of layers; for a
@@ -432,9 +433,11 @@ class _Euler:
 
         Without rescaled a loss jump by more than LOSS_EXPLOSION_FACTOR
         raises: it is the signature of a step beyond the stability limit.
-        With it, a member's dt halves (in place) while its loss would rise;
-        a step still rising after MAX_HALVINGS halvings is taken and
-        counted as a give-up of that member.
+        With a ridge term it is a jump of the objective
+        L + sum_k lam_k ||W_k||^2, which a stable step lowers even where it
+        raises L. With rescaled, a member's dt halves (in place) while its
+        loss would rise; a step still rising after MAX_HALVINGS halvings is
+        taken and counted as a give-up of that member.
         """
         dt = steps
         if rescaled:
@@ -445,7 +448,7 @@ class _Euler:
                 self._refuse(scale < LOSS_FLOOR, lambda r: (
                     f"the loss underflowed ({self.value[r]:.3e}); a "
                     "loss-rescaled step would divide by it"))
-            self.floored_steps += scale < LOSS_FLOOR
+            self.counts["floored_steps"] += scale < LOSS_FLOOR
             dt = steps / np.maximum(scale, LOSS_FLOOR)
         d = dt[:, None, None]  # a view: it sees every halving of dt
         if self.normalized:
@@ -470,17 +473,20 @@ class _Euler:
                     "reduce the step"))
             value, grads, kink = self._evaluate(self._trial_layers)
             if not rescaled:
+                before, after = self.value, value
+                if self.two_lambdas is not None:
+                    before = before + self._ridge(self.layers)
+                    after = after + self._ridge(self._trial_layers)
                 self._refuse(
-                    value > LOSS_EXPLOSION_FACTOR * np.maximum(self.value,
-                                                               1e-300),
-                    lambda r: f"loss exploded {self.value[r]:.3e} -> "
-                    f"{value[r]:.3e}; reduce step below {dt[r]:.3e}")
+                    after > LOSS_EXPLOSION_FACTOR * np.maximum(before, 1e-300),
+                    lambda r: f"loss exploded {before[r]:.3e} -> "
+                    f"{after[r]:.3e}; reduce step below {dt[r]:.3e}")
                 break
             rising = value > self.value
             if not np.count_nonzero(rising):
                 break
             if halvings >= MAX_HALVINGS:
-                self.backtrack_giveups += rising
+                self.counts["backtrack_giveups"] += rising
                 break
             # a member whose loss fell takes its step again at the same dt:
             # the same point, value, gradient and kink flag, bit for bit
@@ -490,9 +496,14 @@ class _Euler:
         self.layers, self._trial_layers = self._trial_layers, self.layers
         self.value = value
         if kink is not False:  # False for nets without a relu layer
-            self.kink_events += kink
+            self.counts["kink_events"] += kink
         self._set_total(grads)
         return dt
+
+    def _ridge(self, layers):
+        """sum_k lam_k ||W_k||^2 at the point of layers, one per member."""
+        return sum(_member_sum(0.5 * tl * w * w)[:, 0, 0]
+                   for tl, w in zip(self.two_lambdas, layers))
 
     def _refuse(self, bad, text):
         """Raise text(r) for the first member r where bad is set, if any."""
@@ -538,7 +549,8 @@ def run_flows(
     substep) when a step would increase the loss. It divides by the loss
     floored at LOSS_FLOOR; each step taken from a loss below the floor,
     whose dt is then step / LOSS_FLOOR, is counted in the trace's
-    floored_steps.
+    counts["floored_steps"]. It takes no ridge term: its backtracking
+    reads the loss alone.
 
     A stack of normalized states (see FlowState.rhos) records rows of the
     net rho_k V_k, so a row's norm_lk is rho_k to rounding, and final
@@ -547,6 +559,9 @@ def run_flows(
     """
     if stepping not in STEPPINGS:
         raise ValueError(f"unknown stepping {stepping!r}")
+    if stepping == "loss_rescaled" and any(any(s.lambdas) for s in states):
+        raise ValueError("lambdas: loss_rescaled steps divide by the loss "
+                         "alone, so they take no ridge term")
     _check_count("sample_every", sample_every)
     n = len(states)
     if not isinstance(refs, (list, tuple)):
@@ -580,9 +595,7 @@ def run_flows(
             _record(trace, refs[r], net,
                     _error_metric(net, euler.datasets[i]), time, value, 0)
         trace.converged, trace.stop_reason = converged, reason
-        trace.kink_events = int(euler.kink_events[i])
-        trace.backtrack_giveups = int(euler.backtrack_giveups[i])
-        trace.floored_steps = int(euler.floored_steps[i])
+        trace.counts = {name: int(c[i]) for name, c in euler.counts.items()}
         # member i leaves the stack next, so no step writes under net again;
         # a normalized one resumes from its unit layers and exact scales
         trace.final_state = (
@@ -750,8 +763,8 @@ def stacked_perturb_and_reconverge(
     index. A cycle whose training criterion (classification error 0, or
     loss <= RECONVERGE_TOL for regression) is not met gets flagged, and the
     run continues. Each perturbation is one draw, applied as drawn even
-    where it puts a relu pre-activation on the kink; kink_events sums the
-    re-flows' kink_events, so a kinked perturbed point counts once, as the
+    where it puts a relu pre-activation on the kink; each count sums the
+    re-flows' counts, so a kinked perturbed point counts once, as the
     start of the next cycle's re-flow.
 
     controls are states of the same architecture that flow alongside and
@@ -763,7 +776,7 @@ def stacked_perturb_and_reconverge(
     The re-flows of a cycle, controls included, are one run_flows call,
     sampled at its two ends; each flow's last row and final state are the
     cycle boundary. Each state keeps its own perturbation stream (seeded by
-    its rng_seed), time, kinks, row flags and final state, bitwise those of
+    its rng_seed), time, counts, row flags and final state, bitwise those of
     a stack of one.
     """
     if any(s.rhos for s in [*states, *controls]):
@@ -795,7 +808,8 @@ def stacked_perturb_and_reconverge(
         for r, (trace, end) in enumerate(zip(traces, ends)):
             net, value = end.final_state.net, end.losses[-1]
             train_error = end.train_errors[-1]
-            trace.kink_events += end.kink_events
+            for name, count in end.counts.items():
+                trace.counts[name] += count
             control = r >= perturbed
             _record(trace, refs, net, train_error, end.final_state.time,
                     value, 0 if control else cycle,

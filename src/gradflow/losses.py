@@ -176,23 +176,17 @@ def loss(kind: str, net: DeepNet, data: Dataset) -> float:
 def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     """Returns (loss value, per-layer gradient list, relu kink flag)."""
     _check_kind(kind, data, net)
-    value, grads, kink = _loss_and_gradient(kind, net, data.inputs,
-                                            data.labels)
+    value, grads, kink = _terms_and_gradient(
+        _loss_terms(kind, data.labels), net, _columns(data.inputs))
     return float(value), grads, kink
 
 
-def _loss_and_gradient(kind: str, net: DeepNet, inputs, labels, layers=None):
-    """loss_and_gradient without the argument check, for loops that make
-    the check once up front. Stacked layers (see batch_forward) stand in
-    for net's and give one value, gradient and kink flag per member."""
-    return _terms_and_gradient(_loss_terms(kind, labels), net,
-                               _columns(inputs), layers)
-
-
 def _terms_and_gradient(terms, net: DeepNet, columns, layers=None):
-    """_loss_and_gradient from a _loss_terms function and the inputs as
-    columns (see _forward_columns), which a flow fixes once for all its
-    steps."""
+    """loss_and_gradient without the argument check, for callers that make
+    it once up front: from a _loss_terms function and the inputs as columns
+    (see _forward_columns), which such a caller also fixes once for all its
+    evaluations. Stacked layers (see batch_forward) stand in for net's and
+    give one value, gradient and kink flag per member."""
     out, _, acts, derivs, kink = _forward_columns(net, columns, layers)
     value, ddelta = terms(out)
     return value, batch_backprop(net, acts, derivs, ddelta, layers), kink

@@ -19,12 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import (FlowState, StopRule, _grad_norm, _total_gradient,
-                   _two_lambdas, _write_table, run_flows)
+from .flow import (FlowState, StopRule, _check_lambdas, _grad_norm,
+                   _total_gradient, _two_lambdas, _write_table, run_flows)
 from .linalg import check_matrix, symmetric_eig
-from .losses import Dataset, _check_kind, _loss_and_gradient
-from .network import (DeepNet, batch_backprop, batch_forward, flatten_params,
-                      unflatten_params)
+from .losses import Dataset, _check_kind, _loss_terms, _terms_and_gradient
+from .network import (DeepNet, _columns, batch_backprop, batch_forward,
+                      flatten_params, unflatten_params)
 
 MAX_HESSIAN_DIM = 500
 ASYMMETRY_RTOL = 1e-4
@@ -101,9 +101,7 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
     dim = flat.size
     if dim > MAX_HESSIAN_DIM:
         raise ValueError(f"parameter dimension {dim} exceeds {MAX_HESSIAN_DIM}")
-    lams = tuple(float(l) for l in lambdas)
-    if lams and len(lams) != net.depth:
-        raise ValueError(f"{len(lams)} lambdas for {net.depth} layers")
+    lams = _check_lambdas(lambdas, net.depth)
     _check_kind(kind, data, net)
     shapes = [w.shape for w in net.layers]
     h = FD_STEP_BASE * max(1.0, float(np.abs(flat).max()))
@@ -113,10 +111,10 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
     chunk = max(1, HESSIAN_STACK_ENTRIES // (widest * len(data.labels)))
     grads = np.empty_like(points)
     kink = False
+    terms, columns = _loss_terms(kind, data.labels), _columns(data.inputs)
     for start in range(0, 2 * dim, chunk):
         layers = unflatten_params(points[start:start + chunk], shapes)
-        _, g, hit = _loss_and_gradient(kind, net, data.inputs, data.labels,
-                                       layers)
+        _, g, hit = _terms_and_gradient(terms, net, columns, layers)
         kink = kink or bool(np.any(hit))
         grads[start:start + chunk] = np.concatenate(
             [gk.reshape(len(gk), -1) for gk in g], axis=1)
@@ -196,6 +194,7 @@ def hyperbolicity_sweep(
     warning.
     """
     _check_kind(kind, data, net)
+    terms, columns = _loss_terms(kind, data.labels), _columns(data.inputs)
     entries = []
     current = net
     for lam in lambda_list:
@@ -207,8 +206,7 @@ def hyperbolicity_sweep(
                             grad_norm_below=EQUILIBRIUM_GRAD_TOL * 0.1)
             current = run_flows([state], kind, data, stop,
                                 sample_every=10**9)[0].final_state.net
-        grads = _loss_and_gradient(kind, current, data.inputs,
-                                   data.labels)[1]
+        grads = _terms_and_gradient(terms, current, columns)[1]
         gnorm = float(_grad_norm(_total_gradient(grads, current.layers,
                                                  _two_lambdas(lams))))
         warning = ""

@@ -3,14 +3,19 @@ seed precedence, and byte-identical reruns."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gradflow import cli as cli_mod
 from gradflow.cli import main
 from gradflow.losses import Dataset, batch_outputs
 from gradflow.network import random_net
 from gradflow.spectra import DEFAULT_ZERO_TOL, MAX_HESSIAN_DIM, hessian
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write(path, body):
@@ -265,6 +270,10 @@ class TestFlow:
         ({"stop": {"max_steps": 0}}, "stop.max_steps: must be >= 1, got 0"),
         ({"stop": {"max_time": 0.0}}, "stop.max_time: must be > 0, got 0.0"),
         ({"stop": {"max_time": -1}}, "stop.max_time: must be > 0, got -1.0"),
+        ({"lambdas": [-1.0]}, "lambdas[0]: must be >= 0.0, got -1.0"),
+        ({"lambdas": [0.1], "stepping": "loss_rescaled"},
+         "lambdas: loss_rescaled steps divide by the loss alone, so they "
+         "take no ridge term"),
     ])
     def test_missing_or_refused_object_names_field(self, tmp_path, capsys,
                                                    extra, message):
@@ -448,6 +457,26 @@ class TestFlow:
                      "--output-dir", str(tmp_path)]) == 0
         assert "give-ups" not in capsys.readouterr().out
 
+    def test_counts_are_printed_under_their_readme_labels(
+            self, tmp_path, capsys, monkeypatch):
+        real = cli_mod.run_flows
+
+        def counted(*args, **kwargs):
+            traces = real(*args, **kwargs)
+            traces[0].counts = {"kink_events": 3, "backtrack_giveups": 1,
+                                "floored_steps": 2}
+            return traces
+
+        monkeypatch.setattr(cli_mod, "run_flows", counted)
+        assert main(["flow", "--config", self._config(tmp_path),
+                     "--output-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == ["backtrack give-ups: 1", "loss-floored steps: 2",
+                         "relu kinks: 3"]
+        readme = " ".join(README.read_text().split())
+        for line in lines:
+            assert f"`{line.split(':')[0]}: N`" in readme
+
     def test_loss_floored_steps_are_printed(self, tmp_path, capsys):
         # margin 800 puts the exponential loss below the 1e-300 floor
         body = {
@@ -527,6 +556,15 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: tol: must be ")
+
+    def test_negative_lambdas_name_field(self, tmp_path, capsys):
+        # a ridge of -1 used to shift every eigenvalue to "unstable"
+        cfg = self._config(tmp_path, lambdas=[-1.0, -1.0])
+        assert main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: lambdas[0]: must be >= 0.0, got -1.0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_negative_tol_names_field(self, tmp_path, capsys):
         # a negative tol used to print a negative zero count and exit 0
@@ -887,7 +925,7 @@ class TestScenarioCounts:
         ("perturb", {"variant": "deepnet", "blob_std": -1.0},
          "params.blob_std: must be >= 0.0, got -1.0"),
         ("perturb", {"variant": "sine", "noise_std": -1.0},
-         "params.noise_std: must be >= 0.0, got -1.0"),
+         "params.noise_std: must be > 0, got -1.0"),
         ("direction", {"max_time": 0.0, "n_datasets": 1, "n_inits": 2},
          "params.max_time: must be > 0, got 0.0"),
         # a fraction of the schedule: 0 perturbs nothing, past 1 is 1
@@ -908,6 +946,10 @@ class TestScenarioCounts:
                      "total_steps": 480_000},
          "params.stop_fraction: perturbs nothing, since int(total_steps * "
          "stop_fraction) = 240000 is not above params.interval (240000)"),
+        # a perturbation of std 0 perturbs nothing
+        ("perturb", {"variant": "sine", "noise_std": 0.0, "repetitions": 3,
+                     "total_steps": 480_000},
+         "params.noise_std: must be > 0, got 0.0"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

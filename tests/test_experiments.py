@@ -605,7 +605,7 @@ class TestDirectionStudy:
         def with_giveups(*args, **kwargs):
             traces = real(*args, **kwargs)
             for trace in traces[:count]:
-                trace.backtrack_giveups = 1
+                trace.counts["backtrack_giveups"] = 1
             return traces
 
         monkeypatch.setattr(experiments, "run_flows", with_giveups)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from gradflow.flow import (
+    LOSS_EXPLOSION_FACTOR,
     LOSS_FLOOR,
     MAX_HALVINGS,
     RECONVERGE_TOL,
@@ -49,6 +50,7 @@ def _linear_net(w):
 SEP_X = np.array([[2.0, 0.3], [1.5, -0.4], [-1.0, 2.0], [-2.0, -0.5]])
 SEP_Y = np.array([1.0, 1.0, -1.0, -1.0])
 SEP = Dataset(SEP_X, SEP_Y)
+RIDGE_X = np.array([[1.0, 0.2], [0.8, -0.1], [-1.0, 0.1], [-0.9, -0.3]])
 
 
 class TestFlowStep:
@@ -197,6 +199,25 @@ class TestRunFlow:
                           stepping="loss_rescaled", sample_every=10**9)[0]
         assert trace.converged and trace.stop_reason == "direction_stalled"
 
+    @pytest.mark.parametrize("lam, step", [(1.0, 0.45), (1.0, 0.3),
+                                           (0.5, 0.5)])
+    def test_ridge_steps_lower_the_objective(self, lam, step):
+        # from a tiny loss the ridge step shrinks the weights, which raises
+        # L past the explosion factor; the ridge objective still falls, so
+        # the step is no explosion
+        data = Dataset(RIDGE_X, SEP_Y)
+        state = FlowState(net=_linear_net([20.0, 0.0]), step=step,
+                          lambdas=(lam,))
+        trace = run_flows([state], "exponential", data,
+                          StopRule(max_steps=200), sample_every=1)[0]
+        assert trace.stop_reason == "max_steps"
+        assert trace.losses[1] > LOSS_EXPLOSION_FACTOR * trace.losses[0]
+        objective = [value + lam * norms[0] ** 2
+                     for value, norms in zip(trace.losses, trace.layer_norms)]
+        # it falls to its equilibrium, where it moves by rounding only
+        assert objective[-1] < 0.02 * objective[0]
+        assert np.all(np.diff(objective) <= 1e-12)
+
     def test_regularized_run_satisfies_equilibrium_condition(self):
         # 1D: equilibrium solves e^{-w} = 2 lam w; bisection is the oracle
         lam = 0.05
@@ -305,9 +326,9 @@ class TestPlainNumpyReference:
             assert np.array_equal(_bits(trace.final_state.net.layers[0]),
                                   _bits(w))
             assert repr(trace.final_state.time) == repr(t)
-            assert trace.floored_steps == floored
-            assert trace.backtrack_giveups == giveups
-        assert all(tr.floored_steps > 0 for tr in traces[:5])
+            assert trace.counts["floored_steps"] == floored
+            assert trace.counts["backtrack_giveups"] == giveups
+        assert all(tr.counts["floored_steps"] > 0 for tr in traces[:5])
         assert halved > 0
 
 
@@ -446,12 +467,12 @@ class TestSharedStep:
         state = FlowState(net=_linear_net([1.0]), step=1e15)
         trace = run_flows([state], "square", self.ONE, StopRule(max_steps=1),
                           stepping="loss_rescaled")[0]
-        assert trace.backtrack_giveups == 1
+        assert trace.counts["backtrack_giveups"] == 1
         assert trace.losses[-1] > trace.losses[0]
         calm = run_flows([FlowState(net=_linear_net([0.3, -0.2]), step=0.05)],
                          "exponential", SEP, StopRule(max_steps=2000),
                          stepping="loss_rescaled")[0]
-        assert calm.backtrack_giveups == 0
+        assert calm.counts["backtrack_giveups"] == 0
 
 
 def _bits(a):
@@ -459,14 +480,13 @@ def _bits(a):
 
 
 def _assert_same_trace(got, want):
-    """Bitwise the same run: every row, the stop, the counters and the
+    """Bitwise the same run: every row, the stop, the counts and the
     final point."""
     assert [repr(r) for r in got.rows()] == [repr(r) for r in want.rows()]
     assert got.row_flags == want.row_flags
     assert (got.converged, got.stop_reason) == (want.converged,
                                                 want.stop_reason)
-    assert got.kink_events == want.kink_events
-    assert got.backtrack_giveups == want.backtrack_giveups
+    assert got.counts == want.counts
     _assert_same_state(got.final_state, want.final_state)
 
 
@@ -539,7 +559,7 @@ class TestRunFlows:
         traces = self._assert_stack_is_stacks_of_one(
             states, "exponential", _blob_sets(4, seed=1),
             StopRule(max_steps=40), sample_every=1, stepping="loss_rescaled")
-        assert [tr.kink_events for tr in traces] == [41, 0, 0, 0]
+        assert [tr.counts["kink_events"] for tr in traces] == [41, 0, 0, 0]
         halved = self._halved_steps(states, traces)
         assert not halved[0] and halved[1] and halved[3]
         assert halved[1] != halved[3]
@@ -613,7 +633,7 @@ class TestRunFlows:
         stop = StopRule(max_steps=3)
         traces = run_flows(states, "square", one, stop,
                            stepping="loss_rescaled")
-        assert [tr.backtrack_giveups for tr in traces] == [0, 1, 0]
+        assert [tr.counts["backtrack_giveups"] for tr in traces] == [0, 1, 0]
         for state, got in zip(states, traces):
             _assert_same_trace(got, run_flows([state], "square", one, stop,
                                               stepping="loss_rescaled")[0])
@@ -689,7 +709,7 @@ def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
     """The one-state protocol built from run_flows: a stack of one per
     re-convergence chunk, sampled only at its ends, whose last row is the
     cycle boundary; the same _draw_perturbation call, one per perturbation.
-    Returns the trace (kink_events not counted) and the final net."""
+    Returns the trace (its counts not kept) and the final net."""
     net, t = state.net, state.time
     stop_after = protocol.interval * protocol.repetitions
     total = stop_after + protocol.interval
@@ -796,7 +816,7 @@ class TestPerturbationProtocol:
         trace = stacked_perturb_and_reconverge([state], proto,
                                                "exponential", SEP)[0]
         assert trace.perturbation_counts[-1] == 1
-        assert trace.kink_events >= proto.interval
+        assert trace.counts["kink_events"] >= proto.interval
 
     def test_budget_too_small_flags_but_continues(self):
         _, data, state = self._setup()
@@ -922,7 +942,7 @@ class TestStackedProtocol:
             assert got.layer_norms[0] == want.layer_norms[0]
             assert [repr(v) for v in list(got.rows())[-1]] == [
                 repr(v) for v in list(want.rows())[-1]]
-            assert got.kink_events == want.kink_events
+            assert got.counts == want.counts
             assert repr(got.final_state.time) == repr(want.final_state.time)
             for a, b in zip(got.final_state.net.layers,
                             want.final_state.net.layers, strict=True):
@@ -951,7 +971,7 @@ class TestStackedProtocol:
                                                      data)
         # 3 chunks of 30 steps plus their first evaluation; a perturbed
         # point is counted once, as its chunk's first evaluation
-        assert [tr.kink_events for tr in traces] == [3 * 31] * 3
+        assert [tr.counts["kink_events"] for tr in traces] == [3 * 31] * 3
 
     def test_kinks_stay_with_their_member(self):
         # both nets compute relu(x1) - relu(-x1), which separates SEP; the
@@ -966,8 +986,8 @@ class TestStackedProtocol:
                                      repetitions=1)
         traces = self._assert_stack_is_stacks_of_one(states, proto,
                                                      "exponential", SEP)
-        assert traces[0].kink_events >= proto.interval
-        assert traces[1].kink_events == 0
+        assert traces[0].counts["kink_events"] >= proto.interval
+        assert traces[1].counts["kink_events"] == 0
 
     def test_square_members_one_not_reconverged(self):
         rng = np.random.default_rng(5)
@@ -1261,7 +1281,7 @@ class TestDirectionFlow:
                          stepping="loss_rescaled", sample_every=10**9)[0]
 
     def test_converges_to_max_margin_direction(self, trace):
-        assert trace.floored_steps == 0
+        assert trace.counts["floored_steps"] == 0
         svm = hard_margin_svm(SEP)
         w = trace.final_state.net.layers[0].ravel()
         d = w / np.sqrt(w @ w)
@@ -1269,7 +1289,7 @@ class TestDirectionFlow:
         assert cos >= 0.999
 
     def test_norm_grows_like_log_time(self, trace):
-        assert trace.floored_steps == 0
+        assert trace.counts["floored_steps"] == 0
         w = trace.final_state.net.layers[0].ravel()
         r = np.sqrt(w @ w)
         margins = SEP.labels * (SEP.inputs @ (w / r))
@@ -1287,7 +1307,7 @@ class TestDirectionFlow:
                           stepping="loss_rescaled", sample_every=1)[0]
         assert trace.stop_reason == "max_steps"
         assert all(value < 1e-300 for value in trace.losses)
-        assert trace.floored_steps == len(trace.times) - 1 == 50
+        assert trace.counts["floored_steps"] == len(trace.times) - 1 == 50
 
 class TestGrowthTrace:
     def test_k1_matches_closed_form(self):
@@ -1451,6 +1471,14 @@ def _run_two(nets=None, datasets=SEP, stepping="fixed", refs=None):
     (lambda: StopRule(max_time=float("nan")), "max_time must be finite, got nan"),
     (lambda: StopRule(max_time=float("inf"), max_steps=5),
      "max_time must be finite, got inf"),
+    # loss-rescaled backtracking reads L alone, so a ridge flow froze on
+    # give-ups; it is refused by the field
+    (lambda: run_flows([FlowState(net=_linear_net([20.0, 0.0]), step=0.05,
+                                  lambdas=(0.1,))],
+                       "exponential", Dataset(RIDGE_X, SEP_Y),
+                       StopRule(max_steps=2), stepping="loss_rescaled"),
+     "lambdas: loss_rescaled steps divide by the loss alone, so they take "
+     "no ridge term"),
 ])
 def test_flow_setup_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -151,12 +151,12 @@ class TestHessian:
         # a non-symmetric Jacobian of the "gradient" signals a gradient bug
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
 
-        def fake_loss_and_gradient(kind, net, inputs, labels, layers):
+        def fake_terms_and_gradient(terms, net, columns, layers):
             w = layers[0][:, 0, :]
             return None, [(w @ a.T)[:, None, :]], False
 
-        monkeypatch.setattr(spectra_mod, "_loss_and_gradient",
-                            fake_loss_and_gradient)
+        monkeypatch.setattr(spectra_mod, "_terms_and_gradient",
+                            fake_terms_and_gradient)
         net = DeepNet((np.array([[0.3, 0.4]]),), activation="linear")
         data = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
         with pytest.raises(ValueError, match="asymmetry"):
@@ -210,13 +210,13 @@ class TestHessian:
         net = random_net(rng, (3, 5, 1), "smoothed_relu")
         data = Dataset(rng.normal(size=(4, 3)), np.sign(rng.normal(size=4)))
         calls = []
-        real = spectra_mod._loss_and_gradient
+        real = spectra_mod._terms_and_gradient
 
         def counting(*args):
             calls.append(len(args[-1][0]))
             return real(*args)
 
-        monkeypatch.setattr(spectra_mod, "_loss_and_gradient", counting)
+        monkeypatch.setattr(spectra_mod, "_terms_and_gradient", counting)
         hessian("logistic", net, data)
         members = spectra_mod.HESSIAN_STACK_ENTRIES // (5 * 4)
         assert len(calls) == math.ceil(2 * 20 / members)
@@ -370,7 +370,7 @@ class TestVirtualSystem:
 
         monkeypatch.setattr(network_mod, "layer_gradients", refuse)
         monkeypatch.setattr(network_mod, "forward", refuse)
-        monkeypatch.setattr(spectra_mod, "_loss_and_gradient", refuse)
+        monkeypatch.setattr(spectra_mod, "_terms_and_gradient", refuse)
         net, data = make_interpolating_net(2)
         assert virtual_linear_system(net, data).inputs.shape == (3, 12)
 
@@ -537,6 +537,11 @@ class TestWriters:
         DeepNet((np.ones((2, 2)),), activation="linear"),
         Dataset(SEP_X, SEP_Y)),
      "virtual construction needs a scalar-output net"),
+    # a negative ridge shifts the Hessian down; FlowState's own check
+    (lambda: hessian("square", DeepNet((np.ones((1, 2)),),
+                                       activation="linear"),
+                     Dataset(SEP_X, SEP_Y), lambdas=(-1.0,)),
+     "lambdas must be nonnegative"),
 ])
 def test_spectra_refuse(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
