@@ -221,7 +221,7 @@ def _cmd_flow(args, body, seed) -> int:
                       stepping=body.get("stepping", "fixed"))[0]
     path = _out(args, "flow_trace.csv")
     write_trace_csv(trace, path, header_comment=header)
-    print(f"wrote {path} ({len(trace.times)} rows, "
+    print(f"wrote {path} ({len(trace.rows)} rows, "
           f"stop: {trace.stop_reason})")
     for name, label in (("backtrack_giveups", "backtrack give-ups"),
                         ("floored_steps", "loss-floored steps"),
@@ -229,7 +229,8 @@ def _cmd_flow(args, body, seed) -> int:
         if trace.counts[name]:
             print(f"{label}: {trace.counts[name]}")
     if args.verbose:
-        print(f"final loss {trace.losses[-1]!r} at time {trace.times[-1]!r}")
+        last = trace.rows[-1]
+        print(f"final loss {last.loss!r} at time {last.time!r}")
     return 0
 
 

@@ -25,6 +25,7 @@ from .flow import (
     PerturbationProtocol,
     StopRule,
     TraceRefs,
+    TraceRow,
     TrajectoryTrace,
     _write_table,
     growth_numeric_trace,
@@ -35,6 +36,7 @@ from .linalg import RANK_DEFICIENT, extended_min_norm_path
 from .losses import Dataset
 from .network import DeepNet, random_net
 from .oracles import (
+    MAX_SVM_SAMPLES,
     NonSeparableError,
     growth_closed_form,
     hard_margin_svm,
@@ -45,14 +47,16 @@ MAX_EXCLUSION_RATE = 0.10
 # params that may also be null: no time budget, only the step budget
 NULLABLE_PARAMS = ("max_time",)
 # bounds on a given number by its field's own name, in every command (ks for
-# params.ks[0]): value >= floor, value > 0; other integers are counts >= 1
+# params.ks[0]): value >= floor, value > 0; other integers are counts >= 1.
+# Two inits make a pair to compare; two grid points put one at t_max.
 FLOORS = {"degree": 0, "min_degree": 0, "slope_points": 2, "blob_std": 0.0,
-          "tol": 0.0, "lambdas": 0.0}
+          "tol": 0.0, "lambdas": 0.0, "n_inits": 2, "grid_points": 2}
 POSITIVE_PARAMS = ("step", "square_step", "noise_std", "noise_rel_std",
                    "f_tilde", "t_min", "slope_window", "max_time",
                    "stop_fraction")
-# largest value a float param may take
-CEILINGS = {"stop_fraction": 1.0}
+# largest value a param may take: a fraction, and the points the margin
+# oracle's subset enumeration is budgeted for
+CEILINGS = {"stop_fraction": 1.0, "n_points": MAX_SVM_SAMPLES}
 # integer params split evenly between two classes
 EVEN_PARAMS = ("n_points",)
 # (low, high) pairs of params with low <= high
@@ -165,8 +169,9 @@ class ExperimentConfig:
     between params: an odd EVEN_PARAMS count, a PAIR_PARAMS list without
     two entries, a CHOICE_PARAMS string outside its choices, toy deepnet
     dims not from 2 inputs to 1 output, growth ks empty or with a repeat or
-    a depth >= 2 beside rho0 <= 0, ORDERED_PARAMS out of order, and a
-    perturbed sine run that stops perturbing before its first checkpoint.
+    a depth >= 2 beside rho0 <= 0, ORDERED_PARAMS out of order, a
+    perturbed sine run that stops perturbing before its first checkpoint,
+    and direction-study inits of scale 0.
     """
 
     scenario: str
@@ -236,6 +241,10 @@ class ExperimentConfig:
                     "params.stop_fraction: perturbs nothing, since "
                     f"int(total_steps * stop_fraction) = {stop_after} is not "
                     f"above params.interval ({merged['interval']!r})")
+        # the direction study compares the flows of distinct inits
+        if "n_inits" in merged and merged["init_scale"] == 0.0:
+            raise ValueError("params.init_scale: must be nonzero (at 0.0 "
+                             "every init is the zero vector)")
 
     def resolved(self) -> dict:
         return {**SCENARIO_DEFAULTS[self.scenario], **self.params}
@@ -484,16 +493,14 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     times = [cp * step for cp in checkpoints]
     trace_paths = []
     for rep in range(reps):
-        trace = TrajectoryTrace(
-            layer_count=1, times=times, losses=sse[rep].tolist(),
-            train_errors=train[rep].tolist(),
-            test_errors=test_mse[rep].tolist(),
-            layer_norms=[(v,) for v in norms[rep].tolist()],
-            margin_cosines=[None] * len(times),
-            nullspace_norms=null_norms[rep].tolist(),
-            perturbation_counts=counts.tolist())
+        trace = TrajectoryTrace(layer_count=1, rows=[
+            TraceRow(t, value, tr, te, (norm,), None, null, count)
+            for t, value, tr, te, norm, null, count in zip(
+                times, sse[rep].tolist(), train[rep].tolist(),
+                test_mse[rep].tolist(), norms[rep].tolist(),
+                null_norms[rep].tolist(), counts.tolist())])
         _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
-                   trace_paths, trace.header(), trace.rows())
+                   trace_paths, trace.header(), trace.csv_rows())
 
     excluded = reps - int(included.sum())
     predicates = {"exclusions_ok": excluded <= MAX_EXCLUSION_RATE * reps}
@@ -716,7 +723,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
     states = [trace.final_state for trace in pretrained]
     ready = []
     for rep, trace in enumerate(pretrained):
-        if trace.train_errors[-1] > 0.0:
+        if trace.rows[-1].train_error > 0.0:
             notes.append(f"repetition {rep}: pretraining left errors")
         else:
             ready.append(rep)
@@ -730,19 +737,21 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         controls = protocol_traces[len(ready):]
     included, trace_paths = [], []
     for rep, trace in enumerate(traces):
-        included.append(trace is not None and not any(trace.row_flags))
+        included.append(trace is not None
+                        and not any(row.flag for row in trace.rows))
         if trace is not None:
             _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
-                       trace_paths, trace.header(), trace.rows())
+                       trace_paths, trace.header(), trace.csv_rows())
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
     predicates = {"exclusions_ok": excluded <= MAX_EXCLUSION_RATE * reps}
     aggregates = {}
     if keep:
-        norms = np.array([t.layer_norms for t in keep])  # rep x row x layer
-        test01 = np.array([t.test_errors for t in keep], dtype=float)
-        train01 = np.array([t.train_errors for t in keep], dtype=float)
+        table = [t.rows for t in keep]  # rep x row
+        norms = np.array([[r.norms for r in rs] for rs in table])  # x layer
+        test01 = np.array([[r.test_error for r in rs] for rs in table])
+        train01 = np.array([[r.train_error for r in rs] for rs in table])
         mean_norms = norms.mean(axis=0)
         mean_test = test01.mean(axis=0)
         inc = np.diff(mean_norms, axis=0)
@@ -769,8 +778,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         )
 
         # control twins: the same pretrained states flowed without noise
-        ctrl = np.array([np.subtract(twin.layer_norms[-1],
-                                     twin.layer_norms[0])
+        ctrl = np.array([np.subtract(twin.rows[-1].norms, twin.rows[0].norms)
                          for twin in controls]).mean(axis=0)
         pert_growth = mean_norms[-1] - mean_norms[0]
         aggregates["control_growth"] = ctrl
@@ -862,6 +870,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
 
     deep = [k for k in ks if k >= 2]
     tail = t_grid > np.e
+    trend = np.count_nonzero(tail) >= 2  # a trend needs two points past e
     for k in deep:
         rho = curves[k]
         prod = rho**k
@@ -873,10 +882,10 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
         predicates[f"k{k}_layer_below_logt_at_tmax"] = (
             float(rho[-1]) < log_tmax
         )
-        predicates[f"k{k}_excess_increasing"] = bool(
+        predicates[f"k{k}_excess_increasing"] = trend and bool(
             (np.diff(excess) > 0.0).all()
         )
-        predicates[f"k{k}_layer_ratio_decreasing"] = bool(
+        predicates[f"k{k}_layer_ratio_decreasing"] = trend and bool(
             (np.diff(layer_ratio) < 0.0).all()
         )
         aggregates[f"k{k}_product_at_tmax"] = float(prod[-1])
@@ -976,7 +985,7 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     for ds, (_, margin, _) in enumerate(drawn):
         members = outs[ds * n_inits:(ds + 1) * n_inits]
         _write_csv(config, f"{config.scenario}_ds{ds:02d}.csv", trace_paths,
-                   members[0].header(), members[0].rows())
+                   members[0].header(), members[0].csv_rows())
         finals = []
         for out in members:
             w = out.final_state.net.layers[0].ravel()
@@ -989,9 +998,7 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
             {
                 "dataset": ds,
                 "min_cosine_to_oracle": float(oracle_cos.min()),
-                "min_pairwise_cosine": float(pair_cos[iu].min())
-                if iu[0].size
-                else 1.0,
+                "min_pairwise_cosine": float(pair_cos[iu].min()),
                 "margin": float(margin.margin),
             }
         )

@@ -5,12 +5,12 @@ loss-rescaled stepping mode for the logarithmically slow separable runs,
 an exact mode-by-mode propagator for linear square-loss descent (the
 workhorse behind million-step perturbation schedules), the normalized
 scale/direction system, and the perturb-and-reconverge protocol. There is
-one Euler driver, run_flows, and one protocol driver,
-stacked_perturb_and_reconverge; both take a list of states, and one flow
-is a stack of one. A normalized flow is a stack whose states carry scales
-(FlowState.rhos); run_flows steps it with the same guarded step, trace
-rows and counts. A loss-rescaled step taken at the loss floor is counted
-in the trace.
+one Euler driver, run_flows, which makes every trace row, and one protocol
+driver, stacked_perturb_and_reconverge, which relabels its rows; both take
+a list of states, and one flow is a stack of one. A normalized flow is a
+stack whose states carry scales (FlowState.rhos); run_flows steps it with
+the same guarded step, trace rows and counts. A loss-rescaled step taken
+at the loss floor is counted in the trace.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
 norm_l1..norm_lK, margin_cosine, nullspace_norm, residual_norm,
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .losses import (
     _loss_terms,
     _terms_and_gradient,
     classification_error,
-    loss,
     mean_squared_error,
 )
 from .network import (HOMOGENEOUS, DeepNet, _columns, _forward_columns,
@@ -158,18 +158,25 @@ class TraceRefs:
     null_basis: np.ndarray | None = None
 
 
+class TraceRow(NamedTuple):
+    """One sampled point of a flow; a cell without its reference is None,
+    and flag is "" or a short marker."""
+
+    time: float
+    loss: float
+    train_error: float | None
+    test_error: float | None
+    norms: tuple
+    margin_cosine: float | None
+    nullspace_norm: float | None
+    perturbation_count: int = 0
+    flag: str = ""
+
+
 @dataclass
 class TrajectoryTrace:
     layer_count: int
-    times: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    train_errors: list = field(default_factory=list)
-    test_errors: list = field(default_factory=list)
-    layer_norms: list = field(default_factory=list)  # one K-tuple per row
-    margin_cosines: list = field(default_factory=list)
-    nullspace_norms: list = field(default_factory=list)
-    perturbation_counts: list = field(default_factory=list)
-    row_flags: list = field(default_factory=list)  # "" or a short marker
+    rows: list = field(default_factory=list)  # TraceRow, in time order
     converged: bool = False
     stop_reason: str = ""
     final_state: FlowState | None = None
@@ -186,14 +193,12 @@ class TrajectoryTrace:
         ]
         return cols
 
-    def rows(self):
-        for i in range(len(self.times)):
-            row = [self.times[i], self.losses[i], self.train_errors[i],
-                   self.test_errors[i]]
-            row += list(self.layer_norms[i])
-            row += [self.margin_cosines[i], self.nullspace_norms[i], None,
-                    self.perturbation_counts[i]]
-            yield row
+    def csv_rows(self):
+        """The rows in header()'s columns, residual_norm empty."""
+        for row in self.rows:
+            yield [row.time, row.loss, row.train_error, row.test_error,
+                   *row.norms, row.margin_cosine, row.nullspace_norm, None,
+                   row.perturbation_count]
 
 
 def _fmt_cell(value) -> str:
@@ -224,7 +229,7 @@ def _write_table(path, header_comment, columns, rows, extra_comment=""):
 
 
 def write_trace_csv(trace: TrajectoryTrace, path, header_comment: str = ""):
-    _write_table(path, header_comment, trace.header(), trace.rows())
+    _write_table(path, header_comment, trace.header(), trace.csv_rows())
 
 
 def _error_metric(net: DeepNet, data: Dataset | None):
@@ -244,23 +249,17 @@ def _cosine(u, v) -> float:
     return float((u * v).sum() / (nu * nv))
 
 
-def _record(trace, refs, net, train_error, time, value, pert_count, flag=""):
-    trace.times.append(time)
-    trace.losses.append(value)
-    trace.train_errors.append(train_error)
-    trace.test_errors.append(_error_metric(net, refs.test_data if refs else None))
-    trace.layer_norms.append(tuple(frobenius_norm(w) for w in net.layers))
-    flat = flatten_params(net.layers)
+def _row(refs, net, data, time, value) -> TraceRow:
+    """net's row at time, at loss value, with its error on data."""
+    flat, cosine, nullspace = flatten_params(net.layers), None, None
     if refs is not None and refs.reference_direction is not None:
-        trace.margin_cosines.append(_cosine(flat, refs.reference_direction))
-    else:
-        trace.margin_cosines.append(None)
+        cosine = _cosine(flat, refs.reference_direction)
     if refs is not None and refs.null_basis is not None:
-        trace.nullspace_norms.append(float(np.sqrt(((refs.null_basis @ flat) ** 2).sum())))
-    else:
-        trace.nullspace_norms.append(None)
-    trace.perturbation_counts.append(pert_count)
-    trace.row_flags.append(flag)
+        nullspace = float(np.sqrt(((refs.null_basis @ flat) ** 2).sum()))
+    return TraceRow(time, value, _error_metric(net, data),
+                    _error_metric(net, refs.test_data if refs else None),
+                    tuple(frobenius_norm(w) for w in net.layers), cosine,
+                    nullspace)
 
 
 def _two_lambdas(lambdas):
@@ -591,9 +590,9 @@ def run_flows(
         r = euler.ids[i]
         trace, state = traces[r], states[r]
         time, value, net = float(t[i]), float(euler.value[i]), euler.net(i)
-        if not trace.times or trace.times[-1] != time:
-            _record(trace, refs[r], net,
-                    _error_metric(net, euler.datasets[i]), time, value, 0)
+        if not trace.rows or trace.rows[-1].time != time:
+            trace.rows.append(_row(refs[r], net, euler.datasets[i], time,
+                                   value))
         trace.converged, trace.stop_reason = converged, reason
         trace.counts = {name: int(c[i]) for name, c in euler.counts.items()}
         # member i leaves the stack next, so no step writes under net again;
@@ -607,10 +606,9 @@ def run_flows(
     while True:
         if iteration % sample_every == 0:
             for i, r in enumerate(euler.ids):
-                net = euler.net(i)
-                _record(traces[r], refs[r], net,
-                        _error_metric(net, euler.datasets[i]),
-                        float(t[i]), float(euler.value[i]), 0)
+                traces[r].rows.append(_row(refs[r], euler.net(i),
+                                           euler.datasets[i], float(t[i]),
+                                           float(euler.value[i])))
         # without a target, no flow halts before a budget or max_time hits
         if (has_target or iteration >= first_budget
                 or (stop.max_time is not None and t.max() >= stop.max_time)):
@@ -758,14 +756,16 @@ def stacked_perturb_and_reconverge(
     for R states of one architecture on shared data; one trace per state,
     then one per control.
 
-    Every trace records the start plus one row per cycle, at its end (just
-    before its perturbation); a row's perturbation_count is its cycle's
-    index. A cycle whose training criterion (classification error 0, or
-    loss <= RECONVERGE_TOL for regression) is not met gets flagged, and the
-    run continues. Each perturbation is one draw, applied as drawn even
-    where it puts a relu pre-activation on the kink; each count sums the
-    re-flows' counts, so a kinked perturbed point counts once, as the
-    start of the next cycle's re-flow.
+    Every trace holds the start plus one row per cycle, at its end (just
+    before its perturbation): rows of the cycles' run_flows calls, which
+    take refs. A perturbed member's cycle-end row is relabeled with the
+    cycle's index as perturbation_count, and flagged where its training
+    criterion (classification error 0, or loss <= RECONVERGE_TOL for
+    regression) is not met; the run continues. Every perturbed start is
+    checked before any noise is drawn. Each perturbation is one draw,
+    applied as drawn even where it puts a relu pre-activation on the kink;
+    each count sums the re-flows' counts, so a kinked perturbed point
+    counts once, as the start of the next cycle's re-flow.
 
     controls are states of the same architecture that flow alongside and
     are never perturbed: their rows have perturbation_count 0 and no flag,
@@ -784,38 +784,35 @@ def stacked_perturb_and_reconverge(
                          "normalized ones")
     regression = data.task == "regression"
 
-    def reconverged(value, train_error):
-        return value <= RECONVERGE_TOL if regression else train_error == 0.0
+    def reconverged(row):
+        return (row.loss <= RECONVERGE_TOL if regression
+                else row.train_error == 0.0)
 
     perturbed = len(states)
-    states, traces = list(states) + list(controls), []
-    for r, state in enumerate(states):
-        net = state.net
-        value, train_error = loss(kind, net, data), _error_metric(net, data)
-        if r < perturbed and not reconverged(value, train_error):
-            raise ValueError(_member(
-                f"start the protocol at an interpolating state (loss "
-                f"{value:.3e} > {RECONVERGE_TOL:.1e})" if regression
-                else "start the protocol at zero training error",
-                r, len(states)))
-        traces.append(TrajectoryTrace(layer_count=net.depth))
-        _record(traces[-1], refs, net, train_error, state.time, value, 0)
+    states = list(states) + list(controls)
+    traces = [TrajectoryTrace(layer_count=s.net.depth) for s in states]
     rngs = [np.random.default_rng(s.rng_seed) for s in states[:perturbed]]
     for cycle in range(protocol.repetitions + 1):
         ends = run_flows(states, kind, data,
                          StopRule(max_steps=protocol.interval),
-                         sample_every=protocol.interval)
+                         sample_every=protocol.interval, refs=refs)
+        for r, end in enumerate(ends[:perturbed] if cycle == 0 else ()):
+            start = end.rows[0]  # checked before any noise is drawn
+            if not reconverged(start):
+                raise ValueError(_member(
+                    f"start the protocol at an interpolating state (loss "
+                    f"{start.loss:.3e} > {RECONVERGE_TOL:.1e})" if regression
+                    else "start the protocol at zero training error",
+                    r, len(states)))
         for r, (trace, end) in enumerate(zip(traces, ends)):
-            net, value = end.final_state.net, end.losses[-1]
-            train_error = end.train_errors[-1]
+            row, net = end.rows[-1], end.final_state.net
             for name, count in end.counts.items():
                 trace.counts[name] += count
-            control = r >= perturbed
-            _record(trace, refs, net, train_error, end.final_state.time,
-                    value, 0 if control else cycle,
-                    "" if control or reconverged(value, train_error)
-                    else "not_reconverged")
-            if cycle < protocol.repetitions and not control:
+            if r < perturbed:  # a control's rows are run_flows' own
+                row = row._replace(perturbation_count=cycle, flag=(
+                    "" if reconverged(row) else "not_reconverged"))
+            trace.rows += [end.rows[0], row] if cycle == 0 else [row]
+            if r < perturbed and cycle < protocol.repetitions:
                 deltas = _draw_perturbation(rngs[r], net.layers, protocol)
                 net = net.with_layers(
                     [w + d for w, d in zip(net.layers, deltas)])

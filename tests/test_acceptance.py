@@ -355,10 +355,11 @@ def test_criterion_13_normalized_dynamics():
     plain_match = None
     for seed, (net, trace) in enumerate(zip(nets, traces)):
         st = trace.final_state
-        rhos = np.array(trace.layer_norms)
+        rhos = np.array([row.norms for row in trace.rows])
         d_rho = np.diff(rhos, axis=0)
         assert (d_rho > 0.0).all()
-        rates = (d_rho / np.diff(np.array(trace.times))[:, None]).max(axis=1)
+        times = np.array([row.time for row in trace.rows])
+        rates = (d_rho / np.diff(times)[:, None]).max(axis=1)
         assert rates[-1] <= 1e-2 * rates[0]
         assembled = [r * v for r, v in zip(st.rhos, st.net.layers)]
         w = (assembled[1] @ assembled[0]).ravel()

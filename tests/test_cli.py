@@ -845,14 +845,14 @@ class TestScenarioCounts:
          "got 2"),
         ("perturb", {"variant": "sine", "interval": 0},
          "params.interval: must be >= 1, got 0"),
-        ("direction", {"n_inits": 0}, "params.n_inits: must be >= 1, got 0"),
+        ("direction", {"n_inits": 0}, "params.n_inits: must be >= 2, got 0"),
         ("direction", {"n_datasets": 0},
          "params.n_datasets: must be >= 1, got 0"),
         ("direction", {"n_points": 13}, "params.n_points: must be even, got 13"),
         ("direction", {"n_points": 1}, "params.n_points: must be even, got 1"),
         ("direction", {"n_points": 0}, "params.n_points: must be >= 1, got 0"),
         ("growth", {"grid_points": 0},
-         "params.grid_points: must be >= 1, got 0"),
+         "params.grid_points: must be >= 2, got 0"),
         ("growth", {"ks": []},
          "params.ks: must name at least one depth, got []"),
         ("growth", {"ks": [0]}, "params.ks[0]: must be >= 1, got 0"),
@@ -950,6 +950,20 @@ class TestScenarioCounts:
         ("perturb", {"variant": "sine", "noise_std": 0.0, "repetitions": 3,
                      "total_steps": 480_000},
          "params.noise_std: must be > 0, got 0.0"),
+        # the margin oracle enumerates subsets of at most 20 points
+        ("direction", {"n_points": 22, "n_datasets": 1, "n_inits": 2,
+                       "max_steps": 10},
+         "params.n_points: must be <= 20, got 22"),
+        # one init has no pair to agree with, and inits of scale 0 are
+        # all the zero vector
+        ("direction", {"n_inits": 1, "n_datasets": 2},
+         "params.n_inits: must be >= 2, got 1"),
+        ("direction", {"init_scale": 0.0, "n_datasets": 2},
+         "params.init_scale: must be nonzero (at 0.0 every init is the zero "
+         "vector)"),
+        # a grid of one point ends at t_min, not t_max
+        ("growth", {"grid_points": 1},
+         "params.grid_points: must be >= 2, got 1"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

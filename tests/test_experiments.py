@@ -399,8 +399,7 @@ class TestToyDeepnet:
         controls = [trace.final_state for trace in
                     pretrained[: params["control_repetitions"]]]
         horizon = params["interval"] * (params["cycles"] + 1)
-        want = np.array([np.subtract(twin.layer_norms[-1],
-                                     twin.layer_norms[0])
+        want = np.array([np.subtract(twin.rows[-1].norms, twin.rows[0].norms)
                          for twin in real(controls, kind, train,
                                           StopRule(max_steps=horizon),
                                           sample_every=horizon)]
@@ -491,6 +490,15 @@ class TestGrowthAsymptotics:
             assert np.all(np.diff(grid) > 0.0)
             assert np.isin(t_grid, grid).all()
         assert grids[0][1][-1] == 1e5  # the slope window's end
+
+    def test_trends_fail_without_two_points_past_e(self):
+        # of the grid [t_min, t_max] only t_max lies past e: no pair of
+        # points shows a trend, so no trend predicate passes
+        report = run_scenario(ExperimentConfig(
+            scenario="growth_asymptotics", params={"grid_points": 2}))
+        assert {name for name, ok in report.predicates.items() if not ok} == {
+            "k2_excess_increasing", "k2_layer_ratio_decreasing",
+            "k4_excess_increasing", "k4_layer_ratio_decreasing"}
 
     @pytest.mark.parametrize("defect", ["nan", "decreasing"])
     def test_broken_curve_fails_exclusions(self, monkeypatch, defect):
@@ -609,7 +617,7 @@ class TestDirectionStudy:
             return traces
 
         monkeypatch.setattr(experiments, "run_flows", with_giveups)
-        params = {"n_datasets": 10, "n_inits": 1, "max_steps": 300}
+        params = {"n_datasets": 10, "n_inits": 2, "max_steps": 300}
         for count, ok in ((1, True), (2, False)):
             report = run_scenario(ExperimentConfig(
                 scenario="convergence_direction_study", params=params))

@@ -27,8 +27,7 @@ from gradflow.flow import (
     TraceRefs,
     TrajectoryTrace,
     _draw_perturbation,
-    _error_metric,
-    _record,
+    _row,
     growth_numeric_trace,
     run_flows,
     stacked_perturb_and_reconverge,
@@ -118,7 +117,7 @@ class TestRunFlow:
         state = FlowState(net=_linear_net(rng.normal(size=4) * 0.1), step=0.02)
         trace = run_flows([state], "logistic", data, StopRule(max_steps=4000),
                           sample_every=50)[0]
-        diffs = np.diff(trace.losses)
+        diffs = np.diff([row.loss for row in trace.rows])
         assert np.all(diffs <= 1e-12)
 
     def test_stop_rule_loss_below(self):
@@ -130,7 +129,7 @@ class TestRunFlow:
         trace = run_flows([state], "square", data,
                           StopRule(max_steps=100_000, loss_below=1e-10))[0]
         assert trace.converged and trace.stop_reason == "loss_below"
-        assert trace.losses[-1] <= 1e-10
+        assert trace.rows[-1].loss <= 1e-10
 
     def test_budget_exhausted_is_flagged(self):
         rng = np.random.default_rng(4)
@@ -211,9 +210,8 @@ class TestRunFlow:
         trace = run_flows([state], "exponential", data,
                           StopRule(max_steps=200), sample_every=1)[0]
         assert trace.stop_reason == "max_steps"
-        assert trace.losses[1] > LOSS_EXPLOSION_FACTOR * trace.losses[0]
-        objective = [value + lam * norms[0] ** 2
-                     for value, norms in zip(trace.losses, trace.layer_norms)]
+        assert trace.rows[1].loss > LOSS_EXPLOSION_FACTOR * trace.rows[0].loss
+        objective = [row.loss + lam * row.norms[0] ** 2 for row in trace.rows]
         # it falls to its equilibrium, where it moves by rounding only
         assert objective[-1] < 0.02 * objective[0]
         assert np.all(np.diff(objective) <= 1e-12)
@@ -322,7 +320,8 @@ class TestPlainNumpyReference:
             np.stack([d.labels for d in members]), 4.0, 700, 100)
         for trace, (rows, w, t, floored, giveups) in zip(traces, want,
                                                           strict=True):
-            assert [repr(r) for r in trace.rows()] == [repr(r) for r in rows]
+            assert [repr(r) for r in trace.csv_rows()] == [repr(r)
+                                                          for r in rows]
             assert np.array_equal(_bits(trace.final_state.net.layers[0]),
                                   _bits(w))
             assert repr(trace.final_state.time) == repr(t)
@@ -439,10 +438,10 @@ class TestSharedStep:
             trace = run_flows([FlowState(net=net, step=0.01)], kind, data,
                               StopRule(max_steps=n), sample_every=n)[0]
             final = trace.final_state.net
-            assert trace.losses[-1] == loss(kind, final, data)
+            assert trace.rows[-1].loss == loss(kind, final, data)
             fresh = (mean_squared_error(final, data) if task == "regression"
                      else classification_error(final, data))
-            assert trace.train_errors[-1] == fresh
+            assert trace.rows[-1].train_error == fresh
 
     def test_run_flows_final_states_are_bitwise_run_flow(self):
         rng = np.random.default_rng(10)
@@ -468,7 +467,7 @@ class TestSharedStep:
         trace = run_flows([state], "square", self.ONE, StopRule(max_steps=1),
                           stepping="loss_rescaled")[0]
         assert trace.counts["backtrack_giveups"] == 1
-        assert trace.losses[-1] > trace.losses[0]
+        assert trace.rows[-1].loss > trace.rows[0].loss
         calm = run_flows([FlowState(net=_linear_net([0.3, -0.2]), step=0.05)],
                          "exponential", SEP, StopRule(max_steps=2000),
                          stepping="loss_rescaled")[0]
@@ -482,8 +481,7 @@ def _bits(a):
 def _assert_same_trace(got, want):
     """Bitwise the same run: every row, the stop, the counts and the
     final point."""
-    assert [repr(r) for r in got.rows()] == [repr(r) for r in want.rows()]
-    assert got.row_flags == want.row_flags
+    assert repr(got.rows) == repr(want.rows)
     assert (got.converged, got.stop_reason) == (want.converged,
                                                 want.stop_reason)
     assert got.counts == want.counts
@@ -527,7 +525,8 @@ class TestRunFlows:
         """Per member, the iterations whose dt was halved; needs rows every
         step: a dt of at most half step/loss is a halved step."""
         return [tuple(np.flatnonzero(
-            np.diff(tr.times) < 0.75 * st.step / np.asarray(tr.losses[:-1])))
+            np.diff([row.time for row in tr.rows])
+            < 0.75 * st.step / np.array([row.loss for row in tr.rows[:-1]])))
             for st, tr in zip(states, traces)]
 
     def test_rescaled_exponential_with_halvings_per_member_data(self):
@@ -597,7 +596,7 @@ class TestRunFlows:
             states, "exponential", SEP, StopRule(max_time=2.0),
             sample_every=10, stepping=stepping)
         assert all(tr.stop_reason == "max_time" for tr in traces)
-        assert len({len(tr.times) for tr in traces}) == 3
+        assert len({len(tr.rows) for tr in traces}) == 3
 
     def test_one_members_non_finite_step_raises(self):
         one = Dataset(np.array([[1.0]]), np.array([0.0]), task="regression")
@@ -715,8 +714,7 @@ def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
     total = stop_after + protocol.interval
     rng = np.random.default_rng(state.rng_seed)
     trace = TrajectoryTrace(layer_count=net.depth)
-    _record(trace, refs, net, _error_metric(net, data), t,
-            loss(kind, net, data), 0)
+    trace.rows.append(_row(refs, net, data, t, loss(kind, net, data)))
     pert_count = done = 0
     while done < total:
         chunk = min(protocol.interval, total - done)
@@ -724,13 +722,13 @@ def _protocol_by_run_flow_chunks(state, protocol, kind, data, refs):
                           StopRule(max_steps=chunk), sample_every=chunk)[0]
         net, t = inner.final_state.net, inner.final_state.time
         done += chunk
-        value, train_error = inner.losses[-1], inner.train_errors[-1]
+        row = _row(refs, net, data, t, inner.rows[-1].loss)
         if data.task == "regression":
-            ok = value <= RECONVERGE_TOL
+            ok = row.loss <= RECONVERGE_TOL
         else:
-            ok = train_error == 0.0
-        _record(trace, refs, net, train_error, t, value, pert_count,
-                "" if ok else "not_reconverged")
+            ok = row.train_error == 0.0
+        trace.rows.append(row._replace(perturbation_count=pert_count,
+                                       flag="" if ok else "not_reconverged"))
         if done <= stop_after and pert_count < protocol.repetitions \
                 and done < total:
             deltas = _draw_perturbation(rng, net.layers, protocol)
@@ -754,9 +752,9 @@ class TestPerturbationProtocol:
         proto = PerturbationProtocol(noise_std=0.05, interval=3000, repetitions=3)
         trace = stacked_perturb_and_reconverge([state], proto, "square",
                                                data)[0]
-        assert trace.perturbation_counts[-1] == 3
+        assert trace.rows[-1].perturbation_count == 3
         assert trace.converged
-        assert all(f == "" for f in trace.row_flags)
+        assert all(row.flag == "" for row in trace.rows)
 
     def test_nullspace_walk_grows(self):
         x, data, state = self._setup()
@@ -765,7 +763,8 @@ class TestPerturbationProtocol:
         proto = PerturbationProtocol(noise_std=0.05, interval=3000, repetitions=4)
         trace = stacked_perturb_and_reconverge([state], proto, "square",
                                                data, refs=refs)[0]
-        walks = [v for v in trace.nullspace_norms if v is not None]
+        walks = [row.nullspace_norm for row in trace.rows
+                 if row.nullspace_norm is not None]
         assert walks[0] <= 1e-10
         assert walks[-1] > 0.01
 
@@ -775,10 +774,9 @@ class TestPerturbationProtocol:
                                                refs=refs)[0]
         ref, ref_net = _protocol_by_run_flow_chunks(state, proto, kind, data,
                                                     refs)
-        assert len(trace.times) == proto.repetitions + 2
-        for got, want in zip(trace.rows(), ref.rows(), strict=True):
+        assert len(trace.rows) == proto.repetitions + 2
+        for got, want in zip(trace.rows, ref.rows, strict=True):
             assert repr(got) == repr(want)
-        assert trace.row_flags == ref.row_flags
         for got, want in zip(trace.final_state.net.layers, ref_net.layers):
             assert repr(got.tolist()) == repr(want.tolist())
 
@@ -787,7 +785,7 @@ class TestPerturbationProtocol:
         net = random_net(rng, (2, 8, 1), activation="smoothed_relu", scale=0.7)
         pre = run_flows([FlowState(net=net, step=0.05)], "logistic", SEP,
                         StopRule(max_steps=1500), sample_every=1500)[0]
-        assert pre.train_errors[-1] == 0.0
+        assert pre.rows[-1].train_error == 0.0
         state = replace(pre.final_state, rng_seed=31)
         test = Dataset(SEP_X + 0.3, SEP_Y)
         proto = PerturbationProtocol(noise_std=0.25, interval=150,
@@ -815,7 +813,7 @@ class TestPerturbationProtocol:
                                      repetitions=1)
         trace = stacked_perturb_and_reconverge([state], proto,
                                                "exponential", SEP)[0]
-        assert trace.perturbation_counts[-1] == 1
+        assert trace.rows[-1].perturbation_count == 1
         assert trace.counts["kink_events"] >= proto.interval
 
     def test_budget_too_small_flags_but_continues(self):
@@ -823,7 +821,7 @@ class TestPerturbationProtocol:
         proto = PerturbationProtocol(noise_std=2.0, interval=2, repetitions=3)
         trace = stacked_perturb_and_reconverge([state], proto, "square",
                                                data)[0]
-        assert any(f == "not_reconverged" for f in trace.row_flags)
+        assert any(row.flag == "not_reconverged" for row in trace.rows)
         assert trace.converged  # the schedule itself completed
 
     def test_rejects_non_interpolating_start(self):
@@ -909,9 +907,9 @@ class TestStackedProtocol:
         states, proto, refs, _ = smoothed_relu_run
         traces = self._assert_stack_is_stacks_of_one(
             states, proto, "logistic", SEP, refs=refs)
-        assert all(tr.perturbation_counts[-1] == 3 for tr in traces)
+        assert all(tr.rows[-1].perturbation_count == 3 for tr in traces)
         # each member draws its own noise
-        assert len({tr.layer_norms[-1] for tr in traces}) == 3
+        assert len({tr.rows[-1].norms for tr in traces}) == 3
 
     def test_controls_leave_perturbed_members_bitwise(self,
                                                       smoothed_relu_run):
@@ -936,19 +934,19 @@ class TestStackedProtocol:
             want = run_flows([control], "logistic", SEP,
                              StopRule(max_steps=horizon),
                              sample_every=horizon, refs=refs)[0]
-            assert len(got.times) == proto.repetitions + 2
-            assert got.row_flags == [""] * len(got.times)
-            assert got.perturbation_counts == [0] * len(got.times)
-            assert got.layer_norms[0] == want.layer_norms[0]
-            assert [repr(v) for v in list(got.rows())[-1]] == [
-                repr(v) for v in list(want.rows())[-1]]
+            assert len(got.rows) == proto.repetitions + 2
+            assert [row.flag for row in got.rows] == [""] * len(got.rows)
+            assert [row.perturbation_count for row in got.rows] == [
+                0] * len(got.rows)
+            assert got.rows[0].norms == want.rows[0].norms
+            assert repr(got.rows[-1]) == repr(want.rows[-1])
             assert got.counts == want.counts
             assert repr(got.final_state.time) == repr(want.final_state.time)
             for a, b in zip(got.final_state.net.layers,
                             want.final_state.net.layers, strict=True):
                 assert np.array_equal(_bits(a), _bits(b))
         # the fresh control starts at nonzero training error
-        assert traces[-1].train_errors[0] > 0.0
+        assert traces[-1].rows[0].train_error > 0.0
 
     def test_relu_members_whose_draws_hit_the_kink(self):
         # the origin is an input, so every pre-activation column there is
@@ -1002,8 +1000,8 @@ class TestStackedProtocol:
                                      repetitions=3)
         traces = self._assert_stack_is_stacks_of_one(
             states, proto, "square", data, refs=TraceRefs(null_basis=vt[4:]))
-        assert not any(traces[0].row_flags + traces[1].row_flags)
-        assert "not_reconverged" in traces[2].row_flags
+        assert not any(row.flag for tr in traces[:2] for row in tr.rows)
+        assert "not_reconverged" in [row.flag for row in traces[2].rows]
 
     def test_member_at_nonzero_training_error_is_refused_by_name(self):
         good = FlowState(net=_linear_net([1.0, 0.0]), step=0.01)
@@ -1023,12 +1021,27 @@ class TestStackedProtocol:
                                      repetitions=1)
         traces = stacked_perturb_and_reconverge([good], proto, "exponential",
                                                 SEP, controls=[bad])
-        assert traces[1].train_errors[0] > 0.0
-        assert traces[1].row_flags == ["", "", ""]
+        assert traces[1].rows[0].train_error > 0.0
+        assert [row.flag for row in traces[1].rows] == ["", "", ""]
         with pytest.raises(ValueError, match="flow 1: start the protocol "
                                              "at zero training error"):
             stacked_perturb_and_reconverge([good, bad], proto, "exponential",
                                            SEP, controls=[good])
+
+    def test_starts_are_checked_before_any_noise_is_drawn(self, monkeypatch):
+        # member 0 starts fine; member 1 is refused before member 0 draws
+        def no_draw(*args):
+            raise AssertionError("a perturbation was drawn")
+
+        monkeypatch.setattr("gradflow.flow._draw_perturbation", no_draw)
+        good = FlowState(net=_linear_net([1.0, 0.0]), step=0.01)
+        bad = FlowState(net=_linear_net([-1.0, 0.0]), step=0.01)
+        proto = PerturbationProtocol(noise_std=0.1, interval=10,
+                                     repetitions=1)
+        with pytest.raises(ValueError, match="flow 1: start the protocol "
+                                             "at zero training error"):
+            stacked_perturb_and_reconverge([good, bad], proto, "exponential",
+                                           SEP)
 
 
 def _pretrained_two_layer(seed, steps=3000):
@@ -1213,7 +1226,7 @@ class TestNormalizedFlow:
         half = _normalized_flow(state, SEP, 120, "loss_rescaled").final_state
         chained = _normalized_flow(half, SEP, 80, "loss_rescaled")
         whole = _normalized_flow(state, SEP, 200, "loss_rescaled")
-        assert repr(list(chained.rows())[-1]) == repr(list(whole.rows())[-1])
+        assert repr(chained.rows[-1]) == repr(whole.rows[-1])
         _assert_same_state(chained.final_state, whole.final_state)
 
     def test_norm_rows_are_the_scales(self):
@@ -1222,10 +1235,10 @@ class TestNormalizedFlow:
         state = _normalized_state(_pretrained_two_layer(3), step=0.05)
         trace = run_flows([state], "exponential", SEP, StopRule(max_steps=30),
                           stepping="loss_rescaled", sample_every=1)[0]
-        for norms in trace.layer_norms:
-            assert np.allclose(norms, state.rhos, rtol=1e-15, atol=0.0)
+        for row in trace.rows:
+            assert np.allclose(row.norms, state.rhos, rtol=1e-15, atol=0.0)
             state = _normalized_step(state, SEP, "loss_rescaled")
-        assert len(trace.layer_norms) == 31
+        assert len(trace.rows) == 31
 
     @pytest.mark.parametrize("rule, reason", [
         ({"max_steps": 300}, "max_steps"),
@@ -1263,7 +1276,7 @@ class TestNormalizedFlow:
         trace = run_flows([state], "exponential", SEP, StopRule(
             grad_norm_below=1e-3, max_steps=10**5), stepping="loss_rescaled",
             sample_every=1)[0]
-        steps = len(trace.times) - 1  # a row at the start and every step
+        steps = len(trace.rows) - 1  # a row at the start and every step
         before = _normalized_flow(state, SEP, steps - 1, "loss_rescaled")
         assert norm(trace.final_state) <= 1e-3 * (1.0 + 1e-9)
         assert norm(before.final_state) > 1e-3 * (1.0 - 1e-9)
@@ -1306,8 +1319,8 @@ class TestDirectionFlow:
                           "exponential", SEP, StopRule(max_steps=50),
                           stepping="loss_rescaled", sample_every=1)[0]
         assert trace.stop_reason == "max_steps"
-        assert all(value < 1e-300 for value in trace.losses)
-        assert trace.counts["floored_steps"] == len(trace.times) - 1 == 50
+        assert all(row.loss < 1e-300 for row in trace.rows)
+        assert trace.counts["floored_steps"] == len(trace.rows) - 1 == 50
 
 class TestGrowthTrace:
     def test_k1_matches_closed_form(self):
