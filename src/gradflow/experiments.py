@@ -171,7 +171,7 @@ class ExperimentConfig:
     dims not from 2 inputs to 1 output, growth ks empty or with a repeat or
     a depth >= 2 beside rho0 <= 0, ORDERED_PARAMS out of order, a
     perturbed sine run that stops perturbing before its first checkpoint,
-    and direction-study inits of scale 0.
+    and direction-study or toy deepnet inits of scale 0.
     """
 
     scenario: str
@@ -245,6 +245,10 @@ class ExperimentConfig:
         if "n_inits" in merged and merged["init_scale"] == 0.0:
             raise ValueError("params.init_scale: must be nonzero (at 0.0 "
                              "every init is the zero vector)")
+        # a zero multilayer net is a fixed point of the toy deepnet's flow
+        if "pretrain_steps" in merged and merged["init_scale"] == 0.0:
+            raise ValueError("params.init_scale: must be nonzero (at 0.0 "
+                             "the net is a fixed point of the flow)")
 
     def resolved(self) -> dict:
         return {**SCENARIO_DEFAULTS[self.scenario], **self.params}
@@ -460,7 +464,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     reps = p["repetitions"]
 
     rngs = [np.random.default_rng(config.seed + rep) for rep in range(reps)]
-    if p["init_scale"] > 0.0:
+    if p["init_scale"] != 0.0:
         w = p["init_scale"] * np.stack([rng.normal(size=dim) for rng in rngs])
     else:
         w = np.zeros((reps, dim))

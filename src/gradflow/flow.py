@@ -106,11 +106,6 @@ class FlowState:
                         f"layer {k + 1} is not unit Frobenius norm")
         object.__setattr__(self, "rhos", rhos)
 
-    def lambda_array(self) -> np.ndarray:
-        if self.lambdas:
-            return np.asarray(self.lambdas)
-        return np.zeros(self.net.depth)
-
 
 @dataclass(frozen=True)
 class StopRule:
@@ -262,26 +257,16 @@ def _row(refs, net, data, time, value) -> TraceRow:
                     nullspace)
 
 
-def _two_lambdas(lambdas):
-    """Per-layer 2 lam_k, (R, 1, 1) for (R, K) lambdas, so that it scales
-    stacked layers member by member; None when no lambda is set."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if not lambdas.any():
-        return None
-    return [2.0 * lam[..., None, None] for lam in np.moveaxis(lambdas, -1, 0)]
+def _two_lambdas(lambdas, shapes):
+    """2 lam_k on each entry of layer k in the flat layout of layers of
+    shapes (see flatten_params); one row per member for (R, K) lambdas."""
+    return np.repeat(2.0 * np.asarray(lambdas, dtype=float),
+                     [rows * cols for rows, cols in shapes], axis=-1)
 
 
-def _total_gradient(grads, layers, two_lambdas):
-    """Gradient of the ridge-regularized objective, per layer."""
-    if two_lambdas is None:
-        return grads
-    return [g + tl * w for g, tl, w in zip(grads, two_lambdas, layers)]
-
-
-def _grad_norm(grads):
-    """Frobenius norm over all layers; one per member for stacked grads."""
-    return np.sqrt(sum((g * g).reshape(g.shape[:-2] + (-1,)).sum(axis=-1)
-                       for g in grads))
+def _grad_norm(grad):
+    """Frobenius norm of a flat gradient; one per member for (R, P)."""
+    return np.sqrt(np.add.reduce(grad * grad, axis=-1))
 
 
 class _Euler:
@@ -292,9 +277,12 @@ class _Euler:
     step size and COUNTS. The current point and a trial point live in
     two (R, P) float64 buffers with the stacked layers (R, rows, cols) as
     views into them, so a step rewrites numbers in place instead of
-    building nets; net(r) builds member r's net when it is read. The loss
-    kind is checked once per member up front; every trial point is checked
-    for non-finite weights, and one is an error, never absorbed.
+    building nets; net(r) builds member r's net when it is read. The two
+    points' step directions live in two more such buffers, which the
+    backward pass writes into through their views and which swap with the
+    weights', so no evaluation allocates a gradient. The loss kind is
+    checked once per member up front; every trial point is checked for
+    non-finite weights, and one is an error, never absorbed.
 
     A normalized stack's layers are the unit directions V_k of the net
     rho_k V_k, and its scales rho_k are one more (1, K) view after them.
@@ -338,11 +326,15 @@ class _Euler:
             self._take_data(np.stack([d.inputs for d in self.datasets]),
                             np.stack([d.labels for d in self.datasets]))
         self.ids = np.arange(len(states))  # each member's place in states
-        self.two_lambdas = _two_lambdas([s.lambda_array() for s in states])
-        self._bind(np.stack([flatten_params([*s.net.layers, s.rhos])
-                             for s in states]))
-        self.value, grads, kink = self._evaluate(self.layers)
-        self._set_total(grads)
+        lams = np.array([s.lambdas or (0.0,) * arch.depth for s in states])
+        self.two_lambdas = (_two_lambdas(lams, self.shapes[:arch.depth])
+                            if lams.any() else None)
+        flat = np.stack([flatten_params([*s.net.layers, s.rhos])
+                         for s in states])
+        self._bind(flat, np.empty_like(flat))
+        self._pending = None  # what a normalized direction() still needs
+        self.value, kink = self._evaluate(self.flat, self.layers, self.grad,
+                                          self.grads)
         self.counts = {name: np.zeros(len(states), int) for name in COUNTS}
         self.counts["kink_events"] += kink
 
@@ -353,11 +345,14 @@ class _Euler:
         self.columns = _columns(inputs)
         self.terms = _loss_terms(self.kind, labels)
 
-    def _bind(self, flat):
-        """Take flat as the current point, with a fresh trial buffer."""
+    def _bind(self, flat, grad):
+        """Take flat, with its step direction grad, as the current point;
+        the trial point gets fresh buffers. All views are made here."""
         self.flat, self._trial_flat = flat, np.empty_like(flat)
-        self.layers = unflatten_params(flat, self.shapes)
-        self._trial_layers = unflatten_params(self._trial_flat, self.shapes)
+        self.grad, self._trial_grad = grad, np.empty_like(grad)
+        self.layers, self._trial_layers, self.grads, self._trial_grads = (
+            unflatten_params(b, self.shapes) for b in
+            (flat, self._trial_flat, grad, self._trial_grad))
 
     def net(self, r, unit=False) -> DeepNet:
         """Member r's current point as a net on the current buffer: read it
@@ -373,55 +368,53 @@ class _Euler:
         buffers, so no buffer behind a dropped member's net is written
         again."""
         index = np.flatnonzero(mask)
-        total = [g[index] for g in self.direction()]
+        self.direction()
         self.ids = self.ids[index]
         self.datasets = [self.datasets[i] for i in index]
         if not self.shared:
             self._take_data(self.inputs[index], self.labels[index])
         if self.two_lambdas is not None:
-            self.two_lambdas = [tl[index] for tl in self.two_lambdas]
-        self._bind(self.flat[index])
-        self.value, self.total = self.value[index], total
+            self.two_lambdas = self.two_lambdas[index]
+        self._bind(self.flat[index], self.grad[index])
+        self.value = self.value[index]
         self.counts = {name: c[index] for name, c in self.counts.items()}
 
-    def _evaluate(self, layers):
-        """The loss, gradients and kink flags at the point of layers; for a
-        normalized stack, what _set_total and direction() take instead."""
+    def _evaluate(self, flat, layers, grad, grads):
+        """The loss and kink flags at the point flat, whose views are
+        layers; its step direction (the loss gradient plus any 2 lam_k W_k)
+        goes into grad through its views grads. A normalized stack writes
+        only its scales' entries here; direction() writes its layers'."""
         if not self.normalized:
-            return _terms_and_gradient(self.terms, self.arch, self.columns,
-                                       layers)
+            value, _, kink = _terms_and_gradient(self.terms, self.arch,
+                                                 self.columns, layers, grads)
+            if self.two_lambdas is not None:
+                grad += self.two_lambdas * flat
+            return value, kink
         *units, rho = layers
         prod = np.multiply.reduce(rho, axis=-1, keepdims=True)
         out, _, acts, derivs, kink = _forward_columns(self.arch,
                                                       self.columns, units)
         value, ddelta = self.terms(prod * out)
         mass = np.add.reduce(-ddelta * out, axis=-1, keepdims=True)
-        return value, (acts, derivs, ddelta, prod, (prod / rho) * -mass), kink
+        np.multiply(prod / rho, -mass, out=grads[-1])
+        self._pending = acts, derivs, ddelta, prod
+        return value, kink
 
-    def _set_total(self, grads):
-        """The step direction at the current point: the loss gradient, plus
-        2 lam_k W_k where a ridge term is set; a normalized stack's layer
-        entries wait for direction()."""
-        if self.normalized:
-            *self._pending, rho_grad = grads
-            self.total = [None] * self.arch.depth + [rho_grad]
-        else:
-            self.total = (grads if self.two_lambdas is None else
-                          _total_gradient(grads, self.layers,
-                                          self.two_lambdas))
-
-    def direction(self) -> list:
-        """The step direction, a normalized stack's -(B_k - 2 lam_k V_k)
-        built on first use: its backward pass may overflow where a scale
-        would cross zero, so step refuses that first."""
-        if self.total[0] is None:
+    def direction(self) -> np.ndarray:
+        """The flat step direction at the current point, a normalized
+        stack's -(B_k - 2 lam_k V_k) written in place on first use: its
+        backward pass may overflow where a scale would cross zero, so step
+        refuses that first."""
+        if self._pending is not None:
             acts, derivs, ddelta, prod = self._pending
-            units = self.layers[:-1]
-            bs = batch_backprop(self.arch, acts, derivs, ddelta * -prod, units)
-            for k, (v, b) in enumerate(zip(units, bs)):
+            self._pending = None
+            units, bs = self.layers[:-1], self.grads[:-1]
+            batch_backprop(self.arch, acts, derivs, ddelta * -prod, units, bs)
+            for v, b in zip(units, bs):
                 lam = 0.5 * _member_sum(v * b)
-                self.total[k] = -(b - 2.0 * lam * v)
-        return self.total
+                b -= 2.0 * lam * v
+                np.negative(b, out=b)
+        return self.grad
 
     def step(self, steps, rescaled: bool):
         """Move every member to W_k - dt * direction_k; returns the dt
@@ -449,10 +442,10 @@ class _Euler:
                     "loss-rescaled step would divide by it"))
             self.counts["floored_steps"] += scale < LOSS_FLOOR
             dt = steps / np.maximum(scale, LOSS_FLOOR)
-        d = dt[:, None, None]  # a view: it sees every halving of dt
+        d = dt[:, None]  # a view: it sees every halving of dt
         if self.normalized:
-            self._refuse(
-                (self.layers[-1] - d * self.total[-1] <= 0.0).any(axis=(1, 2)),
+            rho, rho_grad = self.layers[-1][:, 0], self.grads[-1][:, 0]
+            self._refuse((rho - d * rho_grad <= 0.0).any(axis=1),
                 lambda r: "a scale crossed zero (the state does not separate "
                 "the data); run the plain flow to a separating state before "
                 "switching to normalized coordinates")
@@ -460,8 +453,7 @@ class _Euler:
         halvings = 0
         trial = self._trial_flat
         while True:
-            for w, g, out in zip(self.layers, total, self._trial_layers):
-                np.subtract(w, d * g, out=out)
+            np.subtract(self.flat, d * total, out=trial)
             if self.normalized:
                 for v in self._trial_layers[:-1]:
                     np.divide(v, np.sqrt(_member_sum(v * v)), out=v)
@@ -470,12 +462,13 @@ class _Euler:
                 self._refuse(~np.isfinite(trial).all(axis=-1), lambda r: (
                     f"non-finite weights after a step of {dt[r]:.3e}; "
                     "reduce the step"))
-            value, grads, kink = self._evaluate(self._trial_layers)
+            value, kink = self._evaluate(trial, self._trial_layers,
+                                         self._trial_grad, self._trial_grads)
             if not rescaled:
                 before, after = self.value, value
                 if self.two_lambdas is not None:
-                    before = before + self._ridge(self.layers)
-                    after = after + self._ridge(self._trial_layers)
+                    before = before + self._ridge(self.flat)
+                    after = after + self._ridge(trial)
                 self._refuse(
                     after > LOSS_EXPLOSION_FACTOR * np.maximum(before, 1e-300),
                     lambda r: f"loss exploded {before[r]:.3e} -> "
@@ -493,16 +486,16 @@ class _Euler:
             halvings += 1
         self.flat, self._trial_flat = self._trial_flat, self.flat
         self.layers, self._trial_layers = self._trial_layers, self.layers
+        self.grad, self._trial_grad = self._trial_grad, self.grad
+        self.grads, self._trial_grads = self._trial_grads, self.grads
         self.value = value
         if kink is not False:  # False for nets without a relu layer
             self.counts["kink_events"] += kink
-        self._set_total(grads)
         return dt
 
-    def _ridge(self, layers):
-        """sum_k lam_k ||W_k||^2 at the point of layers, one per member."""
-        return sum(_member_sum(0.5 * tl * w * w)[:, 0, 0]
-                   for tl, w in zip(self.two_lambdas, layers))
+    def _ridge(self, flat):
+        """sum_k lam_k ||W_k||^2 at the point flat, one per member."""
+        return np.add.reduce(0.5 * self.two_lambdas * flat * flat, axis=-1)
 
     def _refuse(self, bad, text):
         """Raise text(r) for the first member r where bad is set, if any."""

@@ -181,15 +181,16 @@ def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     return float(value), grads, kink
 
 
-def _terms_and_gradient(terms, net: DeepNet, columns, layers=None):
+def _terms_and_gradient(terms, net: DeepNet, columns, layers=None, out=None):
     """loss_and_gradient without the argument check, for callers that make
     it once up front: from a _loss_terms function and the inputs as columns
     (see _forward_columns), which such a caller also fixes once for all its
     evaluations. Stacked layers (see batch_forward) stand in for net's and
-    give one value, gradient and kink flag per member."""
-    out, _, acts, derivs, kink = _forward_columns(net, columns, layers)
-    value, ddelta = terms(out)
-    return value, batch_backprop(net, acts, derivs, ddelta, layers), kink
+    give one value, gradient and kink flag per member; out is as in
+    batch_backprop."""
+    fwd, _, acts, derivs, kink = _forward_columns(net, columns, layers)
+    value, ddelta = terms(fwd)
+    return value, batch_backprop(net, acts, derivs, ddelta, layers, out), kink
 
 
 def separability_margin(net: DeepNet, data: Dataset) -> float:

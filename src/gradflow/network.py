@@ -15,9 +15,10 @@ leading member axis. forward and layer_gradients are the one-input API of
 a scalar-output net: they check one vector and run it through the batch
 path as a batch of one, so no caller sees the samples-as-columns layout.
 
-Gradients are exact backpropagation, returned per layer with the same
-shapes as the weights, so that Euler identities like
-sum_ij dF/dW_ij * W_ij = f can be checked entry by entry.
+Gradients are exact backpropagation, per layer with the same shapes as
+the weights, so that Euler identities like sum_ij dF/dW_ij * W_ij = f can
+be checked entry by entry. batch_backprop returns them, or writes them
+into the per-layer views of one flat buffer that a flow passes as out.
 """
 
 from __future__ import annotations
@@ -197,23 +198,25 @@ def _forward_columns(net: DeepNet, h, layers=None):
     return h, preacts, acts, derivs, kink
 
 
-def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None) -> list:
+def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None,
+                   out=None) -> list:
     """Per-layer gradients of sum_n <out_delta[:, n], f(W; x_n)>, given
     batch_forward's acts and derivs and out_delta as C x N columns; with
     stacked layers, out_delta and the gradients carry the member axis.
+    out, one array per layer, takes and returns the gradients, bit for bit.
 
     A one-row out_delta (every scalar-output net) is carried below the top
     layer by a broadcast multiply instead of matmul; the gradients are the
     same bit for bit."""
     layers = net.layers if layers is None else layers
     delta = out_delta
-    grads = [None] * len(layers)
+    grads = [None] * len(layers) if out is None else out
     for k in range(len(layers) - 1, -1, -1):
         if derivs[k] is not None:
             # a product made here is scaled in place, the caller's is not
             delta = (delta * derivs[k] if delta is out_delta
                      else np.multiply(delta, derivs[k], out=delta))
-        grads[k] = delta @ acts[k].mT
+        grads[k] = np.matmul(delta, acts[k].mT, out=grads[k])
         if k > 0:
             # from one output row this is an outer product, which a
             # broadcast multiply makes faster than matmul, from the same

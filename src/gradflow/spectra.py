@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import (FlowState, StopRule, _check_lambdas, _grad_norm,
-                   _total_gradient, _two_lambdas, _write_table, run_flows)
+                   _two_lambdas, _write_table, run_flows)
 from .linalg import check_matrix, symmetric_eig
 from .losses import Dataset, _check_kind, _loss_terms, _terms_and_gradient
 from .network import (DeepNet, _columns, batch_backprop, batch_forward,
@@ -113,11 +113,10 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
     kink = False
     terms, columns = _loss_terms(kind, data.labels), _columns(data.inputs)
     for start in range(0, 2 * dim, chunk):
-        layers = unflatten_params(points[start:start + chunk], shapes)
-        _, g, hit = _terms_and_gradient(terms, net, columns, layers)
+        layers, out = (unflatten_params(a[start:start + chunk], shapes)
+                       for a in (points, grads))
+        hit = _terms_and_gradient(terms, net, columns, layers, out)[2]
         kink = kink or bool(np.any(hit))
-        grads[start:start + chunk] = np.concatenate(
-            [gk.reshape(len(gk), -1) for gk in g], axis=1)
     cols = ((grads[:dim] - grads[dim:]) / (2.0 * h)).T
     if kink and net.activation == "relu":
         warnings.warn(
@@ -133,12 +132,7 @@ def hessian(kind: str, net: DeepNet, data: Dataset, lambdas=()) -> np.ndarray:
         )
     h_mat = 0.5 * (cols + cols.T)
     if lams:
-        offset = 0
-        for lam, shape in zip(lams, shapes):
-            size = shape[0] * shape[1]
-            idx = np.arange(offset, offset + size)
-            h_mat[idx, idx] += 2.0 * lam
-            offset += size
+        h_mat[np.diag_indices(dim)] += _two_lambdas(lams, shapes)
     return h_mat
 
 
@@ -195,6 +189,7 @@ def hyperbolicity_sweep(
     """
     _check_kind(kind, data, net)
     terms, columns = _loss_terms(kind, data.labels), _columns(data.inputs)
+    shapes = [w.shape for w in net.layers]
     entries = []
     current = net
     for lam in lambda_list:
@@ -206,9 +201,9 @@ def hyperbolicity_sweep(
                             grad_norm_below=EQUILIBRIUM_GRAD_TOL * 0.1)
             current = run_flows([state], kind, data, stop,
                                 sample_every=10**9)[0].final_state.net
-        grads = _terms_and_gradient(terms, current, columns)[1]
-        gnorm = float(_grad_norm(_total_gradient(grads, current.layers,
-                                                 _two_lambdas(lams))))
+        grad = flatten_params(_terms_and_gradient(terms, current, columns)[1])
+        grad += _two_lambdas(lams, shapes) * flatten_params(current.layers)
+        gnorm = float(_grad_norm(grad))
         warning = ""
         if gnorm > EQUILIBRIUM_GRAD_TOL:
             warning = (f"not at equilibrium: regularized gradient norm "
@@ -247,9 +242,12 @@ def virtual_linear_system(net: DeepNet, data: Dataset) -> Dataset:
             f"residual {worst:.3e} exceeds 1e-6; the virtual identity "
             "holds only at an interpolating minimum"
         )
-    grads = batch_backprop(net, acts, derivs, np.ones((n, 1, 1)))
-    virtual_inputs = np.concatenate([g.reshape(n, -1) for g in grads], axis=1)
-    labels = virtual_inputs @ flatten_params(net.layers)
+    flat = flatten_params(net.layers)
+    virtual_inputs = np.empty((n, flat.size))
+    batch_backprop(net, acts, derivs, np.ones((n, 1, 1)),
+                   out=unflatten_params(virtual_inputs,
+                                        [w.shape for w in net.layers]))
+    labels = virtual_inputs @ flat
     return Dataset(virtual_inputs, labels, task="regression")
 
 

@@ -964,6 +964,11 @@ class TestScenarioCounts:
         # a grid of one point ends at t_min, not t_max
         ("growth", {"grid_points": 1},
          "params.grid_points: must be >= 2, got 1"),
+        # a zero multilayer net is a fixed point of the flow, so it would
+        # leave every repetition at its start and exclude them all
+        ("perturb", {"variant": "deepnet", "init_scale": 0.0},
+         "params.init_scale: must be nonzero (at 0.0 the net is a fixed "
+         "point of the flow)"),
     ])
     def test_refused_by_name(self, tmp_path, capsys, command, params,
                              message):

@@ -284,6 +284,24 @@ class TestSinePerturbation:
         for r in range(5):
             assert rep_rows(0, 5, r) == rep_rows(r, 1, 0)
 
+    def test_negative_init_scale_draws_a_start(self, tmp_path):
+        # any nonzero scale draws each repetition's start; only 0.0 starts
+        # at the zero vector
+        def rep_rows(scale):
+            out = tmp_path / f"scale{scale}"
+            run_scenario(ExperimentConfig(
+                scenario="sine_polynomial_perturbation", seed=0,
+                output_dir=str(out),
+                params={"init_scale": scale, "repetitions": 2,
+                        "total_steps": 480_000},
+            ))
+            # all but the header comment, which names the config
+            return [(out / f"sine_polynomial_perturbation_rep{r:02d}.csv")
+                    .read_bytes().split(b"\n", 1)[1] for r in range(2)]
+
+        for drawn, zero in zip(rep_rows(-1.0), rep_rows(0.0), strict=True):
+            assert drawn != zero
+
     def test_control_norms_flat(self):
         cfg = ExperimentConfig(
             scenario="sine_polynomial_perturbation", seed=0,

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gradflow import flow, losses
 from gradflow.flow import (
     LOSS_EXPLOSION_FACTOR,
     LOSS_FLOOR,
@@ -294,6 +295,67 @@ def _reference_rescaled_flow(w0, x, y, step, n_steps, sample_every):
             for r in range(r_count)], halved
 
 
+def _reference_ridge_flow(w0, lams, steps, x, y, n_steps, grad_norm_below,
+                          sample_every):
+    """Fixed-step square-loss flow of R one-layer linear nets (R, 1, d),
+    member r with ridge strength lams[r] and step steps[r], on shared
+    regression data x (N, d), y (N,), each stopped by grad_norm_below or
+    after n_steps, in plain numpy: the operations of run_flows in its
+    order, so every bit should agree. Returns per member (rows, final
+    weights (1, d), time, stop reason). A step whose ridge objective
+    L + lam ||W||^2 jumps by more than LOSS_EXPLOSION_FACTOR raises the
+    refusal that run_flows gives."""
+    cols = x.T
+    w = np.array(w0, dtype=float)
+    lams = np.asarray(lams, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    r_count = len(w)
+    t = np.zeros(r_count)
+    rows = [[] for _ in range(r_count)]
+    reasons = [None] * r_count
+
+    def evaluate(w, lam):
+        f = (w @ cols)[:, 0, :]
+        grad = (2.0 * (f - y))[:, None, :] @ x
+        return (((y - f) ** 2).sum(axis=-1),
+                grad + (2.0 * lam)[:, None, None] * w)
+
+    def row(r):
+        f = (w[r] @ cols)[0]
+        return [float(t[r]), float(value[r]), float(np.mean((y - f) ** 2)),
+                None, float(np.sqrt((w[r] * w[r]).sum())), None, None, None,
+                0]
+
+    live = np.arange(r_count)
+    value, grad = evaluate(w, lams)
+    for it in range(n_steps + 1):
+        if it % sample_every == 0:
+            for r in live:
+                rows[r].append(row(r))
+        norm = np.sqrt((grad[live] * grad[live]).sum(axis=(1, 2)))
+        for r, small in zip(live, norm <= grad_norm_below):
+            if small or it == n_steps:
+                reasons[r] = "grad_norm_below" if small else "max_steps"
+                if rows[r][-1][0] != float(t[r]):
+                    rows[r].append(row(r))
+        live = np.array([r for r in live if reasons[r] is None], dtype=int)
+        if not len(live):
+            break
+        lam = lams[live]
+        trial = w[live] - steps[live, None, None] * grad[live]
+        trial_value, trial_grad = evaluate(trial, lam)
+        before = value[live] + lam * (w[live] * w[live]).sum(axis=(1, 2))
+        after = trial_value + lam * (trial * trial).sum(axis=(1, 2))
+        for i, r in enumerate(live):
+            if after[i] > LOSS_EXPLOSION_FACTOR * max(before[i], 1e-300):
+                raise ValueError(
+                    f"flow {r}: loss exploded {before[i]:.3e} -> "
+                    f"{after[i]:.3e}; reduce step below {steps[r]:.3e}")
+        w[live], value[live], grad[live] = trial, trial_value, trial_grad
+        t[live] += steps[live]
+    return [(rows[r], w[r], float(t[r]), reasons[r]) for r in range(r_count)]
+
+
 class TestPlainNumpyReference:
     """run_flows against a plain numpy loop of the same operations, bit
     for bit: a trim of the step's fixed cost must move no output."""
@@ -329,6 +391,51 @@ class TestPlainNumpyReference:
             assert trace.counts["backtrack_giveups"] == giveups
         assert all(tr.counts["floored_steps"] > 0 for tr in traces[:5])
         assert halved > 0
+
+    RIDGE_LAMBDAS = [(), (0.01,), (0.5,)] * 2
+
+    def _ridge_stack(self, steps):
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.normal(size=(6, 3)), rng.normal(size=6),
+                       task="regression")
+        w0 = rng.normal(size=(6, 1, 3))
+        states = [FlowState(net=_linear_net(w), step=step, lambdas=lams)
+                  for w, step, lams in zip(w0, steps, self.RIDGE_LAMBDAS,
+                                           strict=True)]
+        lams = [sum(lams) for lams in self.RIDGE_LAMBDAS]
+        return states, data, (w0, lams, steps, data.inputs, data.labels)
+
+    def test_fixed_ridge_stack_is_the_plain_loop(self):
+        # the members reach the gradient-norm target at different
+        # iterations, so the stack drops them one by one and each drop
+        # slices the per-entry ridge strengths
+        states, data, args = self._ridge_stack([0.02] * 6)
+        traces = run_flows(states, "square", data,
+                           StopRule(max_steps=300, grad_norm_below=1e-8),
+                           sample_every=50)
+        want = _reference_ridge_flow(*args, 300, 1e-8, 50)
+        for trace, (rows, w, t, reason) in zip(traces, want, strict=True):
+            assert trace.stop_reason == reason == "grad_norm_below"
+            assert [repr(r) for r in trace.csv_rows()] == [repr(r)
+                                                          for r in rows]
+            assert np.array_equal(_bits(trace.final_state.net.layers[0]),
+                                  _bits(w))
+            assert repr(trace.final_state.time) == repr(t)
+        assert len({tr.final_state.time for tr in traces}) == 6
+
+    def test_ridge_member_whose_step_explodes_is_refused(self):
+        # at step 0.1 the square loss's top curvature, about 42 plus
+        # 2 lam = 1, makes the ridge objective of flow 2 grow about 11-fold
+        # per step once that mode leads
+        states, data, args = self._ridge_stack([0.02, 0.02, 0.1] + [0.02] * 3)
+        with pytest.raises(ValueError) as want:
+            _reference_ridge_flow(*args, 300, 1e-8, 50)
+        assert str(want.value).startswith("flow 2: loss exploded")
+        with pytest.raises(ValueError) as got:
+            run_flows(states, "square", data,
+                      StopRule(max_steps=300, grad_norm_below=1e-8),
+                      sample_every=50)
+        assert str(got.value) == str(want.value)
 
 
 class TestSharedStep:
@@ -643,6 +750,85 @@ class TestRunFlows:
         with pytest.raises(ValueError, match="sample_every"):
             run_flows([state], "square", TestSharedStep.ONE,
                       StopRule(max_steps=3), sample_every=bad)[0]
+
+
+class TestGradientBuffers:
+    """No run_flows evaluation allocates a gradient: every backward pass
+    writes into views of one of the stack's two flat gradient buffers."""
+
+    def _run_watched(self, monkeypatch, run):
+        """run() with the stack's binds, steps and backward passes
+        recorded: (gradient buffers bound last, out) per backward pass,
+        and the number of binds and of steps."""
+        bound, calls, steps = [], [], []
+        bind, step = flow._Euler._bind, flow._Euler.step
+
+        def watched_bind(euler, *args):
+            bind(euler, *args)
+            bound.append((euler.grad, euler._trial_grad))
+
+        def watched_step(euler, *args):
+            steps.append(1)
+            return step(euler, *args)
+
+        def watch(module):
+            real = module.batch_backprop
+
+            def backprop(net, acts, derivs, out_delta, layers=None,
+                         out=None):
+                calls.append((bound[-1], out))
+                return real(net, acts, derivs, out_delta, layers, out)
+
+            monkeypatch.setattr(module, "batch_backprop", backprop)
+
+        monkeypatch.setattr(flow._Euler, "_bind", watched_bind)
+        monkeypatch.setattr(flow._Euler, "step", watched_step)
+        watch(losses)  # every plain evaluation, through _terms_and_gradient
+        watch(flow)  # a normalized stack's direction()
+        run()
+        for buffers, out in calls:
+            assert out is not None
+            base = out[0].base
+            assert any(base is b for b in buffers)
+            assert all(view.base is base for view in out)
+        return calls, len(bound), len(steps)
+
+    def test_rescaled_stack_with_halvings_and_a_keep(self, monkeypatch):
+        # the first member reaches max_time first and leaves the stack;
+        # the others halve most of their steps
+        rng = np.random.default_rng(0)
+        states = [FlowState(net=DeepNet((rng.normal(size=(3, 2)),
+                                         rng.normal(size=(1, 3))),
+                                        activation="linear"), step=st)
+                  for st in (0.05, 3.0, 8.0)]
+        calls, binds, steps = self._run_watched(monkeypatch, lambda: run_flows(
+            states, "exponential", _blob_sets(3), StopRule(
+                max_time=40.0, max_steps=60), stepping="loss_rescaled"))
+        # a halved step evaluates its trial point more than once
+        assert len(calls) > steps + 1
+        assert binds > 1
+
+    def test_ridge_stack_whose_members_stop_apart(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.normal(size=(3, 6)), rng.normal(size=3),
+                       task="regression")
+        states = [FlowState(net=_linear_net(rng.normal(size=6) * scale),
+                            step=0.02, lambdas=lams)
+                  for scale, lams in ((1.0, ()), (3.0, (0.01,)),
+                                      (1.0, (0.5,)))]
+        calls, binds, steps = self._run_watched(monkeypatch, lambda: run_flows(
+            states, "square", data, StopRule(max_steps=20_000,
+                                             grad_norm_below=1e-9)))
+        assert len(calls) == steps + 1
+        assert binds == 3
+
+    def test_normalized_stack_with_a_keep(self, monkeypatch):
+        net = _pretrained_two_layer(3, steps=300)
+        states = [_normalized_state(net, step) for step in (0.01, 0.05)]
+        calls, binds, steps = self._run_watched(monkeypatch, lambda: run_flows(
+            states, "exponential", SEP, StopRule(max_time=2.0),
+            stepping="loss_rescaled"))
+        assert calls and binds == 2
 
 
 class TestLinearSquareGD:

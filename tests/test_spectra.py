@@ -151,9 +151,10 @@ class TestHessian:
         # a non-symmetric Jacobian of the "gradient" signals a gradient bug
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
 
-        def fake_terms_and_gradient(terms, net, columns, layers):
+        def fake_terms_and_gradient(terms, net, columns, layers, out):
             w = layers[0][:, 0, :]
-            return None, [(w @ a.T)[:, None, :]], False
+            np.matmul(w, a.T, out=out[0][:, 0, :])
+            return None, out, False
 
         monkeypatch.setattr(spectra_mod, "_terms_and_gradient",
                             fake_terms_and_gradient)
