@@ -305,6 +305,22 @@ def _cmd_scenario(args, command, body, seed) -> int:
     return 0
 
 
+def _print_dispatch():
+    """What besides the code and seed decides an output's bits, to stderr:
+    numpy's version, the CPU target its float64 exp, log, log1p, tanh and
+    power loops run on (the smoothed relu's saturation rests on tanh's),
+    and the BLAS thread settings."""
+    from numpy.lib.introspect import opt_func_info
+    info = opt_func_info(func_name="^(exp|log|log1p|tanh|power)$",
+                         signature="float64")
+    loops = " ".join(f"{name}={target['current']}" for name, sig in
+                     info.items() for target in sig.values())
+    print(f"numpy {np.__version__}; float64 loops: {loops}", file=sys.stderr)
+    print(" ".join(f"{name}={os.environ.get(name, 'unset')}" for name in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
+          file=sys.stderr)
+
+
 def _build_parser(command) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"gradflow {command}")
     parser.add_argument("--config", required=True)
@@ -331,6 +347,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed a message naming the flag
         return 0 if exc.code == 0 else 1
+    if args.verbose:
+        _print_dispatch()
     try:
         body = _load_config(args.config)
         seed = _resolve_seed(args, body)

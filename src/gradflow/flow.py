@@ -7,15 +7,18 @@ workhorse behind million-step perturbation schedules), the normalized
 scale/direction system, and the perturb-and-reconverge protocol. There is
 one Euler driver, run_flows, which makes every trace row, and one protocol
 driver, stacked_perturb_and_reconverge, which relabels its rows; both take
-a list of states, and one flow is a stack of one. A normalized flow is a
-stack whose states carry scales (FlowState.rhos); run_flows steps it with
-the same guarded step, trace rows and counts. A loss-rescaled step taken
-at the loss floor is counted in the trace.
+a list of states, and one flow is a stack of one. run_flows reads a row
+for the whole stack off the evaluation its step already made: no row
+rebuilds a member's net or repeats its forward pass. A normalized flow is
+a stack whose states carry scales (FlowState.rhos); run_flows steps it
+with the same guarded step, trace rows and counts. A loss-rescaled step
+taken at the loss floor is counted in the trace.
 
 Trace CSV columns, in order: time, loss, train_error, test_error,
 norm_l1..norm_lK, margin_cosine, nullspace_norm, residual_norm,
 perturbation_count. Cells without a configured reference stay empty;
-residual_norm has none and is always empty, kept so the format stays put.
+run_flows fills no nullspace_norm and nothing fills residual_norm, kept
+so the format stays put.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import frobenius_norm, gram_solve, symmetric_eig
-from .losses import (
-    Dataset,
-    _check_kind,
-    _loss_terms,
-    _terms_and_gradient,
-    classification_error,
-    mean_squared_error,
-)
+from .losses import (Dataset, _check_kind, _error_rate, _loss_terms,
+                     _terms_and_gradient)
 from .network import (HOMOGENEOUS, DeepNet, _columns, _forward_columns,
                       batch_backprop, flatten_params, unflatten_params)
 
@@ -140,17 +137,14 @@ class StopRule:
 
 @dataclass(frozen=True)
 class TraceRefs:
-    """Optional references that turn on the extra trace columns.
-
-    margin_cosine compares the flattened weights against reference_direction;
-    nullspace_norm projects them on the rows of null_basis. Both are meant
-    for single-layer linear runs where the flattened weights are the weight
-    vector itself.
+    """Optional references that turn on the extra trace columns: test_error
+    on test_data by the training error's rule, one stacked forward pass per
+    TraceRefs object, and margin_cosine of the flattened weights with
+    reference_direction, meant for single-layer linear runs.
     """
 
     test_data: Dataset | None = None
     reference_direction: np.ndarray | None = None
-    null_basis: np.ndarray | None = None
 
 
 class TraceRow(NamedTuple):
@@ -227,36 +221,6 @@ def write_trace_csv(trace: TrajectoryTrace, path, header_comment: str = ""):
     _write_table(path, header_comment, trace.header(), trace.csv_rows())
 
 
-def _error_metric(net: DeepNet, data: Dataset | None):
-    """Mean squared error for regression data, else the 0/1 error."""
-    if data is None:
-        return None
-    if data.task == "regression":
-        return mean_squared_error(net, data)
-    return classification_error(net, data)
-
-
-def _cosine(u, v) -> float:
-    nu = float(np.sqrt((u * u).sum()))
-    nv = float(np.sqrt((v * v).sum()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float((u * v).sum() / (nu * nv))
-
-
-def _row(refs, net, data, time, value) -> TraceRow:
-    """net's row at time, at loss value, with its error on data."""
-    flat, cosine, nullspace = flatten_params(net.layers), None, None
-    if refs is not None and refs.reference_direction is not None:
-        cosine = _cosine(flat, refs.reference_direction)
-    if refs is not None and refs.null_basis is not None:
-        nullspace = float(np.sqrt(((refs.null_basis @ flat) ** 2).sum()))
-    return TraceRow(time, value, _error_metric(net, data),
-                    _error_metric(net, refs.test_data if refs else None),
-                    tuple(frobenius_norm(w) for w in net.layers), cosine,
-                    nullspace)
-
-
 def _two_lambdas(lambdas, shapes):
     """2 lam_k on each entry of layer k in the flat layout of layers of
     shapes (see flatten_params); one row per member for (R, K) lambdas."""
@@ -277,18 +241,20 @@ class _Euler:
     step size and COUNTS. The current point and a trial point live in
     two (R, P) float64 buffers with the stacked layers (R, rows, cols) as
     views into them, so a step rewrites numbers in place instead of
-    building nets; net(r) builds member r's net when it is read. The two
+    building nets; weights() copies layers out where they are read. The two
     points' step directions live in two more such buffers, which the
     backward pass writes into through their views and which swap with the
-    weights', so no evaluation allocates a gradient. The loss kind is
-    checked once per member up front; every trial point is checked for
-    non-finite weights, and one is an error, never absorbed.
+    weights', so no evaluation allocates a gradient. Trace rows read value
+    and out, the current loss and the (R, C, N) outputs it was taken of.
+    The loss kind and the data's one task are checked up front; every trial
+    point is checked for non-finite weights, and one is an error.
 
     A normalized stack's layers are the unit directions V_k of the net
     rho_k V_k, and its scales rho_k are one more (1, K) view after them.
     rho_k moves down its gradient -(prod(rho) / rho_k) sum_n(-l'_n f_n); V_k
     along B_k - 2 lam_k V_k, B_k = -dL/dV_k, with lam_k = <V_k, B_k>/2
-    keeping V_k on the unit sphere, and is then renormalized.
+    keeping V_k on the unit sphere, and is then renormalized. Its out is
+    prod(rho) times the outputs of the unit net.
     """
 
     def __init__(self, states, kind: str, datasets):
@@ -305,26 +271,27 @@ class _Euler:
         if any(bool(s.rhos) != self.normalized for s in states):
             raise ValueError("a stack cannot mix plain and normalized flows")
         shared = isinstance(datasets, Dataset)
-        self.datasets = [datasets] * len(states) if shared else list(datasets)
-        if len(self.datasets) != len(states):
-            raise ValueError(
-                f"{len(self.datasets)} datasets for {len(states)} flows"
-            )
+        datasets = [datasets] * len(states) if shared else list(datasets)
+        if len(datasets) != len(states):
+            raise ValueError(f"{len(datasets)} datasets for {len(states)} flows")
+        self.task = datasets[0].task
+        if any(data.task != self.task for data in datasets):
+            raise ValueError("stacked flows need data of one task")
         if self.normalized:
             if arch.activation not in HOMOGENEOUS:
                 raise ValueError(
                     "normalized dynamics needs a homogeneous activation")
-            if any(data.task != "binary" for data in self.datasets):
+            if self.task != "binary":
                 raise ValueError("normalized dynamics is stated for binary data")
             self.shapes.append((1, arch.depth))
-        for state, data in zip(states, self.datasets):
+        for state, data in zip(states, datasets):
             _check_kind(kind, data, state.net)
         self.kind, self.arch, self.shared = kind, arch, shared
         if shared:
-            self._take_data(datasets.inputs, datasets.labels)
+            self._take_data(datasets[0].inputs, datasets[0].labels)
         else:
-            self._take_data(np.stack([d.inputs for d in self.datasets]),
-                            np.stack([d.labels for d in self.datasets]))
+            self._take_data(np.stack([d.inputs for d in datasets]),
+                            np.stack([d.labels for d in datasets]))
         self.ids = np.arange(len(states))  # each member's place in states
         lams = np.array([s.lambdas or (0.0,) * arch.depth for s in states])
         self.two_lambdas = (_two_lambdas(lams, self.shapes[:arch.depth])
@@ -333,8 +300,8 @@ class _Euler:
                          for s in states])
         self._bind(flat, np.empty_like(flat))
         self._pending = None  # what a normalized direction() still needs
-        self.value, kink = self._evaluate(self.flat, self.layers, self.grad,
-                                          self.grads)
+        self.value, kink, self.out = self._evaluate(self.flat, self.layers,
+                                                    self.grad, self.grads)
         self.counts = {name: np.zeros(len(states), int) for name in COUNTS}
         self.counts["kink_events"] += kink
 
@@ -354,42 +321,39 @@ class _Euler:
             unflatten_params(b, self.shapes) for b in
             (flat, self._trial_flat, grad, self._trial_grad))
 
-    def net(self, r, unit=False) -> DeepNet:
-        """Member r's current point as a net on the current buffer: read it
-        before the next step, or drop the member first (see keep). A
-        normalized member's net is rho_k V_k, or V_k with unit=True."""
-        layers = [w[r] for w in self.layers[:self.arch.depth]]
+    def weights(self, index, unit=False) -> list:
+        """Stacked copies of the current layers of the members at positions
+        index: a normalized member's are rho_k V_k, or V_k with unit=True."""
+        layers = [w[index] for w in self.layers[:self.arch.depth]]
         if self.normalized and not unit:
-            layers = [rho * v for rho, v in zip(self.layers[-1][r, 0], layers)]
-        return self.arch.with_layers(layers)
+            rhos = self.layers[-1][index, 0].T[..., None, None]
+            layers = [rho * v for rho, v in zip(rhos, layers)]
+        return layers
 
     def keep(self, mask):
-        """Drop the members where mask is False. The survivors move to new
-        buffers, so no buffer behind a dropped member's net is written
-        again."""
+        """Keep the members where mask is True, in new buffers."""
         index = np.flatnonzero(mask)
         self.direction()
         self.ids = self.ids[index]
-        self.datasets = [self.datasets[i] for i in index]
         if not self.shared:
             self._take_data(self.inputs[index], self.labels[index])
         if self.two_lambdas is not None:
             self.two_lambdas = self.two_lambdas[index]
         self._bind(self.flat[index], self.grad[index])
-        self.value = self.value[index]
+        self.value, self.out = self.value[index], self.out[index]
         self.counts = {name: c[index] for name, c in self.counts.items()}
 
     def _evaluate(self, flat, layers, grad, grads):
-        """The loss and kink flags at the point flat, whose views are
-        layers; its step direction (the loss gradient plus any 2 lam_k W_k)
-        goes into grad through its views grads. A normalized stack writes
-        only its scales' entries here; direction() writes its layers'."""
+        """The loss, kink flags and outputs at the point flat (views layers);
+        its step direction, the loss gradient plus any 2 lam_k W_k, goes
+        into grad through its views grads. A normalized stack writes only
+        its scales' entries here; direction() writes its layers'."""
         if not self.normalized:
-            value, _, kink = _terms_and_gradient(self.terms, self.arch,
-                                                 self.columns, layers, grads)
+            value, _, kink, out = _terms_and_gradient(
+                self.terms, self.arch, self.columns, layers, grads)
             if self.two_lambdas is not None:
                 grad += self.two_lambdas * flat
-            return value, kink
+            return value, kink, out
         *units, rho = layers
         prod = np.multiply.reduce(rho, axis=-1, keepdims=True)
         out, _, acts, derivs, kink = _forward_columns(self.arch,
@@ -398,7 +362,7 @@ class _Euler:
         mass = np.add.reduce(-ddelta * out, axis=-1, keepdims=True)
         np.multiply(prod / rho, -mass, out=grads[-1])
         self._pending = acts, derivs, ddelta, prod
-        return value, kink
+        return value, kink, prod * out
 
     def direction(self) -> np.ndarray:
         """The flat step direction at the current point, a normalized
@@ -462,8 +426,8 @@ class _Euler:
                 self._refuse(~np.isfinite(trial).all(axis=-1), lambda r: (
                     f"non-finite weights after a step of {dt[r]:.3e}; "
                     "reduce the step"))
-            value, kink = self._evaluate(trial, self._trial_layers,
-                                         self._trial_grad, self._trial_grads)
+            value, kink, out = self._evaluate(
+                trial, self._trial_layers, self._trial_grad, self._trial_grads)
             if not rescaled:
                 before, after = self.value, value
                 if self.two_lambdas is not None:
@@ -488,7 +452,7 @@ class _Euler:
         self.layers, self._trial_layers = self._trial_layers, self.layers
         self.grad, self._trial_grad = self._trial_grad, self.grad
         self.grads, self._trial_grads = self._trial_grads, self.grads
-        self.value = value
+        self.value, self.out = value, out
         if kink is not False:  # False for nets without a relu layer
             self.counts["kink_events"] += kink
         return dt
@@ -580,28 +544,19 @@ def run_flows(
 
     def finish(i, converged, reason):
         """Close the trace of euler's member i, which stops here."""
-        r = euler.ids[i]
-        trace, state = traces[r], states[r]
-        time, value, net = float(t[i]), float(euler.value[i]), euler.net(i)
-        if not trace.rows or trace.rows[-1].time != time:
-            trace.rows.append(_row(refs[r], net, euler.datasets[i], time,
-                                   value))
+        trace, state = traces[euler.ids[i]], states[euler.ids[i]]
         trace.converged, trace.stop_reason = converged, reason
         trace.counts = {name: int(c[i]) for name, c in euler.counts.items()}
-        # member i leaves the stack next, so no step writes under net again;
-        # a normalized one resumes from its unit layers and exact scales
-        trace.final_state = (
-            replace(state, net=euler.net(i, unit=True), time=time,
-                    rhos=tuple(euler.layers[-1][i, 0]))
-            if euler.normalized else replace(state, net=net, time=time))
+        # a normalized member resumes from its unit layers and exact scales
+        layers = [w[0] for w in euler.weights([i], unit=True)]
+        trace.final_state = replace(
+            state, net=state.net.with_layers(layers), time=float(t[i]),
+            rhos=tuple(euler.layers[-1][i, 0]) if euler.normalized else ())
 
     iteration = 0
     while True:
         if iteration % sample_every == 0:
-            for i, r in enumerate(euler.ids):
-                traces[r].rows.append(_row(refs[r], euler.net(i),
-                                           euler.datasets[i], float(t[i]),
-                                           float(euler.value[i])))
+            _sample(traces, refs, euler, t, np.arange(len(euler.ids)))
         # without a target, no flow halts before a budget or max_time hits
         if (has_target or iteration >= first_budget
                 or (stop.max_time is not None and t.max() >= stop.max_time)):
@@ -627,7 +582,11 @@ def run_flows(
                            "max_steps"))
             halt = np.logical_or.reduce([hits for hits, _, _ in checks])
             if halt.any():
-                for i in np.flatnonzero(halt):
+                stopping = np.flatnonzero(halt)
+                last = [traces[r].rows[-1].time for r in euler.ids[stopping]]
+                # each trace ends with a row at its member's stop
+                _sample(traces, refs, euler, t, stopping[last != t[stopping]])
+                for i in stopping:
                     finish(i, *next((ok, why) for hits, ok, why in checks
                                     if hits[i]))
                 keep = ~halt
@@ -642,6 +601,38 @@ def run_flows(
         t += euler.step(steps, rescaled)
         iteration += 1
     return traces
+
+
+def _sample(traces, refs, euler, t, index):
+    """Append the rows at times t of euler's members at positions index,
+    read off the stack's accepted evaluation and weights by one reduction
+    per member; the test error is one stacked forward pass per distinct
+    TraceRefs object in refs (one per flow)."""
+    if not len(index):
+        return
+    ids, layers = euler.ids[index], euler.weights(index)
+    train = _error_rate(euler.task, euler.out, euler.labels)[index].tolist()
+    norms = np.sqrt([_member_sum(w * w)[:, 0, 0] for w in layers]).T.tolist()
+    test, cosine = np.full((2, len(ids)), None, object)
+    for ref in {id(refs[r]): refs[r] for r in ids}.values():
+        js = [j for j, r in enumerate(ids) if refs[r] is ref]
+        mine = [w[js] for w in layers]
+        data = getattr(ref, "test_data", None)
+        if data is not None:
+            out = _forward_columns(euler.arch, _columns(data.inputs), mine)[0]
+            test[js] = _error_rate(data.task, out, data.labels)
+        v = getattr(ref, "reference_direction", None)
+        if v is not None:  # the cosine is 0 where either vector is
+            u = np.concatenate([w.reshape(len(js), -1) for w in mine], -1)
+            nu = np.sqrt(np.add.reduce(u * u, axis=-1))
+            nv = np.sqrt((v * v).sum())
+            cosine[js] = np.divide(np.add.reduce(u * v, axis=-1), nu * nv,
+                                   out=np.zeros_like(nu),
+                                   where=(nu != 0.0) & (nv != 0.0))
+    for j, (i, r) in enumerate(zip(index, ids)):
+        traces[r].rows.append(TraceRow(
+            float(t[i]), float(euler.value[i]), train[j], test[j],
+            tuple(norms[j]), cosine[j], None))
 
 
 def _check_count(name, value):
@@ -749,28 +740,26 @@ def stacked_perturb_and_reconverge(
     for R states of one architecture on shared data; one trace per state,
     then one per control.
 
-    Every trace holds the start plus one row per cycle, at its end (just
-    before its perturbation): rows of the cycles' run_flows calls, which
-    take refs. A perturbed member's cycle-end row is relabeled with the
-    cycle's index as perturbation_count, and flagged where its training
-    criterion (classification error 0, or loss <= RECONVERGE_TOL for
-    regression) is not met; the run continues. Every perturbed start is
-    checked before any noise is drawn. Each perturbation is one draw,
-    applied as drawn even where it puts a relu pre-activation on the kink;
-    each count sums the re-flows' counts, so a kinked perturbed point
-    counts once, as the start of the next cycle's re-flow.
+    The re-flows of a cycle, controls included, are one run_flows call
+    with refs, sampled at its two ends; the protocol evaluates no row
+    itself. Every trace holds the first call's start row, then each call's
+    last row: the cycle's end, just before its perturbation. A perturbed
+    member's cycle-end row is relabeled with the cycle's index as
+    perturbation_count, and flagged where its training criterion
+    (classification error 0, or loss <= RECONVERGE_TOL for regression) is
+    not met; the run continues. Every perturbed start is checked before
+    any noise is drawn. Each perturbation is one draw, applied as drawn
+    even where it puts a relu pre-activation on the kink; each count sums
+    the re-flows' counts, so a kinked perturbed point counts once, as the
+    start of the next cycle's re-flow.
 
     controls are states of the same architecture that flow alongside and
     are never perturbed: their rows have perturbation_count 0 and no flag,
     and they need not start at zero training error. A control's last row
     and final state are those of one unbroken run_flows of
-    interval * (repetitions + 1) steps.
-
-    The re-flows of a cycle, controls included, are one run_flows call,
-    sampled at its two ends; each flow's last row and final state are the
-    cycle boundary. Each state keeps its own perturbation stream (seeded by
-    its rng_seed), time, counts, row flags and final state, bitwise those of
-    a stack of one.
+    interval * (repetitions + 1) steps. Each state keeps its own
+    perturbation stream (seeded by its rng_seed), time, counts, row flags
+    and final state, bitwise those of a stack of one.
     """
     if any(s.rhos for s in [*states, *controls]):
         raise ValueError("the protocol perturbs plain flows only, not "

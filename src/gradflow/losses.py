@@ -176,7 +176,7 @@ def loss(kind: str, net: DeepNet, data: Dataset) -> float:
 def loss_and_gradient(kind: str, net: DeepNet, data: Dataset):
     """Returns (loss value, per-layer gradient list, relu kink flag)."""
     _check_kind(kind, data, net)
-    value, grads, kink = _terms_and_gradient(
+    value, grads, kink, _ = _terms_and_gradient(
         _loss_terms(kind, data.labels), net, _columns(data.inputs))
     return float(value), grads, kink
 
@@ -187,10 +187,11 @@ def _terms_and_gradient(terms, net: DeepNet, columns, layers=None, out=None):
     (see _forward_columns), which such a caller also fixes once for all its
     evaluations. Stacked layers (see batch_forward) stand in for net's and
     give one value, gradient and kink flag per member; out is as in
-    batch_backprop."""
+    batch_backprop. The outputs the loss was taken of come last."""
     fwd, _, acts, derivs, kink = _forward_columns(net, columns, layers)
     value, ddelta = terms(fwd)
-    return value, batch_backprop(net, acts, derivs, ddelta, layers, out), kink
+    return (value, batch_backprop(net, acts, derivs, ddelta, layers, out),
+            kink, fwd)
 
 
 def separability_margin(net: DeepNet, data: Dataset) -> float:
@@ -212,19 +213,28 @@ def separability_margin(net: DeepNet, data: Dataset) -> float:
     raise ValueError("separability is a classification notion")
 
 
+def _error_rate(task: str, out, labels):
+    """The one error rule, per member of outputs (R, C, N) or of (C, N),
+    by np.mean's sum and division: the 0/1 error of the sign (f = 0 counts
+    wrong) or of the first argmax of the logits, or the regression MSE."""
+    if task == "multiclass":
+        terms = out.argmax(axis=-2) != labels
+    else:
+        f = out[..., 0, :]
+        terms = labels * f <= 0.0 if task == "binary" else (labels - f) ** 2
+    return np.add.reduce(terms, axis=-1, dtype=float) / out.shape[-1]
+
+
 def classification_error(net: DeepNet, data: Dataset) -> float:
     """Fraction of misclassified samples (sign rule; f = 0 counts wrong)."""
-    if data.task == "binary":
-        if net.out_dim != 1:
-            raise ValueError("binary error rate needs a single output row")
-        f = batch_outputs(net, data.inputs)
-        return float(np.mean(data.labels * f <= 0.0))
-    if data.task == "multiclass":
-        logits = batch_forward(net, data.inputs)[0].T
-        return float(np.mean(logits.argmax(axis=1) != data.labels))
-    raise ValueError("classification error needs a classification task")
+    if data.task == "regression":
+        raise ValueError("classification error needs a classification task")
+    if data.task == "binary" and net.out_dim != 1:
+        raise ValueError("binary error rate needs a single output row")
+    return float(_error_rate(data.task, batch_forward(net, data.inputs)[0],
+                             data.labels))
 
 
 def mean_squared_error(net: DeepNet, data: Dataset) -> float:
-    f = batch_outputs(net, data.inputs)
-    return float(np.mean((data.labels - f) ** 2))
+    return float(_error_rate("regression", batch_forward(net, data.inputs)[0],
+                             data.labels))

@@ -39,8 +39,7 @@ def _sigmoid(u, e):
     """Logistic function of u from e = exp(-|u|), which the caller has
     already computed: 1/(1+e) for u >= 0 and e/(1+e) below, so neither
     tail overflows."""
-    d = 1.0 + e
-    return np.where(u >= 0, 1.0 / d, e / d)
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _tanh_sigmoid(u):
@@ -137,17 +136,23 @@ def _activate(net: DeepNet, z: np.ndarray):
         kink = (z == 0.0).reshape(*z.shape[:-2], -1).any(axis=-1)
         return np.maximum(z, 0.0), (z > 0.0).astype(float), kink
     if net.activation == "smoothed_relu":
-        # z s and s + u s (1 - s), computed in place: a stacked net's
-        # (R, rows, N) temporaries are large enough that each fresh one
-        # costs page faults
-        u = z / net.epsilon**2
-        s = _tanh_sigmoid(u)
-        out = np.subtract(1.0, s)
-        u *= s
-        u *= out
-        u += s
-        np.multiply(z, s, out=out)
-        return out, u, False
+        # where 40 eps^2 <= |z| < DBL_MAX eps^2, tanh(z / 2eps^2) is exactly
+        # +-1, so z s is max(z, -0.0) and s + u s (1 - s) is (z > 0), bit
+        # for bit; only the other entries (small |z|, nan, inf, and |z|
+        # where z / eps^2 overflows) take the formula
+        square = net.epsilon**2
+        a = np.abs(z)
+        rest = ~((a >= 40.0 * square) & (a < sys.float_info.max * square))
+        out, deriv = np.maximum(z, -0.0), np.greater(z, 0.0, out=a)
+        if rest.any():
+            zr = z[rest]
+            u = zr / square
+            s = _tanh_sigmoid(u)
+            u *= s
+            u *= 1.0 - s
+            u += s
+            out[rest], deriv[rest] = zr * s, u
+        return out, deriv, False
     # polynomial, constant term first
     out = np.zeros_like(z)
     for c in reversed(net.coefficients):

@@ -250,6 +250,23 @@ class TestFlow:
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"final loss {loss} at time {time}")
 
+    def test_verbose_names_the_numpy_dispatch_on_stderr(self, tmp_path,
+                                                        capsys):
+        cfg = self._config(tmp_path)
+        assert main(["flow", "--config", cfg, "-v",
+                     "--output-dir", str(tmp_path / "v")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert main(["flow", "--config", cfg,
+                     "--output-dir", str(tmp_path / "quiet")]) == 0
+        assert capsys.readouterr().err == ""
+        assert err[0].startswith(f"numpy {np.__version__}; float64 loops: ")
+        for name in ("exp", "log", "log1p", "tanh", "power"):
+            assert f" {name}=" in err[0]
+        assert [pair.split("=")[0] for pair in err[1].split()] == [
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert ((tmp_path / "v" / "flow_trace.csv").read_bytes()
+                == (tmp_path / "quiet" / "flow_trace.csv").read_bytes())
+
     @pytest.mark.parametrize("extra, message", [
         ({"net": None}, "net: required object with dims or layers"),
         ({"stop": {}}, "stop: at least one bound required"),

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradflow import flow, losses
+from gradflow import flow, losses, network
 from gradflow.flow import (
     LOSS_EXPLOSION_FACTOR,
     LOSS_FLOOR,
@@ -28,7 +28,6 @@ from gradflow.flow import (
     TraceRefs,
     TrajectoryTrace,
     _draw_perturbation,
-    _row,
     growth_numeric_trace,
     run_flows,
     stacked_perturb_and_reconverge,
@@ -41,6 +40,7 @@ from gradflow.losses import (EXP_CLAMP, Dataset, _loss_terms,
 from gradflow.network import (DeepNet, batch_forward, flatten_params,
                               normalize_layers, random_net)
 from gradflow.oracles import growth_closed_form, hard_margin_svm
+from row_oracle import _row, member_net
 
 
 def _linear_net(w):
@@ -943,16 +943,18 @@ class TestPerturbationProtocol:
         assert all(row.flag == "" for row in trace.rows)
 
     def test_nullspace_walk_grows(self):
+        # the start is the min-norm interpolant, which has no null-space
+        # part; the perturbations leave one that re-convergence keeps
         x, data, state = self._setup()
         _, _, vt = np.linalg.svd(x, full_matrices=True)
-        refs = TraceRefs(null_basis=vt[4:])
         proto = PerturbationProtocol(noise_std=0.05, interval=3000, repetitions=4)
         trace = stacked_perturb_and_reconverge([state], proto, "square",
-                                               data, refs=refs)[0]
-        walks = [row.nullspace_norm for row in trace.rows
-                 if row.nullspace_norm is not None]
+                                               data)[0]
+        walks = [np.sqrt(((vt[4:] @ s.net.layers[0][0]) ** 2).sum())
+                 for s in (state, trace.final_state)]
         assert walks[0] <= 1e-10
         assert walks[-1] > 0.01
+        assert all(row.nullspace_norm is None for row in trace.rows)
 
     def _assert_matches_run_flow_chunks(self, state, proto, kind, data,
                                         refs):
@@ -980,13 +982,20 @@ class TestPerturbationProtocol:
                                              TraceRefs(test_data=test))
 
     def test_rows_bitwise_run_flow_chunks_square_null_basis(self):
+        # the rows carry the margin cosine; the null-space part is read
+        # off the start and final states
         x, data, state = self._setup()
         _, _, vt = np.linalg.svd(x, full_matrices=True)
-        refs = TraceRefs(null_basis=vt[4:])
+        refs = TraceRefs(reference_direction=vt[0])
         proto = PerturbationProtocol(noise_std=0.05, interval=400,
                                      repetitions=3)
         self._assert_matches_run_flow_chunks(state, proto, "square", data,
                                              refs)
+        final = stacked_perturb_and_reconverge([state], proto, "square",
+                                               data)[0].final_state
+        walks = [np.sqrt(((vt[4:] @ s.net.layers[0][0]) ** 2).sum())
+                 for s in (state, final)]
+        assert walks[0] <= 1e-10 < walks[1]
 
     def test_kinks_during_reconvergence_are_counted(self):
         # f(x) = relu(x1) - relu(-x1) separates SEP; the third hidden row is
@@ -1185,7 +1194,8 @@ class TestStackedProtocol:
         proto = PerturbationProtocol(noise_std=0.05, interval=400,
                                      repetitions=3)
         traces = self._assert_stack_is_stacks_of_one(
-            states, proto, "square", data, refs=TraceRefs(null_basis=vt[4:]))
+            states, proto, "square", data,
+            refs=TraceRefs(reference_direction=vt[0]))
         assert not any(row.flag for tr in traces[:2] for row in tr.rows)
         assert "not_reconverged" in [row.flag for row in traces[2].rows]
 
@@ -1619,8 +1629,7 @@ class TestTraceCsv:
             y = rng.normal(size=4)
             data = Dataset(x, y, task="regression")
             _, _, vt = np.linalg.svd(x, full_matrices=True)
-            refs = TraceRefs(null_basis=vt[4:],
-                             reference_direction=np.ones(6))
+            refs = TraceRefs(reference_direction=vt[0])
             state = FlowState(net=_linear_net(np.zeros(6)), step=0.02,
                               rng_seed=4)
             proto = PerturbationProtocol(noise_std=0.01, interval=500,
@@ -1678,6 +1687,12 @@ def _run_two(nets=None, datasets=SEP, stepping="fixed", refs=None):
                        StopRule(max_steps=2), stepping="loss_rescaled"),
      "lambdas: loss_rescaled steps divide by the loss alone, so they take "
      "no ridge term"),
+    # a row's training error follows one rule for the whole stack
+    (lambda: run_flows([FlowState(net=_linear_net([0.1, 0.2]), step=0.1)] * 2,
+                       "square", [SEP, Dataset(SEP_X, SEP_Y,
+                                               task="regression")],
+                       StopRule(max_steps=2)),
+     "stacked flows need data of one task"),
 ])
 def test_flow_setup_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1711,3 +1726,152 @@ _UNIT = FlowState(net=_linear_net([0.6, 0.8]), rhos=(1.0,), step=0.1)
 def test_normalized_flow_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+class TestStackedRows:
+    """run_flows makes each row for the whole stack off the evaluation its
+    step already made. Every row it appends is checked, by repr, against
+    row_oracle's per-member row of the member's own net, data and refs."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Wraps run_flows' row builder; once the test sets "data" to the
+        datasets of the run_flows calls, checks and counts their rows."""
+        seen = {"data": None, "rows": 0}
+        real = flow._sample
+
+        def sample(traces, refs, euler, t, index):
+            real(traces, refs, euler, t, index)
+            for i in index if seen["data"] is not None else ():
+                r = euler.ids[i]
+                data = seen["data"]
+                data = data if isinstance(data, Dataset) else data[r]
+                want = _row(refs[r], member_net(euler, i), data, float(t[i]),
+                            float(euler.value[i]))
+                assert repr(traces[r].rows[-1]) == repr(want)
+                seen["rows"] += 1
+
+        monkeypatch.setattr(flow, "_sample", sample)
+        return seen
+
+    @staticmethod
+    def _run(checked, states, kind, datasets, refs, **kwargs):
+        checked["data"] = datasets
+        traces = run_flows(states, kind, datasets, refs=refs, **kwargs)
+        assert checked["rows"] == sum(len(tr.rows) for tr in traces)
+        # the members stop at different iterations
+        assert len({len(tr.rows) for tr in traces}) > 1
+        return traces
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_binary_members_with_mixed_refs(self, checked, shared):
+        rng = np.random.default_rng(40)
+        other = Dataset(0.7 * SEP_X[::-1], SEP_Y[::-1])
+        nets = [random_net(rng, (2, 5, 1), activation="smoothed_relu",
+                           scale=0.7) for _ in range(5)]
+        direction = rng.normal(size=15)
+        test = TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y))
+        refs = [test, TraceRefs(reference_direction=direction), None, test,
+                TraceRefs(test_data=other, reference_direction=direction)]
+        states = [FlowState(net=net, step=step, time=t0) for net, step, t0
+                  in zip(nets, (0.05, 0.05, 0.02, 0.1, 0.05),
+                         (0.0, 1.0, 0.0, 0.0, 2.5))]
+        datasets = SEP if shared else [SEP, other, SEP, other, SEP]
+        self._run(checked, states, "logistic", datasets, refs,
+                  stop=StopRule(max_time=4.0), sample_every=7)
+
+    def test_loss_rescaled_members_sharing_refs(self, checked):
+        rng = np.random.default_rng(41)
+        states = [FlowState(net=_linear_net(0.5 * rng.normal(size=2)),
+                            step=step) for step in (0.01, 0.02, 0.05)]
+        refs = TraceRefs(test_data=Dataset(SEP_X - 0.2, SEP_Y),
+                         reference_direction=np.array([1.0, 0.2]))
+        self._run(checked, states, "exponential", SEP, refs,
+                  stop=StopRule(max_time=1e5, max_steps=500), sample_every=9,
+                  stepping="loss_rescaled")
+
+    def test_multiclass_members(self, checked):
+        rng = np.random.default_rng(42)
+        labels = np.array([0, 1, 2, 1])
+        train = [Dataset(SEP_X, labels, task="multiclass"),
+                 Dataset(SEP_X[::-1], labels, task="multiclass")]
+        test = TraceRefs(test_data=Dataset(SEP_X + 0.4, labels[::-1],
+                                           task="multiclass"))
+        states = [FlowState(net=random_net(rng, (2, 4, 3), scale=0.6,
+                                           activation="relu"), step=step)
+                  for step in (0.05, 0.02, 0.1, 0.05)]
+        self._run(checked, states, "softmax_cross_entropy",
+                  [train[r % 2] for r in range(4)], [test, None, test, test],
+                  stop=StopRule(max_time=2.0), sample_every=6)
+
+    def test_regression_members_with_ridge(self, checked):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(6, 3))
+        data = Dataset(x, rng.normal(size=6), task="regression")
+        test = Dataset(rng.normal(size=(5, 3)), rng.normal(size=5),
+                       task="regression")
+        states = [FlowState(net=random_net(rng, (3, 4, 1), scale=0.5,
+                                           activation="smoothed_relu"),
+                            step=0.02, lambdas=lams)
+                  for lams in ((), (0.01, 0.02), (), (0.5, 0.0))]
+        refs = [TraceRefs(test_data=test,
+                          reference_direction=rng.normal(size=16))] * 4
+        self._run(checked, states, "square", data, refs,
+                  stop=StopRule(max_steps=400, grad_norm_below=0.2),
+                  sample_every=25)
+
+    def test_normalized_members(self, checked):
+        states = [_normalized_state(_pretrained_two_layer(seed), step)
+                  for seed, step in ((3, 0.05), (4, 0.02), (5, 0.1))]
+        refs = TraceRefs(test_data=Dataset(SEP_X + 0.2, SEP_Y),
+                         reference_direction=np.arange(9.0))
+        traces = self._run(checked, states, "exponential", SEP, refs,
+                           stop=StopRule(max_time=4.0), sample_every=15)
+        assert all(tr.final_state.rhos for tr in traces)
+
+    def test_protocol_members_and_controls(self, checked):
+        rng = np.random.default_rng(44)
+        pre = run_flows([FlowState(net=random_net(
+            rng, (2, 6, 1), activation="smoothed_relu", scale=0.7),
+            step=0.05) for _ in range(3)], "logistic", SEP,
+            StopRule(max_steps=1500), sample_every=1500)
+        states = [replace(tr.final_state, rng_seed=50 + r)
+                  for r, tr in enumerate(pre)]
+        assert all(tr.rows[-1].train_error == 0.0 for tr in pre)
+        checked["data"] = SEP
+        proto = PerturbationProtocol(noise_std=0.25, interval=60,
+                                     repetitions=2)
+        traces = stacked_perturb_and_reconverge(
+            states[:2], proto, "logistic", SEP,
+            refs=TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y)),
+            controls=states[2:])
+        # each of the three cycles samples every flow at its two ends
+        assert checked["rows"] == 3 * 2 * 3
+        assert [len(tr.rows) for tr in traces] == [4] * 3
+
+
+def test_rows_make_no_per_member_forward_pass(monkeypatch):
+    # every net-level forward pass and norm is refused; rows still come,
+    # read off the stack's own evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-member pass")
+
+    for module, name in ((losses, "batch_outputs"), (losses, "batch_forward"),
+                         (network, "batch_forward"),
+                         (flow, "frobenius_norm")):
+        monkeypatch.setattr(module, name, refuse)
+    refs = TraceRefs(test_data=Dataset(SEP_X + 0.3, SEP_Y),
+                     reference_direction=np.array([1.0, 0.0]))
+    states = [FlowState(net=_linear_net(w), step=0.01, rng_seed=r)
+              for r, w in enumerate(([1.0, 0.0], [0.8, 0.3], [1.0, -0.2]))]
+    traces = run_flows(states, "exponential", SEP, StopRule(max_steps=30),
+                       sample_every=10, refs=refs)
+    assert [len(tr.rows) for tr in traces] == [4] * 3
+    assert all(row.test_error is not None for tr in traces for row in tr.rows)
+    proto = PerturbationProtocol(noise_std=0.1, interval=10, repetitions=2)
+    traces = stacked_perturb_and_reconverge(states[:2], proto, "exponential",
+                                            SEP, refs=refs,
+                                            controls=states[2:])
+    assert [len(tr.rows) for tr in traces] == [4] * 3
+    assert all(row.margin_cosine is not None for tr in traces
+               for row in tr.rows)

@@ -5,6 +5,7 @@ the flattened parameter vector, step 1e-6.
 """
 
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -300,6 +301,55 @@ def test_tanh_sigmoid_of_the_smoothed_relu_against_mpmath():
     head = u >= -1.0
     assert (err[head] <= 2.0 * np.spacing(ulps[head])).all()
     assert d_err.max() <= 1e-14
+
+
+def _formula_smoothed_relu(z, eps):
+    """z s(z/eps^2) and its derivative s + u s (1 - s) by the formula on
+    every entry, s = 0.5 + 0.5 tanh(u/2)."""
+    u = z / eps**2
+    s = np.tanh(u * 0.5) * 0.5 + 0.5
+    return z * s, s + u * s * (1.0 - s)
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-3, 1.0, 3.0, 1e-150, 1e150])
+def test_saturated_smoothed_relu_is_bitwise_the_formula(eps):
+    # _activate takes max(z, -0.0) and (z > 0) where 40 eps^2 <= |z| <
+    # DBL_MAX eps^2; the grid straddles both edges, holds every special
+    # value, and spans all magnitudes
+    rng = np.random.default_rng(48)
+    square = eps**2
+    edges = [40.0 * square, sys.float_info.max * square, 20.0 * square]
+    with np.errstate(all="ignore"):
+        near = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+        walk = [e * (1.0 + k * 2.0**-52) for e in edges
+                for k in range(-4, 5)]
+        z = np.concatenate([
+            edges, near, walk,
+            [0.0, np.nan, np.inf, 5e-324, 1e-310, sys.float_info.min,
+             sys.float_info.max],
+            10.0 ** rng.uniform(-324.0, 308.2, size=60_000),
+            square * rng.uniform(0.0, 80.0, size=20_000),
+            square * 10.0 ** rng.uniform(-3.0, 3.0, size=20_000),
+        ])
+        z = np.concatenate([z, -z])
+        net = DeepNet(([[1.0]],), activation="smoothed_relu", epsilon=eps)
+        out, deriv, _ = _activate(net, z.reshape(2, -1))
+        want_out, want_deriv = _formula_smoothed_relu(z, eps)
+    assert np.array_equal(out.ravel().view(np.int64), want_out.view(np.int64))
+    assert np.array_equal(deriv.ravel().view(np.int64),
+                          want_deriv.view(np.int64))
+
+
+def test_tanh_is_exactly_one_where_the_smoothed_relu_saturates():
+    # the saturation mask of _activate rests on this under the running
+    # numpy dispatch (gradflow -v names it); every alignment of the vector
+    # loop's tail is tried
+    u = np.concatenate([np.linspace(19.5, 40.0, 200_001),
+                        10.0 ** np.linspace(1.6, 308.0, 2_000),
+                        [sys.float_info.max, np.nextafter(20.0, 0.0)]])
+    for k in range(16):
+        assert np.all(np.tanh(u[k:]) == 1.0)
+        assert np.all(np.tanh(-u[k:]) == -1.0)
 
 
 def test_logistic_loss_keeps_the_exact_left_tail():
