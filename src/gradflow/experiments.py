@@ -358,13 +358,11 @@ def _write_json(path, body):
         fh.write(_json_text(body) + "\n")
 
 
-def write_report_json(report: ScenarioReport, path, header: str = ""):
+def write_report_json(report: ScenarioReport, path, header: str):
     # Basenames only: reruns into a different directory stay byte-identical.
-    body = {**asdict(report), "passed": report.passed,
-            "trace_paths": [os.path.basename(p) for p in report.trace_paths]}
-    if header:
-        body["header"] = header
-    _write_json(path, body)
+    _write_json(path, {
+        **asdict(report), "passed": report.passed, "header": header,
+        "trace_paths": [os.path.basename(p) for p in report.trace_paths]})
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:
@@ -380,41 +378,51 @@ def _monomials(x, degree):
     return np.vander(np.asarray(x, dtype=float), degree + 1, increasing=True)
 
 
-def _out_path(config, name):
-    if config.output_dir is None:
-        return None
-    os.makedirs(config.output_dir, exist_ok=True)
-    return os.path.join(config.output_dir, name)
+class _Run:
+    """One scenario run's record: its notes, the files it wrote and the
+    header line every file starts with. A table is written as
+    <scenario>_<name>.csv, and only when the run has an output directory;
+    report() closes the run and writes the report JSON last."""
 
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.header = config.header()
+        self.notes, self.paths = [], []
 
-def _write_csv(config, name, trace_paths, columns, rows):
-    """Write one table of the run, if it has an output directory."""
-    path = _out_path(config, name)
-    if path:
-        _write_table(path, config.header(), columns, rows)
-        trace_paths.append(path)
+    def _path(self, name):
+        """Where the run's file name goes, made on first use; None without
+        an output directory."""
+        out = self.config.output_dir
+        if out is None:
+            return None
+        os.makedirs(out, exist_ok=True)
+        return os.path.join(out, f"{self.config.scenario}_{name}")
 
+    def table(self, name, columns, rows):
+        path = self._path(f"{name}.csv")
+        if path:
+            _write_table(path, self.header, columns, rows)
+            self.paths.append(path)
 
-def _finish_report(config, repetitions, excluded, predicates, aggregates,
-                   trace_paths, notes) -> ScenarioReport:
-    """Every scenario's report; written, if the run has an output
-    directory, as the run's last file."""
-    report = ScenarioReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        repetitions=repetitions,
-        excluded=excluded,
-        predicates=predicates,
-        aggregates=aggregates,
-        trace_paths=trace_paths,
-        notes=notes,
-    )
-    path = _out_path(config, f"{config.scenario}_report.json")
-    if path:
-        write_report_json(report, path, header=config.header())
-        report.trace_paths.append(path)
-    return report
+    def report(self, repetitions, excluded, predicates,
+               aggregates) -> ScenarioReport:
+        config = self.config
+        report = ScenarioReport(
+            scenario=config.scenario,
+            seed=config.seed,
+            config_hash=config.config_hash(),
+            repetitions=repetitions,
+            excluded=excluded,
+            predicates=predicates,
+            aggregates=aggregates,
+            trace_paths=self.paths,
+            notes=self.notes,
+        )
+        path = self._path("report.json")
+        if path:
+            write_report_json(report, path, self.header)
+            self.paths.append(path)
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +443,14 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
     its own generator, seeded seed + r.
     """
     p = config.resolved()
-    notes = []
+    run = _Run(config)
     x = chebyshev_nodes(p["n_train"])
     y = _sine_target(x, p["frequency"])
     design = _monomials(x, p["degree"])
     step = p["step"] / p["n_train"]
     gd = LinearSquareGD(design, y, step)
     if not gd.stable:
-        notes.append(f"step {step:.4g} exceeds the GD stability limit")
+        run.notes.append(f"step {step:.4g} exceeds the GD stability limit")
     x_test = np.linspace(-1.0, 1.0, p["n_test"])
     test_design = _monomials(x_test, p["degree"])
     y_test = _sine_target(x_test, p["frequency"])
@@ -495,7 +503,6 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
                  else unconverged[:, -1])
 
     times = [cp * step for cp in checkpoints]
-    trace_paths = []
     for rep in range(reps):
         trace = TrajectoryTrace(layer_count=1, rows=[
             TraceRow(t, value, tr, te, (norm,), None, null, count)
@@ -503,8 +510,7 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
                 times, sse[rep].tolist(), train[rep].tolist(),
                 test_mse[rep].tolist(), norms[rep].tolist(),
                 null_norms[rep].tolist(), counts.tolist())])
-        _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
-                   trace_paths, trace.header(), trace.csv_rows())
+        run.table(f"rep{rep:02d}", trace.header(), trace.csv_rows())
 
     excluded = reps - int(included.sum())
     predicates = {"exclusions_ok": excluded <= MAX_EXCLUSION_RATE * reps}
@@ -561,11 +567,9 @@ def sine_polynomial_perturbation(config: ExperimentConfig) -> ScenarioReport:
         rows = zip(range(len(times)), times, mean_train.tolist(),
                    mean_test.tolist(), mean_norm.tolist(),
                    mean_null_sq.tolist(), counts.tolist())
-        _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
-                   rows)
+        run.table("plot", cols, rows)
 
-    return _finish_report(config, reps, excluded, predicates, aggregates,
-                          trace_paths, notes)
+    return run.report(reps, excluded, predicates, aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +588,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     coefficients ~1e10 shred float64 evaluation.
     """
     p = config.resolved()
-    notes = []
+    run = _Run(config)
     x = chebyshev_nodes(p["n_train"])
     y = _sine_target(x, p["frequency"])
     x_test = np.linspace(-1.0, 1.0, p["n_test"])
@@ -600,7 +604,7 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
     rows = []
     for deg, solved in zip(degrees, fits):
         if solved is None:
-            notes.append(f"degree {deg}: {RANK_DEFICIENT}")
+            run.notes.append(f"degree {deg}: {RANK_DEFICIENT}")
             rows.append([deg, None, None, None, None, "rank_deficient"])
             continue
         w, cond = solved
@@ -660,16 +664,9 @@ def min_norm_degree_sweep(config: ExperimentConfig) -> ScenarioReport:
         ),
         "flagged_degrees": sum(1 for r in solved if r[5]),
     }
-    trace_paths = []
-    _write_csv(
-        config,
-        f"{config.scenario}_plot.csv",
-        trace_paths,
-        ["degree", "train_sse", "test_mse", "norm", "condition", "flag"],
-        rows,
-    )
-    return _finish_report(config, len(degrees), excluded, predicates,
-                          aggregates, trace_paths, notes)
+    run.table("plot", ["degree", "train_sse", "test_mse", "norm",
+                       "condition", "flag"], rows)
+    return run.report(len(degrees), excluded, predicates, aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +691,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
     norms only through the slow separable-loss divergence.
     """
     p = config.resolved()
-    notes = []
+    run = _Run(config)
     data_rng = np.random.default_rng(config.seed)
     train = _blob_data(data_rng, p["blob_center"], p["blob_std"],
                        p["n_train_per_class"])
@@ -728,7 +725,7 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
     ready = []
     for rep, trace in enumerate(pretrained):
         if trace.rows[-1].train_error > 0.0:
-            notes.append(f"repetition {rep}: pretraining left errors")
+            run.notes.append(f"repetition {rep}: pretraining left errors")
         else:
             ready.append(rep)
     traces, controls = [None] * reps, []
@@ -739,13 +736,12 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
         for rep, trace in zip(ready, protocol_traces):
             traces[rep] = trace
         controls = protocol_traces[len(ready):]
-    included, trace_paths = [], []
+    included = []
     for rep, trace in enumerate(traces):
         included.append(trace is not None
                         and not any(row.flag for row in trace.rows))
         if trace is not None:
-            _write_csv(config, f"{config.scenario}_rep{rep:02d}.csv",
-                       trace_paths, trace.header(), trace.csv_rows())
+            run.table(f"rep{rep:02d}", trace.header(), trace.csv_rows())
 
     excluded = included.count(False)
     keep = [t for t, ok in zip(traces, included) if ok]
@@ -800,11 +796,9 @@ def toy_deepnet_perturbation(config: ExperimentConfig) -> ScenarioReport:
              float(train01.mean(axis=0)[i]), float(mean_test[i])]
             for i in range(mean_norms.shape[0])
         ]
-        _write_csv(config, f"{config.scenario}_plot.csv", trace_paths, cols,
-                   rows)
+        run.table("plot", cols, rows)
 
-    return _finish_report(config, reps, excluded, predicates, aggregates,
-                          trace_paths, notes)
+    return run.report(reps, excluded, predicates, aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +813,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
     falls ever further below it. Its params are checked by ExperimentConfig.
     """
     p = config.resolved()
-    notes = []
+    run = _Run(config)
     f_tilde = p["f_tilde"]
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["grid_points"])
     ks = p["ks"]
@@ -834,7 +828,6 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
                                 p["closed_form_points"])
 
     curves, at_extra, bad = {}, {}, []
-    trace_paths = []
     for k in ks:
         rho0 = p["rho0_k1"] if k == 1 else p["rho0"]
         # sorted set, not np.union1d: np.unique imports numpy.ma (~1.6 MB)
@@ -842,7 +835,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
         rho = np.asarray(growth_numeric_trace(k, f_tilde, rho0, grid))
         if not np.all(np.isfinite(rho)) or np.any(np.diff(rho) < 0.0):
             bad.append(k)
-            notes.append(f"k={k}: non-finite or decreasing growth curve")
+            run.notes.append(f"k={k}: non-finite or decreasing growth curve")
         curves[k] = rho[np.searchsorted(grid, t_grid)]
         if k in extra:
             at_extra[k] = rho[np.searchsorted(grid, extra[k])]
@@ -850,8 +843,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
             [float(t), float(np.log(t)), float(r), float(r**k)]
             for t, r in zip(t_grid, curves[k])
         ]
-        _write_csv(config, f"{config.scenario}_k{k}.csv", trace_paths,
-                   ["t", "log_t", "rho", "product"], rows)
+        run.table(f"k{k}", ["t", "log_t", "rho", "product"], rows)
 
     predicates = {"exclusions_ok": not bad}
     aggregates = {"t_max": p["t_max"]}
@@ -900,8 +892,7 @@ def growth_asymptotics(config: ExperimentConfig) -> ScenarioReport:
             curves[hi_k][-1] ** hi_k
         ) > float(curves[lo_k][-1] ** lo_k)
 
-    return _finish_report(config, len(ks), len(bad), predicates, aggregates,
-                          trace_paths, notes)
+    return run.report(len(ks), len(bad), predicates, aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -951,9 +942,9 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     are counted in floored_steps and noted, never excluded.
     """
     p = config.resolved()
-    notes = []
+    run = _Run(config)
     n_datasets, n_inits = p["n_datasets"], p["n_inits"]
-    drawn = [_separable_dataset(config, p, ds, notes)
+    drawn = [_separable_dataset(config, p, ds, run.notes)
              for ds in range(n_datasets)]
     total_regen = sum(regen for _, _, regen in drawn)
 
@@ -981,15 +972,13 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
     excluded = sum(out.counts["backtrack_giveups"] > 0 for out in outs)
     floored = sum(out.counts["floored_steps"] for out in outs)
     if floored:
-        notes.append(f"{floored} exponential flow step(s) taken at a loss "
+        run.notes.append(f"{floored} exponential flow step(s) taken at a loss "
                      f"below LOSS_FLOOR = {LOSS_FLOOR:.0e}")
 
     per_dataset = []
-    trace_paths = []
     for ds, (_, margin, _) in enumerate(drawn):
         members = outs[ds * n_inits:(ds + 1) * n_inits]
-        _write_csv(config, f"{config.scenario}_ds{ds:02d}.csv", trace_paths,
-                   members[0].header(), members[0].csv_rows())
+        run.table(f"ds{ds:02d}", members[0].header(), members[0].csv_rows())
         finals = []
         for out in members:
             w = out.final_state.net.layers[0].ravel()
@@ -1051,19 +1040,11 @@ def convergence_direction_study(config: ExperimentConfig) -> ScenarioReport:
         "regenerated_datasets": total_regen,
         "floored_steps": floored,
     }
-    _write_csv(
-        config,
-        f"{config.scenario}_plot.csv",
-        trace_paths,
-        ["dataset", "min_cosine_to_oracle", "min_pairwise_cosine", "margin"],
-        [
-            [d["dataset"], d["min_cosine_to_oracle"],
-             d["min_pairwise_cosine"], d["margin"]]
-            for d in per_dataset
-        ],
-    )
-    return _finish_report(config, len(outs) + len(squares), excluded,
-                          predicates, aggregates, trace_paths, notes)
+    cols = ["dataset", "min_cosine_to_oracle", "min_pairwise_cosine",
+            "margin"]
+    run.table("plot", cols, [[d[c] for c in cols] for d in per_dataset])
+    return run.report(len(outs) + len(squares), excluded, predicates,
+                      aggregates)
 
 
 def run_scenario(config: ExperimentConfig) -> ScenarioReport:

@@ -356,8 +356,8 @@ class _Euler:
             return value, kink, out
         *units, rho = layers
         prod = np.multiply.reduce(rho, axis=-1, keepdims=True)
-        out, _, acts, derivs, kink = _forward_columns(self.arch,
-                                                      self.columns, units)
+        out, acts, derivs, kink = _forward_columns(self.arch, self.columns,
+                                                   units)
         value, ddelta = self.terms(prod * out)
         mass = np.add.reduce(-ddelta * out, axis=-1, keepdims=True)
         np.multiply(prod / rho, -mass, out=grads[-1])

@@ -188,7 +188,7 @@ def _terms_and_gradient(terms, net: DeepNet, columns, layers=None, out=None):
     evaluations. Stacked layers (see batch_forward) stand in for net's and
     give one value, gradient and kink flag per member; out is as in
     batch_backprop. The outputs the loss was taken of come last."""
-    fwd, _, acts, derivs, kink = _forward_columns(net, columns, layers)
+    fwd, acts, derivs, kink = _forward_columns(net, columns, layers)
     value, ddelta = terms(fwd)
     return (value, batch_backprop(net, acts, derivs, ddelta, layers, out),
             kink, fwd)

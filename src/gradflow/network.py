@@ -6,14 +6,15 @@ shared by the hidden layers. The last layer is linear by default
 top_linear=False to push the activation through the output as well.
 
 One forward/backward path serves every caller. batch_forward runs the
-samples as the columns of one matrix and caches, per layer, the input and
-the activation derivative next to the activation itself; batch_backprop
-reuses that cache instead of recomputing the activation. Both batch calls
-also take stacked layers (R, rows, cols) in place of the net's, for R
-flows that advance as one computation; every product then carries the
-leading member axis. forward and layer_gradients are the one-input API of
-a scalar-output net: they check one vector and run it through the batch
-path as a batch of one, so no caller sees the samples-as-columns layout.
+samples as the columns of one matrix and returns (out, acts, derivs,
+kink): per layer its input and its activation derivative, and no
+pre-activation; batch_backprop reads those two instead of recomputing the
+activation. Both batch calls also take stacked layers (R, rows, cols) in
+place of the net's, for R flows that advance as one computation; every
+product then carries the leading member axis. forward and
+layer_gradients are the one-input API of a scalar-output net: they check
+one vector and run it through the batch path as a batch of one, so no
+caller sees the samples-as-columns layout.
 
 Gradients are exact backpropagation, per layer with the same shapes as
 the weights, so that Euler identities like sum_ij dF/dW_ij * W_ij = f can
@@ -24,7 +25,7 @@ into the per-layer views of one flat buffer that a flow passes as out.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,10 +167,11 @@ def _activate(net: DeepNet, z: np.ndarray):
 def batch_forward(net: DeepNet, inputs, layers=None):
     """Forward pass over the rows of inputs (N x d); samples are columns.
 
-    Returns (out, preacts, acts, derivs, kink): out is C x N;
-    preacts[k] = W_{k+1} @ acts[k]; derivs[k] is the activation derivative
-    at preacts[k], None for a linear top layer; kink flags a relu
-    pre-activation exactly at zero. batch_backprop reuses acts and derivs.
+    Returns (out, acts, derivs, kink): out is C x N; acts[k] is layer
+    k+1's input; derivs[k] is the activation derivative at the
+    pre-activation W_{k+1} @ acts[k], None for a linear top layer; kink
+    flags a relu pre-activation exactly at zero. batch_backprop reads acts
+    and derivs; no pre-activation is kept.
 
     Stacked layers (R, rows, cols) stand in for net's; inputs are then
     shared (N x d) or per member (R x N x d), out is R x C x N and kink
@@ -188,11 +190,10 @@ def _forward_columns(net: DeepNet, h, layers=None):
     runs the same inputs many times."""
     layers = net.layers if layers is None else layers
     top = len(layers) - 1 if net.top_linear else -1
-    preacts, acts, derivs = [], [h], []
+    acts, derivs = [h], []
     kink = False
     for k, w in enumerate(layers):
         z = w @ h
-        preacts.append(z)
         if k == top:
             h, d = z, None
         else:
@@ -200,7 +201,7 @@ def _forward_columns(net: DeepNet, h, layers=None):
             kink = kink | hit
         acts.append(h)
         derivs.append(d)
-    return h, preacts, acts, derivs, kink
+    return h, acts, derivs, kink
 
 
 def batch_backprop(net: DeepNet, acts, derivs, out_delta, layers=None,
@@ -254,7 +255,7 @@ def layer_gradients(net: DeepNet, x) -> LayerGradient:
     the layers."""
     if net.out_dim != 1:
         raise ValueError("layer_gradients needs one output row")
-    _, _, acts, derivs, kink = batch_forward(net, _input_row(net, x))
+    _, acts, derivs, kink = batch_forward(net, _input_row(net, x))
     grads = batch_backprop(net, acts, derivs, np.ones((1, 1)))
     return LayerGradient(tuple(grads), kink)
 

@@ -226,7 +226,7 @@ def virtual_linear_system(net: DeepNet, data: Dataset) -> Dataset:
     flags, one per sample, are counted in a warning.
     """
     n = len(data.labels)
-    out, _, acts, derivs, kink = batch_forward(net, data.inputs[:, None, :])
+    out, acts, derivs, kink = batch_forward(net, data.inputs[:, None, :])
     if out.shape[1] != 1:
         raise ValueError("virtual construction needs a scalar-output net")
     kinked = int(np.count_nonzero(kink))

@@ -6,12 +6,36 @@ the function; ``hessian_by_second_differences`` builds a loss Hessian from
 second differences of the loss value alone, independent of the analytic
 gradient that ``gradflow.spectra.hessian`` differences. Both cost O(D) and
 O(D^2) loss evaluations, so they serve as slow references on small nets.
+``interpolating_instance`` draws the small interpolating problems that
+they and the zero-minimum identities are checked on.
 """
 
 import numpy as np
 
-from gradflow.losses import Dataset, loss
-from gradflow.network import DeepNet, flatten_params, unflatten_params
+from gradflow.losses import Dataset, batch_outputs, loss
+from gradflow.network import (DeepNet, batch_forward, flatten_params,
+                              random_net, unflatten_params)
+
+
+def interpolating_instance(seed, dims=(2, 4, 1), n=3):
+    """Random smoothed-relu net plus inputs whose hidden pre-activations
+    stay off the kink; labels are the net's own outputs, so residuals are
+    zero by construction."""
+    r = np.random.default_rng(seed)
+    for _ in range(80):
+        net = random_net(r, dims, "smoothed_relu", scale=1.0)
+        x = r.normal(size=(n, dims[0]))
+        clean = True
+        for xi in x:
+            acts = batch_forward(net, xi[None, :])[1]
+            # the products the forward pass makes, one per hidden layer
+            for w, a in zip(net.layers[:-1], acts):
+                if np.abs(w @ a).min() < 0.08:
+                    clean = False
+        if not clean:
+            continue
+        return net, Dataset(x, batch_outputs(net, x), task="regression")
+    raise RuntimeError("no clean instance found")
 
 
 def fd_gradient_check(f, grad, point, step: float = 1e-6) -> float:

@@ -21,14 +21,12 @@ from gradflow.flow import FlowState, StopRule, run_flows
 from gradflow.linalg import RANK_CUTOFF, frobenius_norm, symmetric_eig
 from gradflow.losses import (
     Dataset,
-    batch_outputs,
     loss,
     loss_and_gradient,
     separability_margin,
 )
 from gradflow.network import (
     DeepNet,
-    batch_forward,
     flatten_params,
     forward,
     homogeneity_residual,
@@ -44,7 +42,7 @@ from gradflow.spectra import (
     linear_square_hessian,
     virtual_linear_system,
 )
-from fd_oracles import fd_gradient_check
+from fd_oracles import fd_gradient_check, interpolating_instance
 
 SEP_X = np.array([[2.0, 0.3], [1.5, -0.4], [-1.0, 2.0], [-2.0, -0.5]])
 SEP_Y = np.array([1.0, 1.0, -1.0, -1.0])
@@ -91,26 +89,6 @@ def _null_space(x):
     dec = symmetric_eig(x.T @ x)
     keep = dec.eigenvalues <= RANK_CUTOFF * dec.eigenvalues.max()
     return dec.eigenvectors[:, keep]
-
-
-def _interpolating_instance(seed, dims=(2, 4, 1), n=3):
-    """Smoothed-relu net with inputs whose preactivations stay off the
-    kink; labels are the net's own outputs, so residuals vanish exactly."""
-    r = np.random.default_rng(seed)
-    for _ in range(80):
-        net = random_net(r, dims, "smoothed_relu", scale=1.0)
-        x = r.normal(size=(n, dims[0]))
-        clean = True
-        for xi in x:
-            preacts = batch_forward(net, xi[None, :])[1]
-            for p in preacts[:-1]:
-                if np.abs(p).min() < 0.08:
-                    clean = False
-        if not clean:
-            continue
-        y = batch_outputs(net, x)
-        return net, Dataset(x, y, task="regression")
-    raise RuntimeError("no clean instance found")
 
 
 def _pretrained_two_layer(seeds, steps=3000):
@@ -225,7 +203,7 @@ def test_criterion_05_homogeneity_identity():
 
 def test_criterion_06_zero_minimum_hessian_identity():
     for seed in (1, 7, 23):
-        net, data = _interpolating_instance(seed)
+        net, data = interpolating_instance(seed)
         h = hessian("square", net, data)
         lin = linear_square_hessian(virtual_linear_system(net, data).inputs)
         assert frobenius_norm(h - lin) <= 1e-4 * frobenius_norm(h)
@@ -239,7 +217,7 @@ def test_criterion_07_overparametrized_degeneracy():
     configs = [((2, 4, 1), 1), ((2, 4, 1), 3), ((3, 5, 1), 2),
                ((2, 3, 1), 2), ((4, 6, 1), 3)]
     for dims, n in configs:
-        net, data = _interpolating_instance(dims[1] * 10 + n, dims=dims, n=n)
+        net, data = interpolating_instance(dims[1] * 10 + n, dims=dims, n=n)
         d = sum(a * b for a, b in zip(dims[1:], dims[:-1]))
         assert d > n  # the overparametrized regime these instances probe
         report = classify_loss_hessian(hessian("square", net, data),
@@ -255,7 +233,7 @@ def test_criterion_08_hyperbolicity_restoration():
     for entry in entries:
         assert entry.report.n_zero == 0
         assert entry.report.min_eigenvalue >= 2.0 * entry.lam * (1.0 - 1e-3)
-    degen_net, degen_data = _interpolating_instance(1)
+    degen_net, degen_data = interpolating_instance(1)
     flat = hyperbolicity_sweep("square", degen_net, degen_data, [0.0],
                                equilibrate=False)
     assert flat[0].report.n_zero >= 1

@@ -10,7 +10,7 @@ full-size defaults are exercised in the acceptance suite.
 import filecmp
 import json
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -696,6 +696,55 @@ def test_report_predicates_are_json_booleans(tmp_path, scenario):
     body = json.loads((tmp_path / f"{scenario}_report.json").read_text())
     assert body["predicates"]
     assert all(isinstance(v, bool) for v in body["predicates"].values())
+
+
+# the trimmed configs of acceptance criterion 14: every runner writes each
+# kind of file it has (repetition or dataset traces, curves, plot, report)
+TRIMMED_RUNS = {
+    "sine_polynomial_perturbation": {"repetitions": 3,
+                                     "total_steps": 480_000},
+    "min_norm_degree_sweep": {"max_degree": 40},
+    "toy_deepnet_perturbation": {"repetitions": 2, "cycles": 2,
+                                 "control_repetitions": 1},
+    "growth_asymptotics": {"ks": (2,), "grid_points": 21,
+                           "closed_form_points": 3},
+    "convergence_direction_study": {"n_datasets": 1, "n_inits": 2},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TRIMMED_RUNS))
+def test_report_names_the_files_of_its_run(tmp_path, monkeypatch, scenario):
+    # every file goes through one of the two writers; record their order
+    written = []
+    for name in ("_write_table", "_write_json"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda path, *rest, real=real:
+                            (written.append(str(path)), real(path, *rest)))
+    out = tmp_path / "out"
+    config = ExperimentConfig(scenario=scenario, seed=9, output_dir=str(out),
+                              params=TRIMMED_RUNS[scenario])
+    report = run_scenario(config)
+    names = [os.path.basename(p) for p in report.trace_paths]
+    assert report.trace_paths == written
+    assert sorted(names) == sorted(os.listdir(out))
+    assert names[-1] == f"{scenario}_report.json"
+    assert all(name.startswith(f"{scenario}_") for name in names)
+    for name in names[:-1]:
+        with open(out / name) as fh:
+            assert fh.readline() == f"# {config.header()}\n", name
+    body = json.loads((out / names[-1]).read_text())
+    assert body["trace_paths"] == names[:-1]
+    assert body["header"] == config.header()
+
+    # no output directory: no file, and the same report otherwise
+    written.clear()
+    monkeypatch.chdir(tmp_path)
+    bare = run_scenario(ExperimentConfig(scenario=scenario, seed=9,
+                                         params=TRIMMED_RUNS[scenario]))
+    assert written == [] and bare.trace_paths == []
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+    assert (experiments._json_text({**asdict(bare), "trace_paths": []})
+            == experiments._json_text({**asdict(report), "trace_paths": []}))
 
 
 class TestByteDeterminism:

@@ -113,7 +113,8 @@ def test_gradients_match_finite_differences_many_random_nets():
         if kind == "relu":
             # keep pre-activations away from the kink so the FD probe
             # (step 1e-6) never crosses it
-            pre = batch_forward(net, x[None, :])[1]
+            acts = batch_forward(net, x[None, :])[1]
+            pre = [w @ a for w, a in zip(net.layers, acts)]
             if min(float(np.abs(p).min()) for p in pre) < 1e-3:
                 continue
         g = layer_gradients(net, x)
@@ -220,7 +221,7 @@ def test_backprop_multihead_seeding():
     # gradient of f_2 alone via one-hot seed matches FD on that head
     seed = np.zeros(4)
     seed[2] = 1.0
-    _, _, acts, derivs, _ = batch_forward(net, x[None, :])
+    _, acts, derivs, _ = batch_forward(net, x[None, :])
     g = batch_backprop(net, acts, derivs, seed[:, None])
     step = 1e-6
     shapes = [w.shape for w in net.layers]
@@ -406,7 +407,7 @@ def test_per_sample_backprop_is_bitwise_matvec_reference():
     for net in _random_nets(rng, 400):
         x = rng.normal(size=net.in_dim)
         delta = rng.normal(size=net.out_dim)
-        _, _, acts, derivs, _ = batch_forward(net, x[None, :])
+        _, acts, derivs, _ = batch_forward(net, x[None, :])
         got = batch_backprop(net, acts, derivs, delta[:, None])
         want = _matvec_backprop(net, x, delta)
         for a, b in zip(got, want):
@@ -425,12 +426,12 @@ def test_per_sample_backprop_matches_batched_column():
         n = int(rng.integers(1, 12))
         x = rng.normal(size=(n, net.in_dim))
         delta = rng.normal(size=(net.out_dim, n))
-        _, _, acts, derivs, kink = batch_forward(net, x)
+        _, acts, derivs, kink = batch_forward(net, x)
         for j in range(n):
             one_hot = np.zeros_like(delta)
             one_hot[:, j] = delta[:, j]
             batched = batch_backprop(net, acts, derivs, one_hot)
-            _, _, acts_j, derivs_j, kink_j = batch_forward(net, x[j][None, :])
+            _, acts_j, derivs_j, kink_j = batch_forward(net, x[j][None, :])
             single = batch_backprop(net, acts_j, derivs_j, delta[:, j, None])
             for a, b in zip(batched, single):
                 scale = max(1.0, float(np.abs(b).max()))
@@ -473,7 +474,7 @@ def test_one_row_backprop_is_bitwise_matmul_form(members):
             layers = [rng.normal(size=(members,) + sh) for sh in shapes]
         layers[-1][..., ::3] = 0.0
         x = rng.normal(size=(int(rng.integers(1, 25)), 2))
-        out, _, acts, derivs, _ = batch_forward(net, x, layers)
+        out, acts, derivs, _ = batch_forward(net, x, layers)
         for delta in (rng.normal(size=out.shape), np.zeros(out.shape)):
             got = batch_backprop(net, acts, derivs, delta, layers)
             want = _matmul_backprop(net, acts, derivs, delta, layers)

@@ -20,8 +20,8 @@ from gradflow.linalg import frobenius_norm, symmetric_eig
 import gradflow.network as network_mod
 from gradflow.losses import (Dataset, batch_outputs, loss_and_gradient,
                              separability_margin)
-from gradflow.network import (DeepNet, batch_forward, flatten_params,
-                              layer_gradients, random_net, unflatten_params)
+from gradflow.network import (DeepNet, flatten_params, layer_gradients,
+                              random_net, unflatten_params)
 from gradflow.spectra import (
     ConjugacyVerdict,
     SpectrumReport,
@@ -35,32 +35,11 @@ from gradflow.spectra import (
     virtual_linear_system,
     write_spectrum_csv,
 )
-from fd_oracles import hessian_by_second_differences
+from fd_oracles import hessian_by_second_differences, interpolating_instance
 
 SEP_X = np.array([[2.0, 0.3], [1.5, -0.4], [-1.0, 2.0], [-2.0, -0.5]])
 SEP_Y = np.array([1.0, 1.0, -1.0, -1.0])
 SEP = Dataset(SEP_X, SEP_Y)
-
-
-def make_interpolating_net(seed, dims=(2, 4, 1), n=3):
-    """Random smoothed-relu net plus inputs whose preactivations stay off
-    the kink; labels are the net's own outputs, so residuals are zero by
-    construction."""
-    r = np.random.default_rng(seed)
-    for _ in range(80):
-        net = random_net(r, dims, "smoothed_relu", scale=1.0)
-        x = r.normal(size=(n, dims[0]))
-        clean = True
-        for xi in x:
-            preacts = batch_forward(net, xi[None, :])[1]
-            for p in preacts[:-1]:
-                if np.abs(p).min() < 0.08:
-                    clean = False
-        if not clean:
-            continue
-        y = batch_outputs(net, x)
-        return net, Dataset(x, y, task="regression")
-    raise RuntimeError("no clean instance found")
 
 
 def column_by_column_hessian(kind, net, data, lambdas=()):
@@ -232,7 +211,7 @@ class TestHessian:
 
     def test_zero_minimum_outer_product_identity(self):
         # at zero residuals H collapses to 2 sum grad f grad f^T
-        net, data = make_interpolating_net(1)
+        net, data = interpolating_instance(1)
         h = hessian("square", net, data)
         virt = virtual_linear_system(net, data)
         h_lin = linear_square_hessian(virt.inputs)
@@ -303,7 +282,7 @@ class TestDegeneracy:
     ])
     def test_overparametrized_zero_minimum_is_degenerate(self, dims, n):
         # rank of a sum of n outer products is at most n < D
-        net, data = make_interpolating_net(dims[1] * 10 + n, dims=dims, n=n)
+        net, data = interpolating_instance(dims[1] * 10 + n, dims=dims, n=n)
         rep = classify_loss_hessian(hessian("square", net, data))
         d = sum(a * b for a, b in zip(dims[1:], dims[:-1]))
         assert rep.n_zero >= d - n
@@ -333,7 +312,7 @@ class TestHyperbolicitySweep:
             assert e.report.min_eigenvalue >= 2.0 * e.lam * (1.0 - 1e-3)
 
     def test_lambda_zero_at_degenerate_minimum(self):
-        net, data = make_interpolating_net(1)
+        net, data = interpolating_instance(1)
         entries = hyperbolicity_sweep("square", net, data, [0.0],
                                       equilibrate=False)
         assert entries[0].report.n_zero >= 1
@@ -372,7 +351,7 @@ class TestVirtualSystem:
         monkeypatch.setattr(network_mod, "layer_gradients", refuse)
         monkeypatch.setattr(network_mod, "forward", refuse)
         monkeypatch.setattr(spectra_mod, "_terms_and_gradient", refuse)
-        net, data = make_interpolating_net(2)
+        net, data = interpolating_instance(2)
         assert virtual_linear_system(net, data).inputs.shape == (3, 12)
 
     def test_linear_net_gives_back_inputs(self):
@@ -416,7 +395,7 @@ class TestVirtualSystem:
             virtual_linear_system(net, data)
 
     def test_sign_counts_match_deep_hessian(self):
-        net, data = make_interpolating_net(7)
+        net, data = interpolating_instance(7)
         virt = virtual_linear_system(net, data)
         rep_deep = classify_loss_hessian(hessian("square", net, data))
         rep_lin = classify_loss_hessian(linear_square_hessian(virt.inputs))
