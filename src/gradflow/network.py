@@ -6,15 +6,14 @@ shared by the hidden layers. The last layer is linear by default
 top_linear=False to push the activation through the output as well.
 
 One forward/backward path serves every caller. batch_forward runs the
-samples as the columns of one matrix and returns (out, acts, derivs,
-kink): per layer its input and its activation derivative, and no
-pre-activation; batch_backprop reads those two instead of recomputing the
-activation. Both batch calls also take stacked layers (R, rows, cols) in
-place of the net's, for R flows that advance as one computation; every
-product then carries the leading member axis. forward and
-layer_gradients are the one-input API of a scalar-output net: they check
-one vector and run it through the batch path as a batch of one, so no
-caller sees the samples-as-columns layout.
+samples as the columns of one matrix and keeps, per layer, the input and
+the activation derivative, not the pre-activation; batch_backprop reads
+those instead of recomputing the activation. Both batch calls also take
+stacked layers (R, rows, cols) in place of the net's, for R flows that
+advance as one computation; every product then carries the leading
+member axis. forward and layer_gradients are the one-input API of a
+scalar-output net: they check one vector and run it through the batch
+path as a batch of one, so no caller sees the samples-as-columns layout.
 
 Gradients are exact backpropagation, per layer with the same shapes as
 the weights, so that Euler identities like sum_ij dF/dW_ij * W_ij = f can
@@ -167,11 +166,10 @@ def _activate(net: DeepNet, z: np.ndarray):
 def batch_forward(net: DeepNet, inputs, layers=None):
     """Forward pass over the rows of inputs (N x d); samples are columns.
 
-    Returns (out, acts, derivs, kink): out is C x N; acts[k] is layer
-    k+1's input; derivs[k] is the activation derivative at the
-    pre-activation W_{k+1} @ acts[k], None for a linear top layer; kink
-    flags a relu pre-activation exactly at zero. batch_backprop reads acts
-    and derivs; no pre-activation is kept.
+    Returns (out, acts, derivs, kink): out is C x N; derivs[k] is the
+    activation derivative at the pre-activation W_{k+1} @ acts[k], None
+    for a linear top layer, and no pre-activation is kept; kink flags a
+    relu pre-activation exactly at zero. batch_backprop reads acts, derivs.
 
     Stacked layers (R, rows, cols) stand in for net's; inputs are then
     shared (N x d) or per member (R x N x d), out is R x C x N and kink
