@@ -390,8 +390,8 @@ class _Run:
         self.notes, self.paths = [], []
 
     def _path(self, name):
-        """Where the run's file name goes, made on first use; None without
-        an output directory."""
+        """The path of the run's file <scenario>_<name>, made on first use;
+        None without an output directory."""
         out = self.config.output_dir
         if out is None:
             return None
